@@ -11,7 +11,8 @@ along trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .symexpr import (
     acc,
     compile_expr,
     coord,
+    expr_source,
     partial,
     substitute,
     vel,
@@ -38,8 +40,13 @@ from .symexpr import (
 # ---------------------------------------------------------------------------
 
 
-def _solve_pivoting(A: list, b: list, threshold: float, state_desc: str) -> list:
-    """Gaussian elimination with partial pivoting on small dense systems."""
+def _solve_pivoting(A: list, b: list, threshold: float, state=None) -> list:
+    """Gaussian elimination with partial pivoting on small dense systems.
+
+    ``state`` is the (t, x, v) at which a state-dependent matrix was
+    evaluated, named by the error a vanishing pivot raises; None stands for
+    a constant matrix.
+    """
     n = len(b)
     M = [row[:] for row in A]
     rhs = b[:]
@@ -47,8 +54,12 @@ def _solve_pivoting(A: list, b: list, threshold: float, state_desc: str) -> list
         pivot_row = max(range(col, n), key=lambda r: abs(M[r][col]))
         pivot = M[pivot_row][col]
         if abs(pivot) < threshold:
+            where = "constant mass matrix"
+            if state is not None:
+                t, x, v = state
+                where = f"t={float(t)!r}, x={[float(c) for c in x]!r}, v={[float(c) for c in v]!r}"
             raise SingularMassError(
-                f"mass matrix singular (pivot {pivot:.3e} below threshold) at {state_desc}",
+                f"mass matrix singular (pivot {pivot:.3e} below threshold) at {where}",
             )
         if pivot_row != col:
             M[col], M[pivot_row] = M[pivot_row], M[col]
@@ -70,13 +81,249 @@ def _solve_pivoting(A: list, b: list, threshold: float, state_desc: str) -> list
 
 
 # ---------------------------------------------------------------------------
+# the generated kernel: one explicit law inlined into every loop
+# ---------------------------------------------------------------------------
+
+
+def _dot(coeffs, names: str) -> str:
+    """Source of ``sum(c * k for c, k in ...)`` as builtin sum() computes it
+    (left to right from the int 0), with every term kept: a zero
+    coefficient still turns an infinite ``k`` into NaN."""
+    if not coeffs:
+        return "0"
+    return "(0.0" + "".join(f" + {c!r} * {names.format(r)}" for r, c in enumerate(coeffs)) + ")"
+
+
+# Function templates. A line holding {i} repeats once per coordinate; a line
+# @law(S) becomes the system's law at stage suffix S.
+_RHS = """\
+def kernel(t, x, v):
+    x_{i} = x[{i}]
+    v_{i} = v[{i}]
+    @law()
+    return [{accels}]
+"""
+
+_SAMPLE = """\
+def kernel(taus, xs, vs):
+    out = []
+    for t, x, v in zip(taus, xs, vs):
+        x_{i} = x[{i}]
+        v_{i} = v[{i}]
+        @law()
+        out.append(a_{i})
+    return out
+"""
+
+# The integration loops catch OverflowError/ValueError from the law (float
+# range exceeded: blow-up) and truncate, as they do for a non-finite state.
+_RK4 = """\
+def kernel(taus, x, v, h):
+    x1_{i} = x[{i}]
+    v1_{i} = v[{i}]
+    h2 = h / 2.0
+    h6 = h / 6.0
+    xs = list(x)
+    vs = list(v)
+    for t1 in taus:
+        try:
+            @law(1)
+            t2 = t1 + h2
+            x2_{i} = x1_{i} + h2 * v1_{i}
+            v2_{i} = v1_{i} + h2 * a1_{i}
+            @law(2)
+            t3 = t1 + h2
+            x3_{i} = x1_{i} + h2 * v2_{i}
+            v3_{i} = v1_{i} + h2 * a2_{i}
+            @law(3)
+            t4 = t1 + h
+            x4_{i} = x1_{i} + h * v3_{i}
+            v4_{i} = v1_{i} + h * a3_{i}
+            @law(4)
+        except (OverflowError, ValueError):
+            return xs, vs, True
+        x1_{i} = x1_{i} + h6 * (v1_{i} + 2.0 * v2_{i} + 2.0 * v3_{i} + v4_{i})
+        v1_{i} = v1_{i} + h6 * (a1_{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})
+        if not ({finite}):
+            return xs, vs, True
+        xs.append(x1_{i})
+        vs.append(v1_{i})
+    return xs, vs, False
+"""
+
+# Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
+_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_RKF_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3554 / 2565, 1859 / 4104, -11 / 40),
+)
+_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+# Stage s evaluates the law at (tk{s}, xk{s}_i, vk{s}_i); vk{s}_i and ak{s}_i
+# are the stage's slopes of x and v.
+_RKF45_STAGE = """\
+            tk{s} = t + {c!r} * dt
+            xk{s}_{{i}} = x_{{i}} + dt * {a_vk}
+            vk{s}_{{i}} = v_{{i}} + dt * {a_ak}
+            @law(k{s})
+"""
+
+_RKF45 = """\
+def kernel(x, v, a_t, b_t, atol, rtol, max_step):
+    x_{i} = x[{i}]
+    v_{i} = v[{i}]
+    t = a_t
+    ts = [t]
+    xs = list(x)
+    vs = list(v)
+    accels = []
+    try:
+        @law()
+    except (OverflowError, ValueError):
+        return ts, xs, vs, accels, True
+    accels.append(a_{i})
+    dt = min(max_step, (b_t - a_t) / 10.0)
+    min_step = 1e-14 * (b_t - a_t)
+    t_stop = b_t - 1e-15 * (b_t - a_t)
+    while t < t_stop:
+        dt = min(dt, b_t - t)
+        try:
+{stages}
+            err = 0.0
+            scale = atol + rtol * max({abs_x}, {abs_v}, 1.0)
+            err = max(err, abs(dt * {err_vk}), abs(dt * {err_ak}))
+        except (OverflowError, ValueError):
+            return ts, xs, vs, accels, True
+        if not isfinite(err):
+            return ts, xs, vs, accels, True
+        if err <= scale:
+            x_{i} = x_{i} + dt * {b4_vk}
+            v_{i} = v_{i} + dt * {b4_ak}
+            t = t + dt
+            if not ({finite}):
+                return ts, xs, vs, accels, True
+            try:
+                @law()
+            except (OverflowError, ValueError):
+                return ts, xs, vs, accels, True
+            ts.append(t)
+            xs.append(x_{i})
+            vs.append(v_{i})
+            accels.append(a_{i})
+        ratio = (scale / err) ** 0.2 if err > 0.0 else 5.0
+        dt = min(max_step, dt * min(5.0, max(0.2, 0.9 * ratio)))
+        if dt < min_step:
+            return ts, xs, vs, accels, True
+    return ts, xs, vs, accels, False
+"""
+
+
+class _Kernel:
+    """One system's explicit law a = M^-1 c as generated source.
+
+    ``law`` is emitted once. It reads ``t{s}``, ``x{s}_i``, ``v{s}_i`` and
+    assigns ``a{s}_i``, where ``{s}`` is a stage suffix, so each loop
+    inlines it per stage instead of calling a function. The four functions
+    built from it are compiled on first use and run on Python floats and
+    ``math`` only, doing the same float operations in the same order as a
+    per-coordinate loop around a law callable would.
+    """
+
+    def __init__(self, n: int, law: str):
+        self.n = n
+        self.law = law
+
+    def rhs(self, t, x, v) -> list:
+        """The accelerations at one state, as a list."""
+        return self._rhs(t, x, v)
+
+    def _join(self, item: str, sep: str) -> str:
+        return sep.join(item.format(i=i) for i in range(self.n))
+
+    def _compile(self, template: str, **fields):
+        lines = []
+        for line in template.format(i="{i}", **fields).splitlines():
+            body = line.lstrip()
+            if body.startswith("@law("):
+                indent = line[: len(line) - len(body)]
+                lines += [indent + stmt for stmt in self.law.format(s=body[5:-1]).splitlines()]
+            elif "{i}" in line:
+                lines += [line.format(i=i) for i in range(self.n)]
+            else:
+                lines.append(line)
+        namespace = {
+            "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
+            "_solve_pivoting": _solve_pivoting,
+        }
+        exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
+        return namespace["kernel"]
+
+    @cached_property
+    def _rhs(self):
+        return self._compile(_RHS, accels=self._join("a_{i}", ", "))
+
+    @cached_property
+    def sample(self):
+        """``sample(taus, xs, vs) -> accels``: the law at each (t, x, v)
+        row, as one flat row-major list."""
+        return self._compile(_SAMPLE)
+
+    @cached_property
+    def rk4(self):
+        """``rk4(taus, x0, v0, h) -> (xs, vs, truncated)``: one RK4 step from
+        each time in ``taus``. ``xs``/``vs`` are flat row-major lists of the
+        accepted states, starting with (x0, v0)."""
+        return self._compile(
+            _RK4, finite=self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
+        )
+
+    @cached_property
+    def rkf45(self):
+        """``rkf45(x0, v0, a_t, b_t, atol, rtol, max_step)`` returns
+        ``(ts, xs, vs, accels, truncated)``: the accepted knots and their
+        states and accelerations as flat row-major lists. ``accels`` is
+        empty when the law fails at the initial state."""
+        stages = "".join(
+            _RKF45_STAGE.format(
+                s=s, c=_RKF_C[s], a_vk=_dot(_RKF_A[s], "vk{}_{{i}}"),
+                a_ak=_dot(_RKF_A[s], "ak{}_{{i}}"),
+            )
+            for s in range(6)
+        )
+        abs_x, abs_v = self._join("abs(x_{i})", ", "), self._join("abs(v_{i})", ", ")
+        if self.n > 1:
+            abs_x, abs_v = f"max({abs_x})", f"max({abs_v})"
+        return self._compile(
+            _RKF45,
+            stages=stages.rstrip("\n"),
+            abs_x=abs_x,
+            abs_v=abs_v,
+            err_vk=_dot(_RKF_ERR, "vk{}_{{i}}"),
+            err_ak=_dot(_RKF_ERR, "ak{}_{{i}}"),
+            b4_vk=_dot(_RKF_B4, "vk{}_{{i}}"),
+            b4_ak=_dot(_RKF_B4, "ak{}_{{i}}"),
+            finite=self._join("isfinite(x_{i}) and isfinite(v_{i})", " and "),
+        )
+
+
+# ---------------------------------------------------------------------------
 # explicit ODE assembly
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExplicitODE:
-    """First-order system x' = v, v' = a(t, x, v) from affine residuals."""
+    """First-order system x' = v, v' = a(t, x, v) from affine residuals.
+
+    ``kernel`` holds the generated law and the loops built from it; the
+    integrators run those loops and never call ``rhs``, which evaluates the
+    law at one state and returns a list.
+    """
 
     n: int
     rhs: Callable[[float, Sequence[float], Sequence[float]], list]
@@ -85,6 +332,7 @@ class ExplicitODE:
     pivot_threshold: float
     mass_symbolic: tuple  # n x n tuple of Expr, M_ij = -dR_i/da^j
     force_symbolic: tuple  # n tuple of Expr, c_i = R_i at a = 0
+    kernel: _Kernel = field(repr=False, compare=False)
 
 
 def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple]:
@@ -114,7 +362,8 @@ def assemble_explicit(
     M_ij = -dR_i/da^j and c_i = R_i with accelerations zeroed; the solve
     uses partial pivoting and reports the offending state when a pivot
     falls below the threshold. A state-independent mass matrix is detected
-    and factored once.
+    and inverted once. The resulting law is emitted as source for the
+    system's generated kernel.
     """
     n = eom.n
     mass_sym, force_sym = mass_and_force(eom)
@@ -125,8 +374,12 @@ def assemble_explicit(
         for i in range(n)
         for j in range(n)
     )
-    force_fns = [compile_expr(force_sym[i], params) for i in range(n)]
 
+    def source(e: Expr) -> str:
+        return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
+
+    forces = [source(force_sym[i]) for i in range(n)]
+    law = [f"c{{s}}_{i} = {forces[i]}" for i in range(n)]
     if constant:
         M0 = [
             [compile_expr(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
@@ -138,49 +391,38 @@ def assemble_explicit(
                 raise SingularMassError(
                     f"mass matrix singular (pivot {pivot:.3e} below threshold)"
                 )
-            inv = 1.0 / pivot
-            f0 = force_fns[0]
-
-            def rhs(t, x, v):
-                return [f0(t, x, v) * inv]
-
+            law = [f"a{{s}}_0 = ({forces[0]})*{1.0 / pivot!r}"]
         else:
             # prefactor by solving against unit vectors
             inv_cols = []
             for j in range(n):
                 e = [0.0] * n
                 e[j] = 1.0
-                inv_cols.append(
-                    _solve_pivoting(M0, e, pivot_threshold, "constant mass matrix")
-                )
+                inv_cols.append(_solve_pivoting(M0, e, pivot_threshold))
             inv_rows = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-
-            def rhs(t, x, v):
-                c = [fn(t, x, v) for fn in force_fns]
-                return [
-                    sum(inv_rows[i][j] * c[j] for j in range(n)) for i in range(n)
-                ]
-
+            law += [f"a{{s}}_{i} = {_dot(inv_rows[i], 'c{{s}}_{}')}" for i in range(n)]
     else:
-        mass_fns = [
-            [compile_expr(mass_sym[i][j], params) for j in range(n)] for i in range(n)
-        ]
+        rows = ", ".join(
+            "[" + ", ".join(source(mass_sym[i][j]) for j in range(n)) + "]" for i in range(n)
+        )
 
-        def rhs(t, x, v):
-            M = [[mass_fns[i][j](t, x, v) for j in range(n)] for i in range(n)]
-            c = [fn(t, x, v) for fn in force_fns]
-            return _solve_pivoting(
-                M, c, pivot_threshold, f"t={t!r}, x={list(x)!r}, v={list(v)!r}"
-            )
+        def names(kind: str) -> str:
+            return "".join(f"{kind}{{s}}_{i}, " for i in range(n))
 
+        law.append(
+            f"{names('a')}= _solve_pivoting([{rows}], [{names('c')}], {pivot_threshold!r}, "
+            f"(t{{s}}, ({names('x')}), ({names('v')})))"
+        )
+    kernel = _Kernel(n, "\n".join(law))
     return ExplicitODE(
         n=n,
-        rhs=rhs,
+        rhs=kernel.rhs,
         mass_constant=constant,
         params=params,
         pivot_threshold=pivot_threshold,
         mass_symbolic=mass_sym,
         force_symbolic=force_sym,
+        kernel=kernel,
     )
 
 
@@ -209,112 +451,34 @@ class Trajectory:
         return NumericSection(self.taus, self.xs, self.vs)
 
 
-def _finite(state: Sequence[float]) -> bool:
-    return all(math.isfinite(s) for s in state)
+def _hermite_resample(taus, knot_ts, kx, kv, ka, n, span):
+    """Cubic Hermite values at every grid time up to the last knot.
 
-
-def _rk4(rhs, x0, v0, taus, h, n):
-    N = len(taus) - 1
-    xs = [list(x0)]
-    vs = [list(v0)]
-    x, v = list(x0), list(v0)
-    truncated = False
-    h2, h6 = h / 2.0, h / 6.0
-    for k in range(N):
-        t = taus[k]
-        try:
-            a1 = rhs(t, x, v)
-            x2 = [x[i] + h2 * v[i] for i in range(n)]
-            v2 = [v[i] + h2 * a1[i] for i in range(n)]
-            a2 = rhs(t + h2, x2, v2)
-            x3 = [x[i] + h2 * v2[i] for i in range(n)]
-            v3 = [v[i] + h2 * a2[i] for i in range(n)]
-            a3 = rhs(t + h2, x3, v3)
-            x4 = [x[i] + h * v3[i] for i in range(n)]
-            v4 = [v[i] + h * a3[i] for i in range(n)]
-            a4 = rhs(t + h, x4, v4)
-            x = [x[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in range(n)]
-            v = [v[i] + h6 * (a1[i] + 2.0 * a2[i] + 2.0 * a3[i] + a4[i]) for i in range(n)]
-        except (OverflowError, ValueError):
-            # float range exceeded inside the compiled law: blow-up
-            truncated = True
-            break
-        if not (_finite(x) and _finite(v)):
-            truncated = True
-            break
-        xs.append(list(x))
-        vs.append(list(v))
-    return xs, vs, truncated
-
-
-# Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3554 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
-
-
-def _rkf45_knots(rhs, x0, v0, a_t, b_t, n, atol, rtol, max_step):
-    """Adaptive pass; returns accepted knots (t, x, v, accel) and a flag."""
-    t = a_t
-    x, v = list(x0), list(v0)
-    accel = rhs(t, x, v)
-    knots = [(t, list(x), list(v), list(accel))]
-    dt = min(max_step, (b_t - a_t) / 10.0)
-    min_step = 1e-14 * (b_t - a_t)
-    truncated = False
-    while t < b_t - 1e-15 * (b_t - a_t):
-        dt = min(dt, b_t - t)
-        kx = [None] * 6
-        kv = [None] * 6
-        try:
-            for s in range(6):
-                xs_ = [x[i] + dt * sum(_RKF_A[s][r] * kx[r][i] for r in range(s)) for i in range(n)]
-                vs_ = [v[i] + dt * sum(_RKF_A[s][r] * kv[r][i] for r in range(s)) for i in range(n)]
-                kx[s] = vs_
-                kv[s] = rhs(t + _RKF_C[s] * dt, xs_, vs_)
-            err = 0.0
-            scale = atol + rtol * max(max(abs(c) for c in x), max(abs(c) for c in v), 1.0)
-            for i in range(n):
-                ex = dt * sum(_RKF_ERR[s] * kx[s][i] for s in range(6))
-                ev = dt * sum(_RKF_ERR[s] * kv[s][i] for s in range(6))
-                err = max(err, abs(ex), abs(ev))
-        except (OverflowError, ValueError):
-            truncated = True
-            break
-        if not math.isfinite(err):
-            truncated = True
-            break
-        if err <= scale:
-            x = [x[i] + dt * sum(_RKF_B4[s] * kx[s][i] for s in range(6)) for i in range(n)]
-            v = [v[i] + dt * sum(_RKF_B4[s] * kv[s][i] for s in range(6)) for i in range(n)]
-            t = t + dt
-            if not (_finite(x) and _finite(v)):
-                truncated = True
-                break
-            accel = rhs(t, x, v)
-            knots.append((t, list(x), list(v), list(accel)))
-        ratio = (scale / err) ** 0.2 if err > 0.0 else 5.0
-        dt = min(max_step, dt * min(5.0, max(0.2, 0.9 * ratio)))
-        if dt < min_step:
-            truncated = True
-            break
-    return knots, truncated
-
-
-def _hermite(y0, d0_, y1, d1_, w, dt):
-    h00 = (1 + 2 * w) * (1 - w) ** 2
-    h10 = w * (1 - w) ** 2
+    Each value takes the same float operations as evaluating the Hermite
+    basis per sample with Python floats; ``np.float_power`` keeps the square
+    a call to pow(), as Python's ``**`` is.
+    """
+    knot_ts = np.array(knot_ts)
+    beyond = np.flatnonzero(taus > knot_ts[-1] + 1e-12 * span)
+    t = taus[: beyond[0] if len(beyond) else len(taus)]
+    kx = np.array(kx).reshape(-1, n)
+    kv = np.array(kv).reshape(-1, n)
+    if len(knot_ts) == 1:
+        return np.repeat(kx, len(t), axis=0), np.repeat(kv, len(t), axis=0)
+    ka = np.array(ka).reshape(-1, n)
+    j = np.clip(np.searchsorted(knot_ts, t, side="right") - 1, 0, len(knot_ts) - 2)
+    t0 = knot_ts[j]
+    dt = knot_ts[j + 1] - t0
+    w = np.divide(t - t0, dt, out=np.zeros_like(t), where=dt != 0)[:, None]
+    dt = dt[:, None]
+    square = np.float_power(1 - w, 2)
+    h00 = (1 + 2 * w) * square
+    h10 = w * square
     h01 = w * w * (3 - 2 * w)
     h11 = w * w * (w - 1)
-    return h00 * y0 + h10 * dt * d0_ + h01 * y1 + h11 * dt * d1_
+    xs = h00 * kx[j] + h10 * dt * kv[j] + h01 * kx[j + 1] + h11 * dt * kv[j + 1]
+    vs = h00 * kv[j] + h10 * dt * ka[j] + h01 * kv[j + 1] + h11 * dt * ka[j + 1]
+    return xs, vs
 
 
 def integrate(
@@ -334,8 +498,9 @@ def integrate(
     rk4 is the fixed-step workhorse (global order 4). rkf45 runs adaptively
     under (atol, rtol) and is resampled onto the uniform grid by cubic
     Hermite interpolation; max_step bounds the knot spacing so the
-    interpolation error stays at the tolerance level. Non-finite states
-    truncate the trajectory and set the flag instead of raising.
+    interpolation error stays at the tolerance level. Non-finite states,
+    and float overflow inside the law, truncate the trajectory and set the
+    flag instead of raising.
     """
     a_t, b_t = float(interval[0]), float(interval[1])
     if not b_t > a_t:
@@ -352,36 +517,22 @@ def integrate(
         raise ValueError("initial condition dimension mismatch")
 
     if method == "rk4":
-        xs, vs, truncated = _rk4(ode.rhs, x0, v0, taus, h_eff, n)
-        m = len(xs)
+        xs, vs, truncated = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
+        m = len(xs) // n
         return Trajectory(
-            taus[:m], np.array(xs), np.array(vs), "rk4", h_eff, provenance, truncated
+            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), "rk4",
+            h_eff, provenance, truncated,
         )
     if method != "rkf45":
         raise ValueError(f"unknown integrator '{method}'")
 
-    knots, truncated = _rkf45_knots(ode.rhs, x0, v0, a_t, b_t, n, atol, rtol, max_step)
-    knot_ts = np.array([k[0] for k in knots])
-    xs_out, vs_out = [], []
-    for t in taus:
-        if t > knot_ts[-1] + 1e-12 * (b_t - a_t):
-            break
-        j = int(np.searchsorted(knot_ts, t, side="right") - 1)
-        j = min(max(j, 0), len(knots) - 2) if len(knots) > 1 else 0
-        t0, x0k, v0k, a0k = knots[j]
-        if len(knots) == 1:
-            xs_out.append(list(x0k))
-            vs_out.append(list(v0k))
-            continue
-        t1, x1k, v1k, a1k = knots[j + 1]
-        dt = t1 - t0
-        w = 0.0 if dt == 0 else (t - t0) / dt
-        xs_out.append([_hermite(x0k[i], v0k[i], x1k[i], v1k[i], w, dt) for i in range(n)])
-        vs_out.append([_hermite(v0k[i], a0k[i], v1k[i], a1k[i], w, dt) for i in range(n)])
-    m = len(xs_out)
+    knot_ts, kx, kv, ka, truncated = ode.kernel.rkf45(
+        x0, v0, a_t, b_t, atol, rtol, max_step
+    )
+    xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
+    m = len(xs)
     return Trajectory(
-        taus[:m], np.array(xs_out), np.array(vs_out), "rkf45", h_eff, provenance,
-        truncated or m < len(taus),
+        taus[:m], xs, vs, "rkf45", h_eff, provenance, truncated or m < len(taus)
     )
 
 
@@ -429,10 +580,8 @@ def _eval_on_trajectory(e: Expr, traj: Trajectory, params, accels=None) -> np.nd
 
 def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
     """Accelerations recomputed from the explicit law at each sample."""
-    out = np.empty_like(traj.xs)
-    for k in range(len(traj.taus)):
-        out[k] = ode.rhs(float(traj.taus[k]), traj.xs[k], traj.vs[k])
-    return out
+    accels = ode.kernel.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
+    return np.array(accels, dtype=float).reshape(traj.xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -689,19 +838,11 @@ def write_trajectory_csv(traj: Trajectory, path, report: BalanceReport | None = 
     """One row per sample, 17 significant digits, deterministic."""
     n = traj.n
     header = ["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
+    columns = [traj.taus[:, None], traj.xs, traj.vs]
     if report is not None:
         header += ["E", "P", "rho"]
-    lines = [",".join(header)]
-    for k in range(len(traj.taus)):
-        row = [f"{traj.taus[k]:.17g}"]
-        row += [f"{traj.xs[k, i]:.17g}" for i in range(n)]
-        row += [f"{traj.vs[k, i]:.17g}" for i in range(n)]
-        if report is not None:
-            row += [
-                f"{report.E[k]:.17g}",
-                f"{report.P[k]:.17g}",
-                f"{report.rho[k]:.17g}",
-            ]
-        lines.append(",".join(row))
+        columns += [report.E[:, None], report.P[:, None], report.rho[:, None]]
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row % tuple(values) for values in np.hstack(columns).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

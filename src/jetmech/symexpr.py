@@ -639,7 +639,7 @@ def _float_lit(q: Fraction) -> str:
     return repr(float(q))
 
 
-def _signal_code(sym: Symbol) -> str:
+def _signal_code(sym: Symbol, t: str) -> str:
     sig = sym.signal
     if isinstance(sig, PolynomialSignal):
         coeffs = sig.derivative_coeffs(sym.order)
@@ -647,12 +647,50 @@ def _signal_code(sym: Symbol) -> str:
             return "0.0"
         body = _float_lit(coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            body = f"({_float_lit(c)} + t*({body}))"
+            body = f"({_float_lit(c)} + {t}*({body}))"
         return body
     amp, use_cos = sig.derivative_parts(sym.order)
     fn = "cos" if use_cos else "sin"
-    angle = f"{_float_lit(sig.omega)}*t + {_float_lit(sig.phase)}"
+    angle = f"{_float_lit(sig.omega)}*{t} + {_float_lit(sig.phase)}"
     return f"({_float_lit(amp)}*{fn}({angle}))"
+
+
+def expr_source(
+    e: Expr,
+    params: Mapping[str, float],
+    t: str = "t",
+    x: str = "x[{}]",
+    v: str = "v[{}]",
+    a: str = "a[{}]",
+) -> str:
+    """Python source of one expression, with parameters bound as literals.
+
+    ``t`` names the time variable; ``x``, ``v`` and ``a`` are format
+    templates that name coordinate ``i`` of each kind. Signals call ``sin``
+    and ``cos``, which the caller's namespace supplies. Raises
+    UnboundSymbolError for parameters missing from ``params``.
+    """
+    pieces = []
+    for mono, c in e.terms:
+        factors = [_float_lit(c)]
+        for sym, exp in mono:
+            if sym.kind == SymbolKind.TIME:
+                base = t
+            elif sym.kind == SymbolKind.COORD:
+                base = x.format(sym.index)
+            elif sym.kind == SymbolKind.VEL:
+                base = v.format(sym.index)
+            elif sym.kind == SymbolKind.ACC:
+                base = a.format(sym.index)
+            elif sym.kind == SymbolKind.PARAM:
+                if sym.name not in params:
+                    raise UnboundSymbolError(f"parameter '{sym.name}' has no value")
+                base = repr(float(params[sym.name]))
+            else:
+                base = _signal_code(sym, t)
+            factors.append(base if exp == 1 else f"{base}**{exp}")
+        pieces.append("*".join(factors))
+    return " + ".join(pieces) if pieces else "0.0"
 
 
 def compile_expr(
@@ -665,28 +703,7 @@ def compile_expr(
     every slot. Raises UnboundSymbolError for parameters missing from
     ``params``.
     """
-    pieces = []
-    for mono, c in e.terms:
-        factors = [_float_lit(c)]
-        for sym, exp in mono:
-            if sym.kind == SymbolKind.TIME:
-                base = "t"
-            elif sym.kind == SymbolKind.COORD:
-                base = f"x[{sym.index}]"
-            elif sym.kind == SymbolKind.VEL:
-                base = f"v[{sym.index}]"
-            elif sym.kind == SymbolKind.ACC:
-                base = f"a[{sym.index}]"
-            elif sym.kind == SymbolKind.PARAM:
-                if sym.name not in params:
-                    raise UnboundSymbolError(f"parameter '{sym.name}' has no value")
-                base = repr(float(params[sym.name]))
-            else:
-                base = _signal_code(sym)
-            factors.append(base if exp == 1 else f"{base}**{exp}")
-        pieces.append("*".join(factors))
-    body = " + ".join(pieces) if pieces else "0.0"
-    src = f"def _compiled(t, x, v, a=None):\n    return {body}\n"
+    src = f"def _compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
     if vectorized:
         import numpy as np
 

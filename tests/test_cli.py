@@ -171,6 +171,24 @@ class TestSimulate:
         assert code == 3
         assert "singular" in out
 
+    def test_singular_state_reported_in_plain_floats(self, capsys, tmp_path):
+        path = tmp_path / "s.mech"
+        path.write_text(
+            'system "vanishing" { parameter m = 1; parameter k = 1; coordinate x;\n'
+            "force x: -k*x; momentum x: m*x*x'; init x = 0, x' = 1; time 0 .. 1 step 1e-2 }"
+        )
+        for method in ("rk4", "rkf45"):
+            code = main([
+                "simulate", str(path), "--out", str(tmp_path / "s.csv"), "--method", method,
+            ])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == (
+                "numeric failure: mass matrix singular (pivot 0.000e+00 below threshold) "
+                "at t=0.0, x=[0.0], v=[1.0]\n"
+            )
+            assert captured.err == ""
+
     def test_blow_up_flagged_partial_csv(self, capsys, tmp_path):
         path = tmp_path / "b.mech"
         path.write_text(

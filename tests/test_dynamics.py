@@ -7,6 +7,7 @@ import pytest
 
 from jetmech.dynamics import (
     VariationField,
+    accelerations_on,
     assemble_explicit,
     energy_audit,
     first_variation,
@@ -96,6 +97,28 @@ class TestAssembleExplicit:
             ode.rhs(0.0, [0.0], [1.0])
         assert "x=" in str(err.value)
 
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_singular_state_message_uses_plain_floats(self, method):
+        phi = VerticalOneForm((-K * X,), (M * V * X,))
+        ode = assemble_explicit(dual_spencer(phi), {"k": 1.0, "m": 1.0})
+        with pytest.raises(SingularMassError) as err:
+            integrate(ode, [0.0], [1.0], (0.0, 1.0), 1e-2, method)
+        assert str(err.value) == (
+            "mass matrix singular (pivot 0.000e+00 below threshold) "
+            "at t=0.0, x=[0.0], v=[1.0]"
+        )
+
+    def test_singular_state_message_on_array_rows(self):
+        phi = VerticalOneForm((-K * X,), (M * V * X,))
+        ode = assemble_explicit(dual_spencer(phi), {"k": 1.0, "m": 1.0})
+        traj = integrate(ho_ode(), [0.0], [1.0], (0.0, 1.0), 1e-2)
+        with pytest.raises(SingularMassError) as err:
+            accelerations_on(traj, ode)
+        assert str(err.value).endswith("at t=0.0, x=[0.0], v=[1.0]")
+        with pytest.raises(SingularMassError) as err:
+            ode.rhs(np.float64(0.0), np.zeros(1), np.ones(1))
+        assert str(err.value).endswith("at t=0.0, x=[0.0], v=[1.0]")
+
 
 class TestIntegrate:
     def test_harmonic_closed_form(self):
@@ -140,6 +163,30 @@ class TestIntegrate:
         assert traj.truncated
         assert len(traj.taus) < 2001
         assert np.isfinite(traj.xs).all() and np.isfinite(traj.vs).all()
+
+    @pytest.mark.parametrize("method, samples", [("rk4", 1857), ("rkf45", 1855)])
+    def test_cubic_blow_up_truncation_point(self, method, samples):
+        # x'' = x^3 from x = 1 at rest escapes to infinity near t = 1.85
+        phi = VerticalOneForm((X**3,), (M * V,))
+        ode = assemble_explicit(dual_spencer(phi), {"m": 1.0})
+        traj = integrate(ode, [1.0], [0.0], (0.0, 4.0), 1e-3, method)
+        assert traj.truncated
+        assert len(traj.taus) == samples
+        assert np.isfinite(traj.xs).all() and np.isfinite(traj.vs).all()
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_overflow_in_law_truncates(self, method):
+        # x^400 leaves the float range as a raised OverflowError, not inf
+        phi = VerticalOneForm((X**400,), (M * V,))
+        ode = assemble_explicit(dual_spencer(phi), {"m": 1.0})
+        with pytest.raises(OverflowError):
+            ode.rhs(0.0, [6.0], [0.0])
+        traj = integrate(ode, [6.0], [0.0], (0.0, 1.0), 1e-3, method)
+        assert traj.truncated
+        assert len(traj.taus) == 1
+        traj = integrate(ode, [1.0], [6.0], (0.0, 1.0), 1e-3, method)
+        assert traj.truncated
+        assert 1 <= len(traj.taus) < 1001
 
     def test_integrated_sections_are_integrable(self):
         maxima = []

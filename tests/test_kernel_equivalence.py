@@ -1,0 +1,491 @@
+"""Bitwise equivalence of the generated kernel with the per-call loops.
+
+The reference below is the original pure-Python numeric path, kept
+verbatim: a law callable per system (three closure variants around
+``compile_expr``), the list-per-coordinate RK4 and RKF45 loops that call
+it, the per-sample Hermite resampling, the per-sample acceleration loop and
+the per-element CSV writer. Every trajectory, acceleration table and CSV
+file the kernel produces must match it bit for bit.
+
+The reference sums with builtin ``sum()``. Up to Python 3.11 that adds
+left to right from 0, which the kernel reproduces; from 3.12 on it
+compensates rounding, so the reference itself changes and the module is
+skipped there.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from jetmech.dsl import parse_system, preset, PRESETS
+from jetmech.dynamics import (
+    accelerations_on,
+    assemble_explicit,
+    energy_audit,
+    integrate,
+    write_trajectory_csv,
+)
+from jetmech.errors import SingularMassError
+from jetmech.spencer import dual_spencer
+from jetmech.symexpr import compile_expr
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="builtin sum() compensates float rounding from Python 3.12 on",
+)
+
+# ---------------------------------------------------------------------------
+# reference: the original per-call numeric path
+# ---------------------------------------------------------------------------
+
+
+def _solve_pivoting(A: list, b: list, threshold: float, state_desc: str) -> list:
+    """Gaussian elimination with partial pivoting on small dense systems."""
+    n = len(b)
+    M = [row[:] for row in A]
+    rhs = b[:]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(M[r][col]))
+        pivot = M[pivot_row][col]
+        if abs(pivot) < threshold:
+            raise SingularMassError(
+                f"mass matrix singular (pivot {pivot:.3e} below threshold) at {state_desc}",
+            )
+        if pivot_row != col:
+            M[col], M[pivot_row] = M[pivot_row], M[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        inv = 1.0 / M[col][col]
+        for r in range(col + 1, n):
+            factor = M[r][col] * inv
+            if factor != 0.0:
+                for c in range(col, n):
+                    M[r][c] -= factor * M[col][c]
+                rhs[r] -= factor * rhs[col]
+    out = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        s = rhs[r]
+        for c in range(r + 1, n):
+            s -= M[r][c] * out[c]
+        out[r] = s / M[r][r]
+    return out
+
+
+def reference_rhs(ode):
+    """The law as a callable, assembled as the three original closures."""
+    n, params, pivot_threshold = ode.n, ode.params, ode.pivot_threshold
+    mass_sym, force_sym, constant = ode.mass_symbolic, ode.force_symbolic, ode.mass_constant
+    force_fns = [compile_expr(force_sym[i], params) for i in range(n)]
+
+    if constant:
+        M0 = [
+            [compile_expr(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
+            for i in range(n)
+        ]
+        if n == 1:
+            pivot = M0[0][0]
+            if abs(pivot) < pivot_threshold:
+                raise SingularMassError(
+                    f"mass matrix singular (pivot {pivot:.3e} below threshold)"
+                )
+            inv = 1.0 / pivot
+            f0 = force_fns[0]
+
+            def rhs(t, x, v):
+                return [f0(t, x, v) * inv]
+
+        else:
+            # prefactor by solving against unit vectors
+            inv_cols = []
+            for j in range(n):
+                e = [0.0] * n
+                e[j] = 1.0
+                inv_cols.append(
+                    _solve_pivoting(M0, e, pivot_threshold, "constant mass matrix")
+                )
+            inv_rows = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+
+            def rhs(t, x, v):
+                c = [fn(t, x, v) for fn in force_fns]
+                return [
+                    sum(inv_rows[i][j] * c[j] for j in range(n)) for i in range(n)
+                ]
+
+    else:
+        mass_fns = [
+            [compile_expr(mass_sym[i][j], params) for j in range(n)] for i in range(n)
+        ]
+
+        def rhs(t, x, v):
+            M = [[mass_fns[i][j](t, x, v) for j in range(n)] for i in range(n)]
+            c = [fn(t, x, v) for fn in force_fns]
+            return _solve_pivoting(
+                M, c, pivot_threshold, f"t={t!r}, x={list(x)!r}, v={list(v)!r}"
+            )
+
+    return rhs
+
+
+def _finite(state):
+    return all(math.isfinite(s) for s in state)
+
+
+def _rk4(rhs, x0, v0, taus, h, n):
+    N = len(taus) - 1
+    xs = [list(x0)]
+    vs = [list(v0)]
+    x, v = list(x0), list(v0)
+    truncated = False
+    h2, h6 = h / 2.0, h / 6.0
+    for k in range(N):
+        t = taus[k]
+        try:
+            a1 = rhs(t, x, v)
+            x2 = [x[i] + h2 * v[i] for i in range(n)]
+            v2 = [v[i] + h2 * a1[i] for i in range(n)]
+            a2 = rhs(t + h2, x2, v2)
+            x3 = [x[i] + h2 * v2[i] for i in range(n)]
+            v3 = [v[i] + h2 * a2[i] for i in range(n)]
+            a3 = rhs(t + h2, x3, v3)
+            x4 = [x[i] + h * v3[i] for i in range(n)]
+            v4 = [v[i] + h * a3[i] for i in range(n)]
+            a4 = rhs(t + h, x4, v4)
+            x = [x[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in range(n)]
+            v = [v[i] + h6 * (a1[i] + 2.0 * a2[i] + 2.0 * a3[i] + a4[i]) for i in range(n)]
+        except (OverflowError, ValueError):
+            # float range exceeded inside the compiled law: blow-up
+            truncated = True
+            break
+        if not (_finite(x) and _finite(v)):
+            truncated = True
+            break
+        xs.append(list(x))
+        vs.append(list(v))
+    return xs, vs, truncated
+
+
+# Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
+_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_RKF_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3554 / 2565, 1859 / 4104, -11 / 40),
+)
+_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def _rkf45_knots(rhs, x0, v0, a_t, b_t, n, atol, rtol, max_step):
+    """Adaptive pass; returns accepted knots (t, x, v, accel) and a flag."""
+    t = a_t
+    x, v = list(x0), list(v0)
+    accel = rhs(t, x, v)
+    knots = [(t, list(x), list(v), list(accel))]
+    dt = min(max_step, (b_t - a_t) / 10.0)
+    min_step = 1e-14 * (b_t - a_t)
+    truncated = False
+    while t < b_t - 1e-15 * (b_t - a_t):
+        dt = min(dt, b_t - t)
+        kx = [None] * 6
+        kv = [None] * 6
+        try:
+            for s in range(6):
+                xs_ = [x[i] + dt * sum(_RKF_A[s][r] * kx[r][i] for r in range(s)) for i in range(n)]
+                vs_ = [v[i] + dt * sum(_RKF_A[s][r] * kv[r][i] for r in range(s)) for i in range(n)]
+                kx[s] = vs_
+                kv[s] = rhs(t + _RKF_C[s] * dt, xs_, vs_)
+            err = 0.0
+            scale = atol + rtol * max(max(abs(c) for c in x), max(abs(c) for c in v), 1.0)
+            for i in range(n):
+                ex = dt * sum(_RKF_ERR[s] * kx[s][i] for s in range(6))
+                ev = dt * sum(_RKF_ERR[s] * kv[s][i] for s in range(6))
+                err = max(err, abs(ex), abs(ev))
+        except (OverflowError, ValueError):
+            truncated = True
+            break
+        if not math.isfinite(err):
+            truncated = True
+            break
+        if err <= scale:
+            x = [x[i] + dt * sum(_RKF_B4[s] * kx[s][i] for s in range(6)) for i in range(n)]
+            v = [v[i] + dt * sum(_RKF_B4[s] * kv[s][i] for s in range(6)) for i in range(n)]
+            t = t + dt
+            if not (_finite(x) and _finite(v)):
+                truncated = True
+                break
+            accel = rhs(t, x, v)
+            knots.append((t, list(x), list(v), list(accel)))
+        ratio = (scale / err) ** 0.2 if err > 0.0 else 5.0
+        dt = min(max_step, dt * min(5.0, max(0.2, 0.9 * ratio)))
+        if dt < min_step:
+            truncated = True
+            break
+    return knots, truncated
+
+
+def _hermite(y0, d0_, y1, d1_, w, dt):
+    h00 = (1 + 2 * w) * (1 - w) ** 2
+    h10 = w * (1 - w) ** 2
+    h01 = w * w * (3 - 2 * w)
+    h11 = w * w * (w - 1)
+    return h00 * y0 + h10 * dt * d0_ + h01 * y1 + h11 * dt * d1_
+
+
+def reference_integrate(rhs, n, x0, v0, interval, h, method,
+                        atol=1e-10, rtol=1e-9, max_step=0.02):
+    """(taus, xs, vs, truncated), as the original ``integrate`` built them."""
+    a_t, b_t = float(interval[0]), float(interval[1])
+    N = max(1, int(round((b_t - a_t) / h)))
+    taus = np.linspace(a_t, b_t, N + 1)
+    h_eff = (b_t - a_t) / N
+    x0 = [float(c) for c in x0]
+    v0 = [float(c) for c in v0]
+    if method == "rk4":
+        xs, vs, truncated = _rk4(rhs, x0, v0, taus, h_eff, n)
+        m = len(xs)
+        return taus[:m], np.array(xs), np.array(vs), truncated
+
+    knots, truncated = _rkf45_knots(rhs, x0, v0, a_t, b_t, n, atol, rtol, max_step)
+    knot_ts = np.array([k[0] for k in knots])
+    xs_out, vs_out = [], []
+    for t in taus:
+        if t > knot_ts[-1] + 1e-12 * (b_t - a_t):
+            break
+        j = int(np.searchsorted(knot_ts, t, side="right") - 1)
+        j = min(max(j, 0), len(knots) - 2) if len(knots) > 1 else 0
+        t0, x0k, v0k, a0k = knots[j]
+        if len(knots) == 1:
+            xs_out.append(list(x0k))
+            vs_out.append(list(v0k))
+            continue
+        t1, x1k, v1k, a1k = knots[j + 1]
+        dt = t1 - t0
+        w = 0.0 if dt == 0 else (t - t0) / dt
+        xs_out.append([_hermite(x0k[i], v0k[i], x1k[i], v1k[i], w, dt) for i in range(n)])
+        vs_out.append([_hermite(v0k[i], a0k[i], v1k[i], a1k[i], w, dt) for i in range(n)])
+    m = len(xs_out)
+    return taus[:m], np.array(xs_out), np.array(vs_out), truncated or m < len(taus)
+
+
+def reference_accelerations_on(traj, rhs):
+    out = np.empty_like(traj.xs)
+    for k in range(len(traj.taus)):
+        out[k] = rhs(float(traj.taus[k]), traj.xs[k], traj.vs[k])
+    return out
+
+
+def reference_csv(traj, path, report=None):
+    n = traj.n
+    header = ["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
+    if report is not None:
+        header += ["E", "P", "rho"]
+    lines = [",".join(header)]
+    for k in range(len(traj.taus)):
+        row = [f"{traj.taus[k]:.17g}"]
+        row += [f"{traj.xs[k, i]:.17g}" for i in range(n)]
+        row += [f"{traj.vs[k, i]:.17g}" for i in range(n)]
+        if report is not None:
+            row += [
+                f"{report.E[k]:.17g}",
+                f"{report.P[k]:.17g}",
+                f"{report.rho[k]:.17g}",
+            ]
+        lines.append(",".join(row))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# systems
+# ---------------------------------------------------------------------------
+
+COUPLED_CONSTANT_2 = """\
+system "coupled2" {
+  parameter m = 111/100
+  parameter c = 23/100
+  parameter kc = 9/20
+  parameter k0 = 1
+  parameter k1 = 97/100
+  parameter b0 = 3/20
+  parameter b1 = 3/25
+  coordinate x
+  coordinate y
+  signal f = sinusoid(3/20, 1, 0)
+  force x: -k0*x - b0*x' - x^3/5 + kc*(y - x) + sig(f)
+  momentum x: m*x' + c*y'
+  force y: -k1*y - b1*y' - y^3/8 + kc*(x - y)
+  momentum y: m*y' + c*x'
+  init x = 4/5, y = -3/4, x' = 1/10, y' = 0
+  time 0 .. 3/2 step 1e-3
+}
+"""
+
+COUPLED_CONSTANT_3 = """\
+system "coupled3" {
+  parameter m = 107/100
+  parameter c = 27/100
+  parameter kc = 11/25
+  parameter k = 1
+  parameter b = 3/20
+  coordinate x
+  coordinate y
+  coordinate z
+  signal f = sinusoid(1/10, 21/20, 0)
+  force x: -k*x - b*x' - x^3/5 + kc*(y - x) + sig(f)
+  momentum x: m*x' + c*y'
+  force y: -k*y - b*y' - y^3/6 + kc*(x - y) + kc*(z - y)
+  momentum y: m*y' + c*x' + c*z'
+  force z: -k*z - b*z' - z^3/7 + kc*(y - z)
+  momentum z: m*z' + c*y'
+  init x = 4/5, y = -7/10, z = 3/4, x' = -1/10, y' = 1/5, z' = 0
+  time 0 .. 3/2 step 1e-3
+}
+"""
+
+STATE_MASS_2 = """\
+system "statemass2" {
+  parameter m = 11/10
+  parameter c = 1/4
+  parameter kc = 2/5
+  coordinate x
+  coordinate y
+  signal f = sinusoid(1/8, 1, 0)
+  force x: -x - x'/8 - x^3/5 + kc*(y - x) + sig(f)
+  momentum x: (m + c*y^2)*x'
+  force y: -y - y'/6 - y^3/9 + kc*(x - y)
+  momentum y: m*y'
+  init x = 17/20, y = -4/5, x' = 0, y' = 1/10
+  time 0 .. 3/2 step 1e-3
+}
+"""
+
+STATE_MASS_3 = """\
+system "statemass3" {
+  parameter m = 21/20
+  parameter c = 3/10
+  parameter kc = 9/20
+  coordinate x
+  coordinate y
+  coordinate z
+  force x: -x - x'/7 - x^3/5 + kc*(y - x)
+  momentum x: (m + c*y^2)*x'
+  force y: -y - y'/7 - y^3/5 + kc*(x - y) + kc*(z - y)
+  momentum y: m*y'
+  force z: -z - z'/7 - z^3/5 + kc*(y - z)
+  momentum z: m*z'
+  init x = 3/4, y = -17/20, z = 4/5, x' = 1/5, y' = 0, z' = -1/10
+  time 0 .. 3/2 step 1e-3
+}
+"""
+
+FORCED = """\
+system "forced" {
+  parameter m = 2
+  parameter k = 3/2
+  coordinate x
+  signal f = sinusoid(2/5, 7/5, 1/3)
+  signal w = polynomial(1/2, -1/4, 1/8)
+  force x: -k*x - x'/10 + sig(f) + t^2*x/50 + sig(w)*x'/20
+  momentum x: m*x'
+  init x = 1/2, x' = -1/4
+  time 0 .. 5 step 1e-3
+}
+"""
+
+GENERATED = {
+    "coupled2": COUPLED_CONSTANT_2,
+    "coupled3": COUPLED_CONSTANT_3,
+    "statemass2": STATE_MASS_2,
+    "statemass3": STATE_MASS_3,
+    "forced": FORCED,
+}
+
+
+def _system(name):
+    return preset(name) if name in PRESETS else parse_system(GENERATED[name])
+
+
+def _ode(system):
+    return assemble_explicit(dual_spencer(system.phi), system.param_values())
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+AUDITED = ("harmonic", "damped_ho")  # the presets that declare their split
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+def test_generated_systems_cover_every_law_form():
+    forms = {name: _ode(_system(name)) for name in GENERATED}
+    assert [forms[k].mass_constant for k in ("coupled2", "coupled3")] == [True, True]
+    assert [forms[k].mass_constant for k in ("statemass2", "statemass3")] == [False, False]
+    assert [forms[k].n for k in ("coupled2", "coupled3", "statemass2", "statemass3")] == [2, 3, 2, 3]
+    # the constant mass matrices are not diagonal
+    for k in ("coupled2", "coupled3"):
+        assert not forms[k].mass_symbolic[0][1].is_zero
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(GENERATED))
+def test_trajectory_and_csv_bitwise(name, method, tmp_path):
+    system = _system(name)
+    ode = _ode(system)
+    x0, v0 = system.init
+    a, b, h = system.time
+    traj = integrate(ode, x0, v0, (a, b), h, method)
+    taus, xs, vs, truncated = reference_integrate(
+        reference_rhs(ode), ode.n, x0, v0, (a, b), h, method
+    )
+    assert _same(traj.taus, taus)
+    assert _same(traj.xs, xs)
+    assert _same(traj.vs, vs)
+    assert traj.truncated == truncated
+
+    report = None
+    if name in AUDITED:
+        report = energy_audit(traj, system.declared_decomposition(), system.param_values())
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, new, report)
+    reference_csv(traj, ref, report)
+    assert new.read_bytes() == ref.read_bytes()
+    if report is not None:
+        assert new.read_text().splitlines()[0] == "tau,x0,v0,E,P,rho"
+
+
+@pytest.mark.parametrize("name", ["damped_ho", "statemass2", "coupled3"])
+def test_rhs_matches_reference_law(name):
+    ode = _ode(_system(name))
+    ref = reference_rhs(ode)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        t = float(rng.uniform(0, 5))
+        x = rng.uniform(-2, 2, ode.n).tolist()
+        v = rng.uniform(-2, 2, ode.n).tolist()
+        got = ode.rhs(t, x, v)
+        assert isinstance(got, list)
+        assert _same(got, ref(t, x, v))
+
+
+def test_accelerations_on_bitwise():
+    system = preset("damped_ho")
+    ode = _ode(system)
+    traj = integrate(ode, *system.init, system.time[:2], system.time[2])
+    assert _same(accelerations_on(traj, ode), reference_accelerations_on(traj, reference_rhs(ode)))
+
+
+def test_accelerations_on_state_mass_bitwise():
+    system = parse_system(STATE_MASS_3)
+    ode = _ode(system)
+    traj = integrate(ode, *system.init, system.time[:2], system.time[2], "rkf45")
+    assert _same(accelerations_on(traj, ode), reference_accelerations_on(traj, reference_rhs(ode)))
