@@ -41,7 +41,6 @@ from .symexpr import (
 )
 from .formcalc import (
     Decomposition,
-    GeneralOneForm,
     TwoForm,
     VerticalOneForm,
     accept_user_split,

@@ -37,19 +37,15 @@ from .errors import (
     ReconstructionError,
     SingularMassError,
 )
-from .formcalc import d1, format_one_form, format_two_form
+from .formcalc import d1, format_one_form, format_two_form, reconstruction_residual
 from .spencer import dual_spencer
 from .symexpr import Expr, SymbolKind, acc
-from .verify import DEFAULT_SEED, run_builtin_suites
+from .verify import DEFAULT_SEED, CheckResult, check_declared_split, run_builtin_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _load_system(target: str) -> SystemSpec:
@@ -59,7 +55,7 @@ def _load_system(target: str) -> SystemSpec:
     elif target in PRESETS:
         text = PRESETS[target]
     else:
-        raise _UsageError(f"no such file or preset: {target}")
+        raise MechError(f"no such file or preset: {target}")
     return parse_system(text)
 
 
@@ -104,23 +100,12 @@ def cmd_decompose(args) -> int:
     checks = []
     if args.mode == "declared":
         if not system.has_declared_split:
-            raise _UsageError(
+            raise MechError(
                 "declared mode requires lagrangian/antiexact clauses in the system"
             )
-        try:
-            dec = system.declared_decomposition()
-        except ReconstructionError as exc:
-            print(f"FAIL {exc}")
-            return EXIT_VERIFICATION
+        dec = system.declared_decomposition()
     else:
-        try:
-            dec = system.canonical_decomposition()
-        except AdmissibilityError as exc:
-            print(
-                "homotopy decomposition requires polynomial signals "
-                f"(signal '{exc.signal_name}' is a sinusoid)"
-            )
-            return EXIT_NUMERIC
+        dec = system.canonical_decomposition()
     print(f"system: {system.name}")
     print(f"mode: {dec.mode}")
     print(f"L = {format_expr(dec.lagrangian, coords)}")
@@ -136,8 +121,6 @@ def cmd_decompose(args) -> int:
         rendered = format_two_form(differential, coords)
         print(f"phi_a not closed: d(phi_a) = {rendered} (so it cannot be exact)")
         checks.append(("anti-exact-closed", False, f"d(phi_a) = {rendered}"))
-    from .formcalc import reconstruction_residual
-
     residual = reconstruction_residual(dec, system.phi)
     ok = residual.is_zero
     print("reconstruction: exact" if ok else "reconstruction: FAILED")
@@ -180,25 +163,17 @@ def cmd_derive(args) -> int:
 def cmd_simulate(args) -> int:
     system = _load_system(args.target)
     if system.init is None:
-        raise _UsageError("simulate requires init")
+        raise MechError("simulate requires init")
     if system.time is None:
-        raise _UsageError("simulate requires a time clause")
+        raise MechError("simulate requires a time clause")
     params = system.param_values()
     method = args.method or system.integrator
     a, b, h = system.time
-    try:
-        ode = assemble_explicit(dual_spencer(system.phi), params)
-    except SingularMassError as exc:
-        print(f"numeric failure: {exc}")
-        return EXIT_NUMERIC
-    try:
-        traj = integrate(
-            ode, system.init[0], system.init[1], (a, b), h, method,
-            provenance="derived-eom",
-        )
-    except SingularMassError as exc:
-        print(f"numeric failure: {exc}")
-        return EXIT_NUMERIC
+    ode = assemble_explicit(dual_spencer(system.phi), params)
+    traj = integrate(
+        ode, system.init[0], system.init[1], (a, b), h, method,
+        provenance="derived-eom",
+    )
 
     failures = []
     report = None
@@ -210,15 +185,11 @@ def cmd_simulate(args) -> int:
                 else system.canonical_decomposition()
             )
             report = energy_audit(traj, dec, params)
-        except (ReconstructionError, AdmissibilityError, AuditUnsupportedError) as exc:
-            # the trajectory is still useful; land it before reporting
+        except (ReconstructionError, AdmissibilityError, AuditUnsupportedError):
+            # the trajectory is still useful; land it before main reports the failure
             write_trajectory_csv(traj, args.out, None)
             print(f"wrote {args.out} ({len(traj.taus)} samples, no audit columns)")
-            if isinstance(exc, ReconstructionError):
-                print(f"FAIL {exc}")
-                return EXIT_VERIFICATION
-            print(f"numeric failure: {exc}")
-            return EXIT_NUMERIC
+            raise
         print(
             f"energy audit: max |rho| = {report.max_residual:.6e}, "
             f"rms = {report.rms_residual:.6e}, "
@@ -232,10 +203,7 @@ def cmd_simulate(args) -> int:
         return EXIT_NUMERIC
 
     if args.oracle:
-        try:
-            oracle_report = oracle_compare(system, (a, b), h, method)
-        except MechError as exc:
-            raise _UsageError(str(exc)) from exc
+        oracle_report = oracle_compare(system, (a, b), h, method)
         print(f"max divergence {oracle_report.max_divergence:.6e}")
         if oracle_report.max_divergence > args.tol:
             failures.append(
@@ -251,45 +219,34 @@ def cmd_verify(args) -> int:
     checks = []
     system = None
     if args.target is None and not args.builtin_suite:
-        raise _UsageError("verify needs a system file or --builtin-suite")
+        raise MechError("verify needs a system file or --builtin-suite")
     if args.target is not None:
         system = _load_system(args.target)
         if system.has_declared_split:
-            try:
-                system.declared_decomposition()
-                checks.append(("split-reconstruction", True, "declared split rebuilds phi", None))
-            except ReconstructionError as exc:
-                checks.append(("split-reconstruction", False, str(exc), None))
+            checks.append(check_declared_split(system))
         if system.oracle_forces is not None and system.init and system.time:
             rep = oracle_compare(system)
-            ok = rep.max_divergence <= 1e-8
             checks.append(
-                (
+                CheckResult(
                     "oracle-equivalence",
-                    ok,
+                    rep.max_divergence <= 1e-8,
                     f"max divergence {rep.max_divergence:.3e}",
-                    None,
                 )
             )
-    for result in run_builtin_suites(seed):
-        checks.append((result.name, result.passed, result.detail, result.seed))
+    checks += run_builtin_suites(seed)
 
-    width = max(len(name) for name, *_ in checks)
-    all_ok = True
-    for name, ok, detail, case_seed in checks:
-        mark = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        suffix = f" (seed={case_seed})" if case_seed is not None else ""
-        print(f"[{mark}] {name:<{width}}  {detail}{suffix}")
+    width = max(len(c.name) for c in checks)
+    for c in checks:
+        mark = "PASS" if c.passed else "FAIL"
+        suffix = f" (seed={c.seed})" if c.seed is not None else ""
+        print(f"[{mark}] {c.name:<{width}}  {c.detail}{suffix}")
     if args.json:
         _write_json(
             args.json,
-            _report_dict(
-                system, None, None, [(n, ok, d) for n, ok, d, _ in checks]
-            ),
+            _report_dict(system, None, None, [(c.name, c.passed, c.detail) for c in checks]),
         )
         print(f"wrote {args.json}")
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +298,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # The one map from an exception to an exit code, a message prefix and a
+    # stream. Verification and numeric failures print on stdout, next to the
+    # "wrote ..." lines of the same run; usage and parse errors on stderr.
     try:
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SingularMassError, AdmissibilityError, AuditUnsupportedError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ReconstructionError as exc:
-        print(f"FAIL {exc}", file=sys.stderr)
+        print(f"FAIL {exc}")
         return EXIT_VERIFICATION
+    except (SingularMassError, AdmissibilityError, AuditUnsupportedError) as exc:
+        print(f"numeric failure: {exc}")
+        return EXIT_NUMERIC
     except MechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

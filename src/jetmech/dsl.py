@@ -34,6 +34,7 @@ from .symexpr import (
     ZERO,
     acc,
     coord,
+    format_expr,  # re-exported: the DSL's rendering of canonical expressions
     normalize,
     param,
     signal_symbol,
@@ -245,11 +246,18 @@ ExprNode = Union[Num, Name, TimeRef, SigRef, Neg, BinOp]
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
+# Deepest nesting of parentheses, unary minuses and dsig() references in one
+# expression. Parsing and resolution recurse once per level, so the bound
+# keeps them far from the interpreter's recursion limit; chains of + - * /
+# and ^ are not nesting and may be of any length.
+MAX_NESTING = 100
+
 
 class _ExprParser:
-    def __init__(self, tokens: list[Token], pos: int = 0):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = pos
+        self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -262,6 +270,12 @@ class _ExprParser:
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(tok.line, tok.col, message, tok.describe())
+
+    def descend(self, tok: Token):
+        """Enter one more nesting level, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
 
     def parse(self, min_prec: int = 1) -> ExprNode:
         lhs = self.atom()
@@ -299,11 +313,15 @@ class _ExprParser:
             return Num(tok.value, tok.line, tok.col)
         if tok.type == "OP" and tok.value == "-":
             self.advance()
+            self.descend(tok)
             operand = self.parse(2)  # binds looser than * and ^
+            self.depth -= 1
             return Neg(operand, tok.line, tok.col)
         if tok.type == "OP" and tok.value == "(":
             self.advance()
+            self.descend(tok)
             inner = self.parse(1)
+            self.depth -= 1
             closing = self.peek()
             if closing.type != "OP" or closing.value != ")":
                 self.fail("expected closing parenthesis", closing)
@@ -330,7 +348,9 @@ class _ExprParser:
         if inner_tok.type == "IDENT" and inner_tok.value in ("sig", "dsig"):
             if head.value == "sig":
                 self.fail("sig() takes a signal name", inner_tok)
+            self.descend(inner_tok)
             inner = self.signal_ref()
+            self.depth -= 1
             name, order = inner.name, inner.order
         elif inner_tok.type == "IDENT":
             self.advance()
@@ -372,8 +392,18 @@ class ExprContext:
     allow_acceleration: bool = True
 
 
+_CHAIN_KIND = {"+": "add", "-": "add", "*": "mul", "/": "mul"}
+
+
 def resolve_expr(node: ExprNode, ctx: ExprContext):
-    """Lower an AST into a raw tree over Symbols and rationals."""
+    """Lower an AST into a raw tree over Symbols and rationals.
+
+    A left-nested chain of + and - becomes one n-ary ``add`` node, one of *
+    and / one n-ary ``mul`` node, and one of ^ a single ``pow``, so the
+    recursion here and in ``normalize`` follows the parser's nesting bound,
+    not the length of the expression. Operands resolve left to right, so
+    the first undeclared name in the text is the one reported.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, TimeRef):
@@ -417,36 +447,33 @@ def resolve_expr(node: ExprNode, ctx: ExprContext):
         )
     if isinstance(node, Neg):
         return ("neg", resolve_expr(node.operand, ctx))
+    if isinstance(node, BinOp) and node.op == "^":
+        exponent = 1
+        while isinstance(node, BinOp) and node.op == "^":
+            exponent *= int(node.rhs.value)  # (b^p)^q = b^(p*q)
+            node = node.lhs
+        return ("pow", resolve_expr(node, ctx), exponent)
     if isinstance(node, BinOp):
-        lhs = resolve_expr(node.lhs, ctx)
-        if node.op == "^":
-            return ("pow", lhs, int(node.rhs.value))
-        if node.op == "/":
-            return ("div", lhs, node.rhs.value)
-        rhs = resolve_expr(node.rhs, ctx)
-        return ({"+": "add", "-": "sub", "*": "mul"}[node.op], lhs, rhs)
+        kind = _CHAIN_KIND[node.op]
+        spine = []
+        while isinstance(node, BinOp) and _CHAIN_KIND.get(node.op) == kind:
+            spine.append(node)
+            node = node.lhs
+        operands = [resolve_expr(node, ctx)]
+        for link in reversed(spine):
+            if link.op == "/":
+                operands.append(1 / link.rhs.value)
+            elif link.op == "-":
+                operands.append(("neg", resolve_expr(link.rhs, ctx)))
+            else:
+                operands.append(resolve_expr(link.rhs, ctx))
+        return (kind, *operands)
     raise TypeError(f"unknown AST node {node!r}")
 
 
 def text_to_expr(text: str, ctx: ExprContext) -> Expr:
     """parse, resolve and canonicalize in one step."""
     return normalize(resolve_expr(parse_expr(text), ctx))
-
-
-# ---------------------------------------------------------------------------
-# canonical rendering
-# ---------------------------------------------------------------------------
-
-def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
-    """Deterministic re-parseable rendering of a canonical expression.
-
-    Factors print parameters first, then signals, time and jet coordinates;
-    rational coefficients render as p/q prefixes. Coordinates beyond the
-    given names fall back to x, y, z, x3, ...
-    """
-    from .symexpr import format_basic
-
-    return format_basic(e, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -500,45 +527,25 @@ class SystemSpec:
     def eom(self) -> EquationsOfMotion:
         return dual_spencer(self.phi)
 
-    def context(self) -> ExprContext:
-        return ExprContext(
-            coords=self.coords,
-            params=frozenset(self.params),
-            signals=dict(self.signals),
-            allow_acceleration=False,
-        )
 
+class _SystemParser(_ExprParser):
+    """Statement parser; expressions are parsed in place on the same tokens."""
 
-class _SystemParser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.coords: list[str] = []
         self.params: dict = {}
         self.signals: dict = {}
-        self.momentum_nodes: dict = {}
-        self.force_nodes: dict = {}
+        # keyword -> {coordinate name: (token, node)}, in build's check order
+        self.clause_nodes: dict = {"momentum": {}, "force": {}, "oracle": {}}
         self.lagrangian_node = None
         self.antiexact_nodes: dict = {}  # (name, primed) -> node
-        self.oracle_nodes: dict = {}
         self.init_nodes: dict = {}  # (name, primed) -> Fraction
         self.time_clause = None
         self.integrator = "rk4"
         self.declared_positions: dict = {}
 
     # token plumbing -------------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, message, tok.describe())
 
     def skip_separators(self):
         while self.peek().type == "NEWLINE" or (
@@ -589,12 +596,6 @@ class _SystemParser:
             value = value / den.value
         return -value if neg else value
 
-    def parse_expression_node(self) -> ExprNode:
-        parser = _ExprParser(self.tokens, self.pos)
-        node = parser.parse()
-        self.pos = parser.pos
-        return node
-
     # declarations ---------------------------------------------------------
 
     def declare(self, tok: Token, kind: str):
@@ -641,11 +642,11 @@ class _SystemParser:
             "parameter": self.stmt_parameter,
             "coordinate": self.stmt_coordinate,
             "signal": self.stmt_signal,
-            "momentum": self.stmt_momentum,
-            "force": self.stmt_force,
+            "momentum": self.stmt_clause,
+            "force": self.stmt_clause,
             "lagrangian": self.stmt_lagrangian,
             "antiexact": self.stmt_antiexact,
-            "oracle": self.stmt_oracle,
+            "oracle": self.stmt_clause,
             "init": self.stmt_init,
             "time": self.stmt_time,
             "integrator": self.stmt_integrator,
@@ -696,23 +697,16 @@ class _SystemParser:
             self.fail("unexpected primes on coordinate reference", tok)
         return tok.value, tok.primes, tok
 
-    def stmt_momentum(self, _):
+    def stmt_clause(self, keyword: Token):
+        """``momentum|force|oracle <coordinate>: <expression>``."""
+        nodes = self.clause_nodes[keyword.value]
         name, _, tok = self.coordinate_ref()
-        if name in self.momentum_nodes:
+        if name in nodes:
             raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate momentum clause for '{name}'", name
+                tok.line, tok.col, f"duplicate {keyword.value} clause for '{name}'", name
             )
         self.expect_op(":")
-        self.momentum_nodes[name] = (tok, self.parse_expression_node())
-
-    def stmt_force(self, _):
-        name, _, tok = self.coordinate_ref()
-        if name in self.force_nodes:
-            raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate force clause for '{name}'", name
-            )
-        self.expect_op(":")
-        self.force_nodes[name] = (tok, self.parse_expression_node())
+        nodes[name] = (tok, self.parse())
 
     def stmt_lagrangian(self, tok):
         if self.lagrangian_node is not None:
@@ -720,7 +714,7 @@ class _SystemParser:
                 tok.line, tok.col, "duplicate lagrangian clause", "lagrangian"
             )
         self.expect_op(":")
-        self.lagrangian_node = self.parse_expression_node()
+        self.lagrangian_node = self.parse()
 
     def stmt_antiexact(self, _):
         name, primes, tok = self.coordinate_ref(allow_prime=True)
@@ -730,16 +724,7 @@ class _SystemParser:
                 tok.line, tok.col, f"duplicate antiexact clause for '{name}'", name
             )
         self.expect_op(":")
-        self.antiexact_nodes[key] = (tok, self.parse_expression_node())
-
-    def stmt_oracle(self, _):
-        name, _, tok = self.coordinate_ref()
-        if name in self.oracle_nodes:
-            raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate oracle clause for '{name}'", name
-            )
-        self.expect_op(":")
-        self.oracle_nodes[name] = (tok, self.parse_expression_node())
+        self.antiexact_nodes[key] = (tok, self.parse())
 
     def stmt_init(self, _):
         while True:
@@ -802,7 +787,8 @@ class _SystemParser:
             _, node = pair
             return normalize(resolve_expr(node, ctx))
 
-        for name, pair in {**self.momentum_nodes, **self.force_nodes, **self.oracle_nodes}.items():
+        momentum_nodes, force_nodes, oracle_nodes = self.clause_nodes.values()
+        for name, pair in {**momentum_nodes, **force_nodes, **oracle_nodes}.items():
             self.require_coordinate(name, pair[0])
         for (name, _), pair in self.antiexact_nodes.items():
             self.require_coordinate(name, pair[0])
@@ -816,9 +802,9 @@ class _SystemParser:
             default_momentum = [m * Expr.var(vel(i)) for i in range(n)]
         F, Pi = [], []
         for i, cname in enumerate(self.coords):
-            F.append(to_expr(self.force_nodes[cname]) if cname in self.force_nodes else ZERO)
-            if cname in self.momentum_nodes:
-                Pi.append(to_expr(self.momentum_nodes[cname]))
+            F.append(to_expr(force_nodes[cname]) if cname in force_nodes else ZERO)
+            if cname in momentum_nodes:
+                Pi.append(to_expr(momentum_nodes[cname]))
             elif default_momentum is not None:
                 Pi.append(default_momentum[i])
             else:
@@ -845,9 +831,9 @@ class _SystemParser:
             antiexact = VerticalOneForm.zero(n)
 
         oracle = None
-        if self.oracle_nodes:
+        if oracle_nodes:
             oracle = tuple(
-                to_expr(self.oracle_nodes[cname]) if cname in self.oracle_nodes else ZERO
+                to_expr(oracle_nodes[cname]) if cname in oracle_nodes else ZERO
                 for cname in self.coords
             )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AuditUnsupportedError, MechError, SingularMassError
 from .formcalc import Decomposition, VerticalOneForm
-from .spencer import EquationsOfMotion, NumericSection, dual_spencer
+from .spencer import EquationsOfMotion, NumericSection, diff_order2, dual_spencer
 from .symexpr import (
     TAU,
     Expr,
@@ -560,15 +560,6 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * s + tail)
 
 
-def _diff_order2(y: np.ndarray, h: float) -> np.ndarray:
-    """d/dt by central differences, one-sided second-order at the ends."""
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    return d
-
-
 def _eval_on_trajectory(e: Expr, traj: Trajectory, params, accels=None) -> np.ndarray:
     fn = compile_expr(e, params, vectorized=True)
     x_rows = traj.xs.T
@@ -682,7 +673,7 @@ def energy_audit(traj: Trajectory, dec: Decomposition, params) -> BalanceReport:
         P_expr = P_expr + dec.anti_exact.F[i] * Expr.var(vel(i))
     E = _eval_on_trajectory(E_expr, traj, params)
     P = _eval_on_trajectory(P_expr, traj, params)
-    rho = _diff_order2(E, traj.h) - P
+    rho = diff_order2(E, traj.h) - P
     return BalanceReport(
         E, P, rho, float(np.abs(rho).max()), float(np.sqrt(np.mean(rho**2)))
     )
@@ -764,9 +755,7 @@ class VariationField:
                 if ddot.shape[0] != N:
                     ddot = ddot.T
             else:
-                ddot = np.column_stack(
-                    [_diff_order2(delta[:, i], h) for i in range(delta.shape[1])]
-                )
+                ddot = diff_order2(delta, h)
         if self.vanishes_at_a and np.abs(delta[0]).max() > 1e-12:
             raise ValueError("variation flagged as vanishing at a does not")
         if self.vanishes_at_b and np.abs(delta[-1]).max() > 1e-12:

@@ -1,9 +1,10 @@
 """Differential forms on the first-order jet space (coordinates t, x^i, v^i).
 
-Provides the exterior derivative of functions and vertical one-forms, the
-interior product with the radius field, the homotopy (Poincare contraction)
-operator, and the exact/anti-exact decomposition of a dynamical one-form
-into d(Lagrangian) plus a homotopy-annulled remainder.
+Provides the exterior derivative of functions (its vertical part) and of
+vertical one-forms, the interior product with the radius field, the
+homotopy (Poincare contraction) operator, and the exact/anti-exact
+decomposition of a dynamical one-form into d(Lagrangian) plus a
+homotopy-annulled remainder.
 
 Decomposition works modulo dt components (the vertical quotient): the dt
 part of an exact differential never contributes to dynamics, so one-forms
@@ -27,7 +28,8 @@ from .symexpr import (
     SymbolKind,
     ZERO,
     coord,
-    format_basic,
+    coord_name,
+    format_expr,
     partial,
     scaling_integral,
     vel,
@@ -85,26 +87,6 @@ class VerticalOneForm:
 
     def __sub__(self, other: "VerticalOneForm") -> "VerticalOneForm":
         return self + (-other)
-
-
-@dataclass(frozen=True)
-class GeneralOneForm:
-    """T dt + F_i dx^i + Pi_i dv^i (acceleration-free components)."""
-
-    T: Expr
-    F: tuple[Expr, ...]
-    Pi: tuple[Expr, ...]
-
-    def __post_init__(self):
-        _check_acceleration_free(self.T, "one-form components")
-
-    @property
-    def n(self) -> int:
-        return len(self.F)
-
-    def vertical(self) -> VerticalOneForm:
-        """Drop the dt component."""
-        return VerticalOneForm(self.F, self.Pi)
 
 
 # basis covectors are keyed ("t",), ("x", i) or ("v", i); two-form keys are
@@ -186,16 +168,16 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def d0(e: Expr, n: int | None = None) -> GeneralOneForm:
-    """Exterior derivative of a function on the 1-jet space.
+def d0(e: Expr, n: int | None = None) -> VerticalOneForm:
+    """Vertical part of the exterior derivative of a function on the 1-jet space.
 
-    The dt coefficient includes the chain rule through signal symbols.
+    The dt component is not formed: it never contributes to dynamics, and
+    every use of d0 works on the vertical quotient.
     """
     _check_acceleration_free(e, "d0 input")
     if n is None:
         n = max(e.max_coordinate_index() + 1, 1)
-    return GeneralOneForm(
-        partial(e, TAU),
+    return VerticalOneForm(
         tuple(partial(e, coord(i)) for i in range(n)),
         tuple(partial(e, vel(i)) for i in range(n)),
     )
@@ -302,13 +284,13 @@ def decompose(phi: VerticalOneForm) -> Decomposition:
     homotopy integral.
     """
     lagrangian = homotopy(phi)
-    anti_exact = phi - d0(lagrangian, n=phi.n).vertical()
+    anti_exact = phi - d0(lagrangian, n=phi.n)
     return Decomposition(lagrangian, anti_exact, mode="canonical-homotopy")
 
 
 def reconstruction_residual(dec: Decomposition, phi: VerticalOneForm) -> VerticalOneForm:
     """phi minus (vertical part of d(L) plus anti-exact part); zero iff exact."""
-    return phi - (d0(dec.lagrangian, n=phi.n).vertical() + dec.anti_exact)
+    return phi - (d0(dec.lagrangian, n=phi.n) + dec.anti_exact)
 
 
 def accept_user_split(
@@ -332,33 +314,24 @@ def accept_user_split(
 
 def format_one_form(omega: VerticalOneForm, coords: tuple[str, ...] = ()) -> str:
     """Readable rendering like '(-b*x' + sig(f)) dx + m*x' dx''."""
-    def cname(i):
-        if i < len(coords):
-            return coords[i]
-        return ("x", "y", "z")[i] if i < 3 else f"x{i}"
-
     parts = []
     for i in range(omega.n):
+        name = coord_name(i, coords)
         if not omega.F[i].is_zero:
-            parts.append(f"({format_basic(omega.F[i], coords)}) d{cname(i)}")
+            parts.append(f"({format_expr(omega.F[i], coords)}) d{name}")
         if not omega.Pi[i].is_zero:
-            parts.append(f"({format_basic(omega.Pi[i], coords)}) d{cname(i)}'")
+            parts.append(f"({format_expr(omega.Pi[i], coords)}) d{name}'")
     return " + ".join(parts) if parts else "0"
 
 
 def format_two_form(eta: TwoForm, coords: tuple[str, ...] = ()) -> str:
-    def cname(i):
-        if i < len(coords):
-            return coords[i]
-        return ("x", "y", "z")[i] if i < 3 else f"x{i}"
-
     def bname(b: BasisKey) -> str:
         if b[0] == "t":
             return "dt"
-        return "d" + cname(b[1]) + ("" if b[0] == "x" else "'")
+        return "d" + coord_name(b[1], coords) + ("" if b[0] == "x" else "'")
 
     parts = [
-        f"({format_basic(e, coords)}) {bname(b1)}^{bname(b2)}"
+        f"({format_expr(e, coords)}) {bname(b1)}^{bname(b2)}"
         for (b1, b2), e in eta.coeffs
     ]
     return " + ".join(parts) if parts else "0"

@@ -151,15 +151,23 @@ def assemble_with_split(dec: Decomposition, phi: VerticalOneForm) -> EquationsOf
 def spencer_residual(section: NumericSection) -> np.ndarray:
     """Sampled Spencer residual r_k = (dx/dt)|_k - v_k, shape (N, n).
 
-    Central differences in the interior, one-sided second-order stencils at
-    the endpoints; identically zero (to O(h^2)) iff the section is the
+    dx/dt comes from the second-order stencil of ``diff_order2``; the
+    residual is identically zero (to O(h^2)) iff the section is the
     prolongation of a curve.
     """
     if len(section.taus) < 3:
         raise ValueError("Spencer residual needs at least 3 samples")
-    x, v, h = section.xs, section.vs, section.h
-    dxdt = np.empty_like(x)
-    dxdt[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
-    dxdt[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
-    dxdt[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
-    return dxdt - v
+    return diff_order2(section.xs, section.h) - section.vs
+
+
+def diff_order2(y: np.ndarray, h: float) -> np.ndarray:
+    """d/dt along axis 0 of samples on a uniform grid of step h (N >= 3).
+
+    Central differences in the interior, one-sided second-order stencils at
+    the endpoints.
+    """
+    d = np.empty_like(y)
+    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
+    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    return d

@@ -22,6 +22,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
+import numpy as np
+
 from .errors import AdmissibilityError, DifferentiationError, UnboundSymbolError
 
 Rational = Union[int, Fraction]
@@ -178,25 +180,27 @@ class Symbol:
 
     def display(self, coords: tuple[str, ...] = ()) -> str:
         """Short name used by repr and the default renderer."""
-        def cname(i):
-            if i < len(coords):
-                return coords[i]
-            return ("x", "y", "z")[i] if i < 3 else f"x{i}"
-
         if self.kind == SymbolKind.TIME:
             return "t"
         if self.kind == SymbolKind.COORD:
-            return cname(self.index)
+            return coord_name(self.index, coords)
         if self.kind == SymbolKind.VEL:
-            return cname(self.index) + "'"
+            return coord_name(self.index, coords) + "'"
         if self.kind == SymbolKind.ACC:
-            return cname(self.index) + "''"
+            return coord_name(self.index, coords) + "''"
         if self.kind == SymbolKind.PARAM:
             return self.name
         inner = f"sig({self.signal.name})"
         for _ in range(self.order):
             inner = f"dsig({inner[4:-1]})" if inner.startswith("sig(") else f"dsig({inner})"
         return inner
+
+
+def coord_name(i: int, coords: tuple[str, ...] = ()) -> str:
+    """Name of coordinate i: its declared name, else x, y, z, x3, x4, ..."""
+    if i < len(coords):
+        return coords[i]
+    return ("x", "y", "z")[i] if i < 3 else f"x{i}"
 
 
 TAU = Symbol(SymbolKind.TIME)
@@ -295,12 +299,6 @@ class Expr:
     def contains_kind(self, kind: SymbolKind) -> bool:
         return any(sym.kind == kind for sym in self.symbols())
 
-    def constant_term(self) -> Fraction:
-        for mono, c in self._terms:
-            if mono == ():
-                return c
-        return Fraction(0)
-
     def max_coordinate_index(self) -> int:
         """Largest coordinate/velocity/acceleration index present, or -1."""
         idx = -1
@@ -388,7 +386,7 @@ class Expr:
         return hash(self._terms)
 
     def __repr__(self):
-        return f"Expr({format_basic(self)})"
+        return f"Expr({format_expr(self)})"
 
 
 ZERO = Expr.const(0)
@@ -407,8 +405,13 @@ _DISPLAY_RANK = {
 }
 
 
-def format_basic(e: Expr, coords: tuple[str, ...] = ()) -> str:
-    """Deterministic, re-parseable rendering of a canonical expression."""
+def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
+    """Deterministic re-parseable rendering of a canonical expression.
+
+    Factors print parameters first, then signals, time and jet coordinates;
+    rational coefficients render as p/q prefixes. Coordinates beyond the
+    given names fall back to x, y, z, x3, ...
+    """
     if e.is_zero:
         return "0"
     parts = []
@@ -705,8 +708,6 @@ def compile_expr(
     """
     src = f"def _compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
     if vectorized:
-        import numpy as np
-
         namespace = {"sin": np.sin, "cos": np.cos}
     else:
         namespace = {"sin": math.sin, "cos": math.cos}

@@ -32,7 +32,10 @@ from .dynamics import (
     first_variation,
     integrate,
 )
+from .dsl import preset
+from .errors import ReconstructionError
 from .formcalc import (
+    Decomposition,
     VerticalOneForm,
     d0,
     d1,
@@ -132,7 +135,7 @@ def check_cochain_contraction(seed: int, count: int = 200) -> CheckResult:
         n = rng.randint(1, 3)
         phi = random_vertical_form(rng, n)
         dec = decompose(phi)
-        rebuilt = d0(dec.lagrangian, n=n).vertical() + dec.anti_exact
+        rebuilt = d0(dec.lagrangian, n=n) + dec.anti_exact
         if rebuilt != phi:
             return CheckResult(
                 "cochain-contraction", False, "reconstruction mismatch", case_seed
@@ -163,7 +166,7 @@ def check_el_equivalence(seed: int, count: int = 100) -> CheckResult:
         rng = random.Random(case_seed)
         n = rng.randint(1, 3)
         lagrangian = random_expr(rng, n, with_signal=rng.random() < 0.3)
-        direct = dual_spencer(d0(lagrangian, n=n).vertical()).residuals
+        direct = dual_spencer(d0(lagrangian, n=n)).residuals
         via_variation = variational_derivative(lagrangian, n=n)
         if direct != via_variation:
             return CheckResult(
@@ -178,15 +181,13 @@ def check_el_equivalence(seed: int, count: int = 100) -> CheckResult:
 
 
 def check_split_invariance(seed: int, count: int = 100) -> CheckResult:
-    from .formcalc import Decomposition
-
     for i in range(count):
         case_seed = seed + 20_000 + i
         rng = random.Random(case_seed)
         n = rng.randint(1, 3)
         phi = random_vertical_form(rng, n)
         split_lagrangian = random_expr(rng, n, with_signal=rng.random() < 0.3)
-        anti = phi - d0(split_lagrangian, n=n).vertical()
+        anti = phi - d0(split_lagrangian, n=n)
         dec = Decomposition(split_lagrangian, anti, mode="user-declared")
         assembled = assemble_with_split(dec, phi)
         if assembled.residuals != dual_spencer(phi).residuals:
@@ -213,8 +214,6 @@ def _fixed_boundary_variation(rng: random.Random, a: float, b: float) -> Variati
 
 
 def check_first_variation(seed: int, count: int = 20) -> CheckResult:
-    from .dsl import preset
-
     system = preset("damped_ho")
     params = system.param_values()
     a, b = 0.0, 10.0
@@ -267,8 +266,6 @@ def check_first_variation(seed: int, count: int = 20) -> CheckResult:
 
 
 def check_spencer_residual(seed: int) -> CheckResult:
-    from .dsl import preset
-
     system = preset("harmonic")
     params = system.param_values()
     ode = assemble_explicit(dual_spencer(system.phi), params)
@@ -307,3 +304,12 @@ ALL_SUITES = (
 
 def run_builtin_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return [suite(seed) for suite in ALL_SUITES]
+
+
+def check_declared_split(system) -> CheckResult:
+    """Whether a system's declared Lagrangian/anti-exact split rebuilds phi."""
+    try:
+        system.declared_decomposition()
+    except ReconstructionError as exc:
+        return CheckResult("split-reconstruction", False, str(exc))
+    return CheckResult("split-reconstruction", True, "declared split rebuilds phi")

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from jetmech.cli import main
+from jetmech.dsl import parse_system
+from jetmech.symexpr import ZERO, Expr, coord
 
 DAMPED = """
 system "lab" {
@@ -45,6 +49,22 @@ system "corrupt" {
 """
 
 MASSLESS = 'system "nomass" { parameter k = 1; coordinate x; force x: -k*x }'
+
+# the derived law is regular (momentum x'), the newton oracle's mass is zero
+SINGULAR_ORACLE_MASS = """
+system "m0" {
+  parameter m = 0
+  parameter k = 1
+  coordinate x
+  force x: -k*x
+  momentum x: x'
+  oracle x: -k*x
+  init x = 1, x' = 0
+  time 0 .. 1 step 1e-2
+}
+"""
+
+DEEP_PARENS = 'system "deep" { coordinate x; force x: ' + "(" * 3000 + "x" + ")" * 3000 + " }"
 
 
 def run(capsys, *argv):
@@ -289,3 +309,54 @@ class TestMethodSelection:
         assert code == 3
         assert "dv components" in out
         assert out_csv.exists()
+
+
+class TestExitTable:
+    """One case per row of main's exception table: exit code, prefix, stream."""
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix, stream",
+        [
+            (["decompose", "{badsplit}", "--mode", "declared"], 1, "FAIL ", "out"),
+            (["decompose", "damped_ho"], 3, "numeric failure: ", "out"),
+            (["simulate", "{m0}", "--out", "{csv}", "--oracle"], 3, "numeric failure: ", "out"),
+            (["verify", "{m0}"], 3, "numeric failure: ", "out"),
+            (["derive", "not-a-preset"], 2, "error: ", "err"),
+            (["derive", "{deep}"], 2, "parse error: ", "err"),
+        ],
+        ids=[
+            "reconstruction", "admissibility", "singular-oracle-simulate",
+            "singular-oracle-verify", "unknown-preset", "nested-parentheses",
+        ],
+    )
+    def test_row(self, capsys, tmp_path, argv, code, prefix, stream):
+        paths = {"csv": str(tmp_path / "t.csv")}
+        for name, text in (("badsplit", BAD_SPLIT), ("m0", SINGULAR_ORACLE_MASS),
+                           ("deep", DEEP_PARENS)):
+            paths[name] = str(tmp_path / f"{name}.mech")
+            (tmp_path / f"{name}.mech").write_text(text)
+        assert main([arg.format(**paths) for arg in argv]) == code
+        captured = capsys.readouterr()
+        printed, other = (
+            (captured.out, captured.err) if stream == "out" else (captured.err, captured.out)
+        )
+        assert printed.splitlines()[-1].startswith(prefix)
+        assert other == ""
+
+
+class TestLongExpressions:
+    def test_five_thousand_term_sum_derives(self, capsys, tmp_path):
+        text = "0" + "".join(
+            f" {'-' if k % 2 else '+'} {k % 7}*x^{k % 3}" for k in range(5000)
+        )
+        source = f'system "long" {{ parameter m = 1; coordinate x; force x: {text} }}'
+        path = tmp_path / "long.mech"
+        path.write_text(source)
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert "m*x''" in out
+        expected = ZERO
+        for k in range(5000):
+            term = (k % 7) * Expr.var(coord(0)) ** (k % 3)
+            expected = expected - term if k % 2 else expected + term
+        assert parse_system(source).phi.F == (expected,)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetmech.dsl import (
+    MAX_NESTING,
     BinOp,
     DuplicateDeclarationError,
     ExprContext,
@@ -334,3 +335,26 @@ class TestPresets:
         b0 = Expr.var(param("b0"))
         expected = M * A + K * X + b0 * (X**2 - 1) * V
         assert spec.eom().normalized() == (expected,)
+
+
+class TestNestingBound:
+    SIG_CTX = ExprContext(coords=("x",), signals={"f": polynomial_signal("f", 1, 1)})
+
+    @pytest.mark.parametrize(
+        "opener, inner, closer, error_col",
+        [
+            ("(", "x", ")", MAX_NESTING + 1),
+            ("-", "x", "", MAX_NESTING + 1),
+            # the outermost reference is not nested: the error names the innermost one
+            ("dsig(", "sig(f)", ")", (MAX_NESTING + 1) * 5 + 1),
+        ],
+    )
+    def test_bound_is_exact(self, opener, inner, closer, error_col):
+        def nested(depth):
+            return opener * depth + inner + closer * depth
+
+        text_to_expr(nested(MAX_NESTING), self.SIG_CTX)
+        with pytest.raises(ParseError) as info:
+            text_to_expr(nested(MAX_NESTING + 1), self.SIG_CTX)
+        assert info.value.message == f"expression nested deeper than {MAX_NESTING} levels"
+        assert (info.value.line, info.value.col) == (1, error_col)

@@ -40,19 +40,17 @@ class TestD0:
     def test_oscillator_differential(self):
         L = -Expr.const(half) * K * X**2 + Expr.const(half) * M * V**2
         out = d0(L)
-        assert out.T.is_zero
         assert out.F == (-K * X,)
         assert out.Pi == (M * V,)
 
     def test_constant_parameter(self):
         out = d0(C)
-        assert out.T.is_zero and out.F[0].is_zero and out.Pi[0].is_zero
+        assert out.F[0].is_zero and out.Pi[0].is_zero
 
     def test_product_and_chain_rule(self):
         f = polynomial_signal("f", 1, 1)
         fe = Expr.var(signal_symbol(f))
         out = d0(X * fe)
-        assert out.T == X * Expr.var(signal_symbol(f, 1))
         assert out.F == (fe,)
         assert out.Pi == (ZERO,)
 
@@ -84,12 +82,12 @@ class TestD1:
         for _ in range(30):
             n = rng.randint(1, 3)
             e = random_expr(rng, n, with_signal=rng.random() < 0.4)
-            eta = d1(d0(e, n=n).vertical())
+            eta = d1(d0(e, n=n))
             assert eta.fiber_block_is_zero()
 
     def test_time_free_exact_form_is_closed(self):
         L = -Expr.const(half) * K * X**2 + Expr.const(half) * M * V**2
-        assert d1(d0(L).vertical()).is_zero
+        assert d1(d0(L)).is_zero
 
     def test_antisymmetry_access(self):
         eta = d1(VerticalOneForm((ZERO,), (X,)))
@@ -135,7 +133,7 @@ class TestHomotopy:
             from jetmech.symexpr import substitute
 
             e = e - substitute(e, fiber_free)
-            assert homotopy(d0(e, n=n).vertical()) == e
+            assert homotopy(d0(e, n=n)) == e
 
     def test_vanishes_at_fiber_origin(self):
         rng = random.Random(13)
@@ -179,7 +177,7 @@ class TestDecompose:
 
     def test_exact_forms_decompose_to_themselves(self):
         L0 = -Expr.const(half) * K * X**2 + Expr.const(half) * M * V**2
-        phi = d0(L0).vertical()
+        phi = d0(L0)
         dec = decompose(phi)
         assert dec.lagrangian == L0
         assert dec.anti_exact.is_zero

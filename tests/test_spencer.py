@@ -101,7 +101,7 @@ class TestVariationalDerivative:
             n = rng.randint(1, 3)
             L = random_expr(rng, n, with_signal=rng.random() < 0.3)
             assert (
-                dual_spencer(d0(L, n=n).vertical()).residuals
+                dual_spencer(d0(L, n=n)).residuals
                 == variational_derivative(L, n=n)
             )
 
@@ -141,7 +141,7 @@ class TestAssembleWithSplit:
             n = rng.randint(1, 3)
             phi = random_vertical_form(rng, n)
             L = random_expr(rng, n)
-            dec = Decomposition(L, phi - d0(L, n=n).vertical(), "user-declared")
+            dec = Decomposition(L, phi - d0(L, n=n), "user-declared")
             assert assemble_with_split(dec, phi).residuals == dual_spencer(phi).residuals
 
 
