@@ -4,8 +4,16 @@ Subcommands: decompose (exact/anti-exact split of the dynamical form),
 derive (equations of motion), simulate (trajectory CSV with optional
 energy audit and oracle comparison), verify (property suites).
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 numeric failure. MECH_SEED fixes the randomized-suite seed.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error
+(including the input bounds below), 3 numeric failure, 4 internal error
+(an exception no other code names; one line ``internal error: <Type>:
+<message>`` on stderr). MECH_SEED fixes the randomized-suite seed.
+
+Input bounds, each a documented constant: expressions nest at most
+``dsl.MAX_NESTING`` levels, numeric literals carry a decimal exponent of at
+most ``dsl.MAX_EXPONENT`` in magnitude, a time grid has at most
+``dsl.MAX_TIME_STEPS`` steps, and one product of expressions forms at most
+``symexpr.MAX_TERM_PRODUCT`` term products.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _load_system(target: str) -> SystemSpec:
@@ -170,10 +179,7 @@ def cmd_simulate(args) -> int:
     method = args.method or system.integrator
     a, b, h = system.time
     ode = assemble_explicit(dual_spencer(system.phi), params)
-    traj = integrate(
-        ode, system.init[0], system.init[1], (a, b), h, method,
-        provenance="derived-eom",
-    )
+    traj = integrate(ode, system.init[0], system.init[1], (a, b), h, method)
 
     failures = []
     report = None
@@ -315,6 +321,10 @@ def main(argv=None) -> int:
     except MechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect, never a verification verdict
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():  # console-script hook

@@ -183,6 +183,12 @@ def _parse_number(lit: str, line: int, col: int) -> Fraction:
     for e in ("e", "E"):
         if e in lit:
             mantissa, exp_str = lit.split(e, 1)
+            # compare lengths first: int() of a long digit string is slow
+            magnitude = exp_str.lstrip("+-").lstrip("0") or "0"
+            if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
+                raise ParseError(
+                    line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude", lit
+                )
             exp = int(exp_str)
             break
     try:
@@ -251,6 +257,15 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 # keeps them far from the interpreter's recursion limit; chains of + - * /
 # and ^ are not nesting and may be of any length.
 MAX_NESTING = 100
+
+# Largest decimal exponent of a numeric literal, in magnitude. Literals are
+# exact rationals, so 1e<k> holds a k-digit integer; 400 covers the range
+# of a double (about 1e-324 .. 1.8e308).
+MAX_EXPONENT = 400
+
+# Most steps in a time grid ``a .. b step h``: (b - a)/h, exactly. A
+# trajectory holds steps + 1 samples, every one of them kept in memory.
+MAX_TIME_STEPS = 1_000_000
 
 
 class _ExprParser:
@@ -752,11 +767,14 @@ class _SystemParser(_ExprParser):
         step_tok = self.expect_ident("'step'")
         if step_tok.value != "step":
             self.fail("expected 'step'", step_tok)
+        h_tok = self.peek()
         h = self.number_literal()
         if not b > a:
             self.fail("time interval must satisfy b > a", step_tok)
         if not h > 0:
             self.fail("step must be positive", step_tok)
+        if (b - a) / h > MAX_TIME_STEPS:
+            self.fail(f"time grid of more than {MAX_TIME_STEPS} steps", h_tok)
         self.time_clause = (float(a), float(b), float(h))
 
     def stmt_integrator(self, _):

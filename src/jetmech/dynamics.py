@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import AuditUnsupportedError, MechError, SingularMassError
 from .formcalc import Decomposition, VerticalOneForm
-from .spencer import EquationsOfMotion, NumericSection, diff_order2, dual_spencer
+from .spencer import (
+    EquationsOfMotion,
+    NumericSection,
+    as_samples,
+    diff_order2,
+    dual_spencer,
+)
 from .symexpr import (
     TAU,
     Expr,
@@ -96,14 +102,6 @@ def _dot(coeffs, names: str) -> str:
 
 # Function templates. A line holding {i} repeats once per coordinate; a line
 # @law(S) becomes the system's law at stage suffix S.
-_RHS = """\
-def kernel(t, x, v):
-    x_{i} = x[{i}]
-    v_{i} = v[{i}]
-    @law()
-    return [{accels}]
-"""
-
 _SAMPLE = """\
 def kernel(taus, xs, vs):
     out = []
@@ -228,7 +226,7 @@ class _Kernel:
 
     ``law`` is emitted once. It reads ``t{s}``, ``x{s}_i``, ``v{s}_i`` and
     assigns ``a{s}_i``, where ``{s}`` is a stage suffix, so each loop
-    inlines it per stage instead of calling a function. The four functions
+    inlines it per stage instead of calling a function. The three functions
     built from it are compiled on first use and run on Python floats and
     ``math`` only, doing the same float operations in the same order as a
     per-coordinate loop around a law callable would.
@@ -239,8 +237,8 @@ class _Kernel:
         self.law = law
 
     def rhs(self, t, x, v) -> list:
-        """The accelerations at one state, as a list."""
-        return self._rhs(t, x, v)
+        """The accelerations at one state, as a list: ``sample`` on one row."""
+        return self.sample((t,), (x,), (v,))
 
     def _join(self, item: str, sep: str) -> str:
         return sep.join(item.format(i=i) for i in range(self.n))
@@ -262,10 +260,6 @@ class _Kernel:
         }
         exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
         return namespace["kernel"]
-
-    @cached_property
-    def _rhs(self):
-        return self._compile(_RHS, accels=self._join("a_{i}", ", "))
 
     @cached_property
     def sample(self):
@@ -433,14 +427,12 @@ def assemble_explicit(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution on a uniform grid, with provenance."""
+    """Sampled solution on a uniform grid."""
 
     taus: np.ndarray
     xs: np.ndarray  # (N, n)
     vs: np.ndarray  # (N, n)
-    integrator: str
     h: float
-    provenance: str  # "derived-eom" | "newton-oracle" | "analytic"
     truncated: bool = False
 
     @property
@@ -491,7 +483,6 @@ def integrate(
     atol: float = 1e-10,
     rtol: float = 1e-9,
     max_step: float = 0.02,
-    provenance: str = "derived-eom",
 ) -> Trajectory:
     """Integrate to a uniform grid of step ~h over [a, b].
 
@@ -520,8 +511,7 @@ def integrate(
         xs, vs, truncated = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
         m = len(xs) // n
         return Trajectory(
-            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), "rk4",
-            h_eff, provenance, truncated,
+            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff, truncated
         )
     if method != "rkf45":
         raise ValueError(f"unknown integrator '{method}'")
@@ -531,9 +521,7 @@ def integrate(
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
     m = len(xs)
-    return Trajectory(
-        taus[:m], xs, vs, "rkf45", h_eff, provenance, truncated or m < len(taus)
-    )
+    return Trajectory(taus[:m], xs, vs, h_eff, truncated or m < len(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +571,6 @@ def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
 @dataclass(frozen=True)
 class OracleReport:
     max_divergence: float
-    derived: Trajectory
-    oracle: Trajectory
 
 
 def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotion:
@@ -594,7 +580,7 @@ def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotio
     residuals = tuple(
         oracle_forces[i] - m * Expr.var(acc(i)) for i in range(n)
     )
-    return EquationsOfMotion(residuals, split_mode="newton-oracle")
+    return EquationsOfMotion(residuals)
 
 
 def oracle_compare(system, interval=None, h=None, method: str = "rk4") -> OracleReport:
@@ -618,13 +604,13 @@ def oracle_compare(system, interval=None, h=None, method: str = "rk4") -> Oracle
     oracle_ode = assemble_explicit(
         newton_oracle_eom(system.oracle_forces, system.n), params
     )
-    derived = integrate(derived_ode, x0, v0, interval, h, method, provenance="derived-eom")
-    oracle = integrate(oracle_ode, x0, v0, interval, h, method, provenance="newton-oracle")
+    derived = integrate(derived_ode, x0, v0, interval, h, method)
+    oracle = integrate(oracle_ode, x0, v0, interval, h, method)
     m = min(len(derived.taus), len(oracle.taus))
     div = np.abs(derived.xs[:m] - oracle.xs[:m]).sum(axis=1) + np.abs(
         derived.vs[:m] - oracle.vs[:m]
     ).sum(axis=1)
-    return OracleReport(float(div.max()), derived, oracle)
+    return OracleReport(float(div.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +676,8 @@ class VariationField:
 
     Symbolic components may contain time and signal symbols only; sampled
     fields carry their own derivative samples (differenced at second order
-    when absent). Endpoint flags assert fixed-boundary behaviour.
+    when absent), both in the ``as_samples`` layout (N, n) of the grid they
+    are used on. Endpoint flags assert fixed-boundary behaviour.
     """
 
     exprs: tuple[Expr, ...] | None = None
@@ -709,12 +696,6 @@ class VariationField:
                         raise ValueError(
                             "symbolic variations may only involve time and signals"
                         )
-        if self.samples is not None:
-            object.__setattr__(self, "samples", np.atleast_2d(np.asarray(self.samples, float)))
-            if self.dot_samples is not None:
-                object.__setattr__(
-                    self, "dot_samples", np.atleast_2d(np.asarray(self.dot_samples, float))
-                )
 
     @classmethod
     def from_exprs(cls, *exprs: Expr, vanishes_at_a=False, vanishes_at_b=False):
@@ -723,8 +704,8 @@ class VariationField:
     @classmethod
     def from_samples(cls, samples, dot_samples=None, vanishes_at_a=False, vanishes_at_b=False):
         return cls(
-            samples=np.asarray(samples, float),
-            dot_samples=None if dot_samples is None else np.asarray(dot_samples, float),
+            samples=samples,
+            dot_samples=dot_samples,
             vanishes_at_a=vanishes_at_a,
             vanishes_at_b=vanishes_at_b,
         )
@@ -745,15 +726,9 @@ class VariationField:
             delta = np.column_stack(cols)
             ddot = np.column_stack(dcols)
         else:
-            delta = self.samples
-            if delta.shape[0] != N:
-                delta = delta.T
-            if delta.shape[0] != N:
-                raise ValueError("sampled variation does not match the trajectory grid")
+            delta = as_samples(self.samples, N)
             if self.dot_samples is not None:
-                ddot = self.dot_samples
-                if ddot.shape[0] != N:
-                    ddot = ddot.T
+                ddot = as_samples(self.dot_samples, N, delta.shape[1])
             else:
                 ddot = diff_order2(delta, h)
         if self.vanishes_at_a and np.abs(delta[0]).max() > 1e-12:

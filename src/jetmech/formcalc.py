@@ -25,10 +25,10 @@ from .symexpr import (
     FIBER_SCALED_KINDS,
     TAU,
     Expr,
+    Symbol,
     SymbolKind,
     ZERO,
     coord,
-    coord_name,
     format_expr,
     partial,
     scaling_integral,
@@ -88,56 +88,53 @@ class VerticalOneForm:
     def __sub__(self, other: "VerticalOneForm") -> "VerticalOneForm":
         return self + (-other)
 
-
-# basis covectors are keyed ("t",), ("x", i) or ("v", i); two-form keys are
-# ordered pairs under dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
-BasisKey = tuple
-
-
-def _basis_rank(b: BasisKey):
-    tag = b[0]
-    if tag == "t":
-        return (0, 0)
-    return (1, b[1]) if tag == "x" else (2, b[1])
+    def components(self):
+        """(basis symbol, component) pairs: (x^i, F_i) then (v^i, Pi_i), per i."""
+        for i in range(self.n):
+            yield coord(i), self.F[i]
+            yield vel(i), self.Pi[i]
 
 
-def _fiber_coordinate(b: BasisKey) -> Expr | None:
-    """Radius-field component dual to a basis covector (None for dt)."""
-    if b[0] == "x":
-        return Expr.var(coord(b[1]))
-    if b[0] == "v":
-        return Expr.var(vel(b[1]))
-    return None
+def _oriented(b1: Symbol, b2: Symbol):
+    """(key, sign) of db1 ^ db2 on the ordered basis, or None when b1 == b2."""
+    k1, k2 = b1.sort_key(), b2.sort_key()
+    if k1 == k2:
+        return None
+    return ((b1, b2), 1) if k1 < k2 else ((b2, b1), -1)
 
 
 @dataclass(frozen=True)
 class TwoForm:
-    """Exterior 2-form stored on the ordered basis; absent keys are zero."""
+    """Exterior 2-form stored on the ordered basis; absent keys are zero.
 
-    coeffs: tuple[tuple[tuple[BasisKey, BasisKey], Expr], ...]
+    Basis covectors are keyed by the jet symbols TAU, coord(i) and vel(i);
+    ``Symbol.sort_key`` orders them dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
+    and keys are strictly ordered pairs.
+    """
+
+    coeffs: tuple[tuple[tuple[Symbol, Symbol], Expr], ...]
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoForm":
         items = tuple(
             sorted(
                 ((pair, e) for pair, e in data.items() if not e.is_zero),
-                key=lambda it: (_basis_rank(it[0][0]), _basis_rank(it[0][1])),
+                key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key()),
             )
         )
         for (b1, b2), _ in items:
-            if not _basis_rank(b1) < _basis_rank(b2):
+            if not b1.sort_key() < b2.sort_key():
                 raise ValueError("two-form keys must be strictly ordered pairs")
         return cls(items)
 
-    def coefficient(self, b1: BasisKey, b2: BasisKey) -> Expr:
+    def coefficient(self, b1: Symbol, b2: Symbol) -> Expr:
         """Coefficient of db1 ^ db2, with antisymmetry applied."""
-        sign = 1
-        if _basis_rank(b1) > _basis_rank(b2):
-            b1, b2, sign = b2, b1, -1
-        elif _basis_rank(b1) == _basis_rank(b2):
+        oriented = _oriented(b1, b2)
+        if oriented is None:
             return ZERO
+        key, sign = oriented
         for pair, e in self.coeffs:
-            if pair == (b1, b2):
+            if pair == key:
                 return e if sign == 1 else -e
         return ZERO
 
@@ -147,7 +144,7 @@ class TwoForm:
 
     def fiber_block_is_zero(self) -> bool:
         """True when every dx^dx, dx^dv, dv^dv coefficient vanishes."""
-        return all(b1[0] == "t" for (b1, _), _ in self.coeffs)
+        return all(b1 == TAU for (b1, _), _ in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -185,31 +182,16 @@ def d0(e: Expr, n: int | None = None) -> VerticalOneForm:
 
 def d1(omega: VerticalOneForm) -> TwoForm:
     """Exterior derivative of a vertical one-form, collected antisymmetrically."""
-    n = omega.n
+    basis = [TAU, *(b for b, _ in omega.components())]
     acc: dict = {}
-
-    def add(b1: BasisKey, b2: BasisKey, e: Expr):
-        if e.is_zero:
-            return
-        sign = 1
-        if _basis_rank(b1) > _basis_rank(b2):
-            b1, b2, sign = b2, b1, -1
-        elif _basis_rank(b1) == _basis_rank(b2):
-            return
-        key = (b1, b2)
-        acc[key] = acc.get(key, ZERO) + (e if sign == 1 else -e)
-
-    basis = [("t",)] + [("x", j) for j in range(n)] + [("v", j) for j in range(n)]
-
-    def partial_along(e: Expr, b: BasisKey) -> Expr:
-        if b[0] == "t":
-            return partial(e, TAU)
-        return partial(e, coord(b[1]) if b[0] == "x" else vel(b[1]))
-
-    for i in range(n):
+    for target, component in omega.components():
         for b in basis:
-            add(b, ("x", i), partial_along(omega.F[i], b))
-            add(b, ("v", i), partial_along(omega.Pi[i], b))
+            e = partial(component, b)
+            oriented = _oriented(b, target)
+            if e.is_zero or oriented is None:
+                continue
+            key, sign = oriented
+            acc[key] = acc.get(key, ZERO) + (e if sign == 1 else -e)
     return TwoForm.from_dict(acc)
 
 
@@ -221,8 +203,8 @@ def d1(omega: VerticalOneForm) -> TwoForm:
 def interior_radius(omega: VerticalOneForm) -> Expr:
     """Contraction with the radius field: sum_i F_i x^i + Pi_i v^i."""
     out = ZERO
-    for i in range(omega.n):
-        out = out + omega.F[i] * Expr.var(coord(i)) + omega.Pi[i] * Expr.var(vel(i))
+    for b, e in omega.components():
+        out = out + e * Expr.var(b)
     return out
 
 
@@ -243,9 +225,8 @@ def homotopy(omega: VerticalOneForm) -> Expr:
     """
     _require_admissible(omega)
     out = ZERO
-    for i in range(omega.n):
-        out = out + scaling_integral(omega.F[i], FIBER_SCALED_KINDS) * Expr.var(coord(i))
-        out = out + scaling_integral(omega.Pi[i], FIBER_SCALED_KINDS) * Expr.var(vel(i))
+    for b, e in omega.components():
+        out = out + scaling_integral(e, FIBER_SCALED_KINDS) * Expr.var(b)
     return out
 
 
@@ -255,19 +236,16 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     For a fiber block coefficient a at dy^i ^ dy^j, contributes
     [int_0^1 s a(t, s x, s v) ds] (y^i dy^j - y^j dy^i).
     """
-    comps: dict = {("x", i): ZERO for i in range(n)}
-    comps.update({("v", i): ZERO for i in range(n)})
+    comps: dict = {}
     for (b1, b2), a in eta.coeffs:
-        y1 = _fiber_coordinate(b1)
-        y2 = _fiber_coordinate(b2)
+        if b1 == TAU:
+            continue
         a_int = scaling_integral(a, FIBER_SCALED_KINDS, weight=1)
-        if y1 is not None and b2[0] != "t":
-            comps[b2] = comps[b2] + a_int * y1
-        if y2 is not None and b1[0] != "t":
-            comps[b1] = comps[b1] - a_int * y2
+        comps[b2] = comps.get(b2, ZERO) + a_int * Expr.var(b1)
+        comps[b1] = comps.get(b1, ZERO) - a_int * Expr.var(b2)
     return VerticalOneForm(
-        tuple(comps[("x", i)] for i in range(n)),
-        tuple(comps[("v", i)] for i in range(n)),
+        tuple(comps.get(coord(i), ZERO) for i in range(n)),
+        tuple(comps.get(vel(i), ZERO) for i in range(n)),
     )
 
 
@@ -303,35 +281,34 @@ def accept_user_split(
     exactly; otherwise the residual one-form is reported.
     """
     dec = Decomposition(lagrangian, anti_exact, mode="user-declared")
+    check_reconstruction(dec, phi)
+    return dec
+
+
+def check_reconstruction(dec: Decomposition, phi: VerticalOneForm):
+    """Raise ReconstructionError, naming the residual one-form, unless the
+    split rebuilds phi exactly."""
     residual = reconstruction_residual(dec, phi)
     if not residual.is_zero:
         raise ReconstructionError(
             residual,
             "split reconstruction residual: " + format_one_form(residual),
         )
-    return dec
 
 
 def format_one_form(omega: VerticalOneForm, coords: tuple[str, ...] = ()) -> str:
     """Readable rendering like '(-b*x' + sig(f)) dx + m*x' dx''."""
-    parts = []
-    for i in range(omega.n):
-        name = coord_name(i, coords)
-        if not omega.F[i].is_zero:
-            parts.append(f"({format_expr(omega.F[i], coords)}) d{name}")
-        if not omega.Pi[i].is_zero:
-            parts.append(f"({format_expr(omega.Pi[i], coords)}) d{name}'")
+    parts = [
+        f"({format_expr(e, coords)}) d{b.display(coords)}"
+        for b, e in omega.components()
+        if not e.is_zero
+    ]
     return " + ".join(parts) if parts else "0"
 
 
 def format_two_form(eta: TwoForm, coords: tuple[str, ...] = ()) -> str:
-    def bname(b: BasisKey) -> str:
-        if b[0] == "t":
-            return "dt"
-        return "d" + coord_name(b[1], coords) + ("" if b[0] == "x" else "'")
-
     parts = [
-        f"({format_expr(e, coords)}) {bname(b1)}^{bname(b2)}"
+        f"({format_expr(e, coords)}) d{b1.display(coords)}^d{b2.display(coords)}"
         for (b1, b2), e in eta.coeffs
     ]
     return " + ".join(parts) if parts else "0"

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MechError, ReconstructionError
-from .formcalc import (
-    Decomposition,
-    VerticalOneForm,
-    format_one_form,
-    reconstruction_residual,
-)
+from .errors import MechError
+from .formcalc import Decomposition, VerticalOneForm, check_reconstruction
 from .symexpr import TAU, Expr, SymbolKind, acc, coord, partial, vel
 
 
@@ -30,13 +25,10 @@ from .symexpr import TAU, Expr, SymbolKind, acc, coord, partial, vel
 class EquationsOfMotion:
     """Per-coordinate residuals R_i; R_i = 0 for all i is the dynamical law.
 
-    Each residual is affine in the acceleration symbols. ``source_phi``
-    and ``split_mode`` record where the equations came from.
+    Each residual is affine in the acceleration symbols.
     """
 
     residuals: tuple[Expr, ...]
-    source_phi: VerticalOneForm | None = None
-    split_mode: str | None = None
 
     @property
     def n(self) -> int:
@@ -58,9 +50,28 @@ class EquationsOfMotion:
         return tuple(out)
 
 
+def as_samples(values, N: int, n: int | None = None) -> np.ndarray:
+    """``values`` as an (N, n) float array: row k holds every coordinate at
+    grid time k. A 1-D array is one coordinate.
+
+    More dimensions raise ValueError, as does a row count other than N or,
+    when ``n`` is given, a column count other than n. Nothing is transposed.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.ndim != 2 or a.shape[0] != N or (n is not None and a.shape[1] != n):
+        want = f"({N}, {'n' if n is None else n})"
+        raise ValueError(f"samples must have shape {want}, got {np.shape(values)}")
+    return a
+
+
 @dataclass(frozen=True)
 class NumericSection:
-    """Sampled jet-space section (t_k, x_k, v_k) on a uniform grid."""
+    """Sampled jet-space section (t_k, x_k, v_k) on a uniform grid.
+
+    ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n).
+    """
 
     taus: np.ndarray
     xs: np.ndarray  # shape (N, n)
@@ -68,12 +79,10 @@ class NumericSection:
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
+        xs = as_samples(self.xs, len(taus))
         object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "xs", np.atleast_2d(np.asarray(self.xs, dtype=float)))
-        object.__setattr__(self, "vs", np.atleast_2d(np.asarray(self.vs, dtype=float)))
-        if self.xs.shape[0] != taus.shape[0]:
-            object.__setattr__(self, "xs", self.xs.T)
-            object.__setattr__(self, "vs", self.vs.T)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "vs", as_samples(self.vs, len(taus), xs.shape[1]))
         if len(taus) >= 2:
             steps = np.diff(taus)
             h = steps[0]
@@ -111,7 +120,7 @@ def dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
     residuals = tuple(
         phi.F[i] - total_time_derivative(phi.Pi[i]) for i in range(phi.n)
     )
-    return EquationsOfMotion(residuals, source_phi=phi)
+    return EquationsOfMotion(residuals)
 
 
 def variational_derivative(lagrangian: Expr, n: int | None = None) -> tuple[Expr, ...]:
@@ -133,19 +142,14 @@ def assemble_with_split(dec: Decomposition, phi: VerticalOneForm) -> EquationsOf
     The split must reconstruct phi; the result is checked against the
     direct dual-Spencer residuals of phi (they agree exactly by linearity).
     """
-    residual_form = reconstruction_residual(dec, phi)
-    if not residual_form.is_zero:
-        raise ReconstructionError(
-            residual_form,
-            "split reconstruction residual: " + format_one_form(residual_form),
-        )
+    check_reconstruction(dec, phi)
     var_der = variational_derivative(dec.lagrangian, n=phi.n)
     anti = dual_spencer(dec.anti_exact)
     combined = tuple(var_der[i] + anti.residuals[i] for i in range(phi.n))
     direct = dual_spencer(phi)
     if combined != direct.residuals:
         raise MechError("split assembly disagrees with direct dual-Spencer residuals")
-    return EquationsOfMotion(combined, source_phi=phi, split_mode=dec.mode)
+    return EquationsOfMotion(combined)
 
 
 def spencer_residual(section: NumericSection) -> np.ndarray:

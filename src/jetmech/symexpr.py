@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import AdmissibilityError, DifferentiationError, UnboundSymbolError
+from .errors import AdmissibilityError, DifferentiationError, MechError, UnboundSymbolError
 
 Rational = Union[int, Fraction]
 
@@ -233,6 +233,13 @@ def signal_symbol(signal: ForcingSignal, order: int = 0) -> Symbol:
 # a monomial is a tuple of (Symbol, exponent>0) pairs sorted by sort_key
 Monomial = tuple[tuple[Symbol, int], ...]
 
+# Most term products one multiplication may form (terms of one factor times
+# terms of the other). Squaring doubles a polynomial's degree, so a few
+# nested powers in a system file would otherwise expand without limit; the
+# bound is checked before the product is formed, and powers multiply, so it
+# covers them too.
+MAX_TERM_PRODUCT = 50_000
+
 
 def _mono_key(mono: Monomial):
     return tuple((sym.sort_key(), exp) for sym, exp in mono)
@@ -345,6 +352,11 @@ class Expr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self._terms) * len(other._terms) > MAX_TERM_PRODUCT:
+            raise MechError(
+                f"expression too large: a product of {len(self._terms)} by "
+                f"{len(other._terms)} terms exceeds MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}"
+            )
         acc: dict = {}
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
@@ -363,8 +375,9 @@ class Expr:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other):

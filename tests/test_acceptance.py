@@ -25,6 +25,7 @@ from jetmech.dynamics import (
 from jetmech.formcalc import TwoForm, VerticalOneForm, d1
 from jetmech.spencer import NumericSection, dual_spencer, spencer_residual
 from jetmech.symexpr import (
+    TAU,
     Expr,
     PolynomialSignal,
     ZERO,
@@ -80,8 +81,8 @@ def test_criterion_2_remainder_not_closed(capsys):
     eta = d1(phi_o)
     expected = TwoForm.from_dict(
         {
-            (("t",), ("x", 0)): Expr.var(signal_symbol(f, 1)),
-            (("x", 0), ("v", 0)): B,
+            (TAU, coord(0)): Expr.var(signal_symbol(f, 1)),
+            (coord(0), vel(0)): B,
         }
     )
     assert eta == expected

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
+from jetmech import cli
 from jetmech.cli import main
 from jetmech.dsl import parse_system
-from jetmech.symexpr import ZERO, Expr, coord
+from jetmech.symexpr import MAX_TERM_PRODUCT, ZERO, Expr, coord
 
 DAMPED = """
 system "lab" {
@@ -323,13 +325,21 @@ class TestExitTable:
             (["verify", "{m0}"], 3, "numeric failure: ", "out"),
             (["derive", "not-a-preset"], 2, "error: ", "err"),
             (["derive", "{deep}"], 2, "parse error: ", "err"),
+            (["derive", "harmonic"], 4, "internal error: RuntimeError: planted defect", "err"),
         ],
         ids=[
             "reconstruction", "admissibility", "singular-oracle-simulate",
             "singular-oracle-verify", "unknown-preset", "nested-parentheses",
+            "internal-error",
         ],
     )
-    def test_row(self, capsys, tmp_path, argv, code, prefix, stream):
+    def test_row(self, capsys, monkeypatch, tmp_path, argv, code, prefix, stream):
+        if code == cli.EXIT_INTERNAL:
+            # no shipped input reaches an unmapped exception; plant one
+            def crash(args):
+                raise RuntimeError("planted\ndefect")
+
+            monkeypatch.setattr(cli, "cmd_derive", crash)
         paths = {"csv": str(tmp_path / "t.csv")}
         for name, text in (("badsplit", BAD_SPLIT), ("m0", SINGULAR_ORACLE_MASS),
                            ("deep", DEEP_PARENS)):
@@ -360,3 +370,21 @@ class TestLongExpressions:
             term = (k % 7) * Expr.var(coord(0)) ** (k % 3)
             expected = expected - term if k % 2 else expected + term
         assert parse_system(source).phi.F == (expected,)
+
+    def test_nested_squares_hit_the_term_product_bound(self, capsys, tmp_path):
+        # each level squares the polynomial: 12 levels would need 2049^2
+        # term products in the last square alone
+        text = "x + 1"
+        for _ in range(12):
+            text = f"k*({text})^2"
+        path = tmp_path / "squares.mech"
+        path.write_text(
+            f'system "squares" {{ parameter m = 1; parameter k = 1; coordinate x; force x: {text} }}'
+        )
+        start = time.perf_counter()
+        assert main(["derive", str(path)]) == 2
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expression too large: ")
+        assert f"MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}" in captured.err

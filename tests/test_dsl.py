@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jetmech.dsl import (
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TIME_STEPS,
     BinOp,
     DuplicateDeclarationError,
     ExprContext,
@@ -358,3 +360,32 @@ class TestNestingBound:
             text_to_expr(nested(MAX_NESTING + 1), self.SIG_CTX)
         assert info.value.message == f"expression nested deeper than {MAX_NESTING} levels"
         assert (info.value.line, info.value.col) == (1, error_col)
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("exponent", [MAX_EXPONENT, -MAX_EXPONENT])
+    def test_exponent_at_bound_parses(self, exponent):
+        spec = parse_system(f'system "s" {{ coordinate x; parameter k = 3e{exponent} }}')
+        assert spec.params["k"] == 3 * Fraction(10) ** exponent
+
+    @pytest.mark.parametrize(
+        "literal", [f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}", "1e10000000"]
+    )
+    def test_exponent_beyond_bound_fails_at_literal(self, literal):
+        text = f'system "s" {{ coordinate x; parameter k = {literal} }}'
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert info.value.message == f"literal exponent beyond {MAX_EXPONENT} in magnitude"
+        assert (info.value.line, info.value.col) == (1, text.index(literal) + 1)
+
+    def test_time_grid_at_bound_parses(self):
+        spec = parse_system(f'system "s" {{ coordinate x; time 0 .. 1 step 1/{MAX_TIME_STEPS} }}')
+        assert spec.time == (0.0, 1.0, 1 / MAX_TIME_STEPS)
+
+    def test_time_grid_beyond_bound_fails_at_step(self):
+        # never integrated: 10^12 samples would not fit in memory
+        text = 'system "s" {\n  coordinate x\n  time 0 .. 1 step 1e-12\n}'
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert info.value.message == f"time grid of more than {MAX_TIME_STEPS} steps"
+        assert (info.value.line, info.value.col) == (3, len("  time 0 .. 1 step ") + 1)

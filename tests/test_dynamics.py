@@ -357,7 +357,7 @@ class TestVariation:
         vs = np.full((11, 1), 0.5)
         from jetmech.dynamics import Trajectory
 
-        traj = Trajectory(taus, xs, vs, "rk4", 0.1, "analytic")
+        traj = Trajectory(taus, xs, vs, 0.1)
         variation = VariationField.from_exprs(Expr.const(1))
         ta, tb = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert abs(tb - 0.5) < 1e-15
@@ -366,10 +366,19 @@ class TestVariation:
         taus = np.linspace(0.0, 1.0, 11)
         from jetmech.dynamics import Trajectory
 
-        traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), "rk4", 0.1, "analytic")
+        traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
         variation = VariationField.from_exprs(Expr.var(TAU))
         ta, _ = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert ta == 0.0
+
+    def test_sampled_variation_is_rows_never_transposed(self):
+        taus = self.traj.taus
+        column = VariationField.from_samples(np.sin(taus))  # 1-D: one coordinate
+        delta, ddot = column.sample_on(taus, self.traj.h)
+        assert delta.shape == ddot.shape == (len(taus), 1)
+        row = VariationField.from_samples(np.sin(taus).reshape(1, -1))
+        with pytest.raises(ValueError):
+            row.sample_on(taus, self.traj.h)
 
     def test_flagged_variation_validated(self):
         bad = VariationField.from_samples(

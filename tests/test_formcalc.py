@@ -66,8 +66,8 @@ class TestD1:
         eta = d1(phi_o)
         expected = TwoForm.from_dict(
             {
-                (("t",), ("x", 0)): Expr.var(signal_symbol(f, 1)),
-                (("x", 0), ("v", 0)): B,
+                (TAU, coord(0)): Expr.var(signal_symbol(f, 1)),
+                (coord(0), vel(0)): B,
             }
         )
         assert eta == expected
@@ -75,7 +75,7 @@ class TestD1:
 
     def test_x_dv(self):
         eta = d1(VerticalOneForm((ZERO,), (X,)))
-        assert eta == TwoForm.from_dict({(("x", 0), ("v", 0)): Expr.const(1)})
+        assert eta == TwoForm.from_dict({(coord(0), vel(0)): Expr.const(1)})
 
     def test_differential_of_exact_is_time_block_only(self):
         rng = random.Random(5)
@@ -91,8 +91,8 @@ class TestD1:
 
     def test_antisymmetry_access(self):
         eta = d1(VerticalOneForm((ZERO,), (X,)))
-        assert eta.coefficient(("v", 0), ("x", 0)) == Expr.const(-1)
-        assert eta.coefficient(("x", 0), ("x", 0)).is_zero
+        assert eta.coefficient(vel(0), coord(0)) == Expr.const(-1)
+        assert eta.coefficient(coord(0), coord(0)).is_zero
 
 
 class TestInteriorRadius:

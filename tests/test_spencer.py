@@ -16,6 +16,7 @@ from jetmech.spencer import (
 )
 from jetmech.symexpr import (
     Expr,
+    SymbolKind,
     ZERO,
     acc,
     coord,
@@ -145,6 +146,45 @@ class TestAssembleWithSplit:
             assert assemble_with_split(dec, phi).residuals == dual_spencer(phi).residuals
 
 
+class TestSympyEulerLagrange:
+    """dual_spencer(d0(L)) against the Euler-Lagrange expressions
+    dL/dx - d/dt dL/dx' that sympy's own calculus forms for L(t, x(t), x'(t))."""
+
+    def test_random_lagrangians(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        order = {SymbolKind.COORD: 0, SymbolKind.VEL: 1, SymbolKind.ACC: 2}
+
+        def to_sympy(e: Expr, paths):
+            """e with x^i, x'^i and x''^i read as x_i(t) and its derivatives."""
+            out = sympy.Integer(0)
+            for mono, c in e.terms:
+                term = sympy.Rational(c.numerator, c.denominator)
+                for sym, exp in mono:
+                    if sym.kind == SymbolKind.TIME:
+                        base = t
+                    elif sym.kind == SymbolKind.PARAM:
+                        base = sympy.Symbol(sym.name)
+                    else:
+                        base = paths[sym.index].diff(t, order[sym.kind])
+                    term *= base**exp
+                out += term
+            return out
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 3)
+            lagrangian = random_expr(rng, n)
+            paths = [sympy.Function(f"x{i}")(t) for i in range(n)]
+            L = to_sympy(lagrangian, paths)
+            residuals = dual_spencer(d0(lagrangian, n=n)).residuals
+            for path, residual in zip(paths, residuals):
+                # sympy.euler_equations is not used: it drops an equation
+                # that reduces to a constant, such as -4/3 = 0 for 4/3*t*x'
+                expected = sympy.diff(L, path) - sympy.diff(sympy.diff(L, path.diff(t)), t)
+                assert sympy.expand(to_sympy(residual, paths) - expected) == 0, seed
+
+
 class TestSpencerResidual:
     def test_exact_for_quadratic_prolongation(self):
         taus = np.linspace(0.0, 1.0, 101)
@@ -177,3 +217,12 @@ class TestSpencerResidual:
         taus = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
             NumericSection(taus, taus.reshape(-1, 1), taus.reshape(-1, 1))
+
+    def test_samples_are_rows_never_transposed(self):
+        taus = np.linspace(0.0, 1.0, 5)
+        section = NumericSection(taus, taus, 2 * taus)  # 1-D: one coordinate
+        assert section.xs.shape == section.vs.shape == (5, 1)
+        with pytest.raises(ValueError):
+            NumericSection(taus, taus.reshape(1, -1), np.zeros((5, 1)))  # (1, N) row
+        with pytest.raises(ValueError):
+            NumericSection(taus, np.zeros((5, 2)), np.zeros((5, 1)))
