@@ -14,6 +14,13 @@ Input bounds, each a documented constant: expressions nest at most
 most ``dsl.MAX_EXPONENT`` in magnitude, a time grid has at most
 ``dsl.MAX_TIME_STEPS`` steps, and one product of expressions forms at most
 ``symexpr.MAX_TERM_PRODUCT`` term products.
+
+Values stay exact rationals until a command needs them as floats. An
+``init`` or ``time`` value beyond the float range (about 1.8e308) is a
+parse error at its literal. A parameter, signal argument or coefficient
+beyond it still derives and decomposes; ``simulate`` and ``verify`` stop
+with exit 2 and one ``error:`` line that names the parameter or gives the
+value in scientific notation.
 """
 
 from __future__ import annotations
@@ -85,8 +92,7 @@ def _report_dict(system=None, dec=None, eom=None, checks=()):
             [format_expr(r, coords) for r in eom.normalized()] if eom is not None else None
         ),
         "checks": [
-            {"name": name, "pass": bool(ok), "detail": detail}
-            for name, ok, detail in checks
+            {"name": c.name, "pass": bool(c.passed), "detail": c.detail} for c in checks
         ],
     }
     return out
@@ -122,18 +128,18 @@ def cmd_decompose(args) -> int:
     differential = d1(dec.anti_exact)
     if dec.anti_exact.is_zero:
         print("phi_a = 0: form is exact")
-        checks.append(("anti-exact-closed", True, "phi_a = 0"))
+        checks.append(CheckResult("anti-exact-closed", True, "phi_a = 0"))
     elif differential.is_zero:
         print("phi_a closed")
-        checks.append(("anti-exact-closed", True, "d(phi_a) = 0"))
+        checks.append(CheckResult("anti-exact-closed", True, "d(phi_a) = 0"))
     else:
         rendered = format_two_form(differential, coords)
         print(f"phi_a not closed: d(phi_a) = {rendered} (so it cannot be exact)")
-        checks.append(("anti-exact-closed", False, f"d(phi_a) = {rendered}"))
+        checks.append(CheckResult("anti-exact-closed", False, f"d(phi_a) = {rendered}"))
     residual = reconstruction_residual(dec, system.phi)
     ok = residual.is_zero
     print("reconstruction: exact" if ok else "reconstruction: FAILED")
-    checks.append(("reconstruction", ok, format_one_form(residual, coords)))
+    checks.append(CheckResult("reconstruction", ok, format_one_form(residual, coords)))
     if args.json:
         _write_json(
             args.json, _report_dict(system, dec, dual_spencer(system.phi), checks)
@@ -247,10 +253,7 @@ def cmd_verify(args) -> int:
         suffix = f" (seed={c.seed})" if c.seed is not None else ""
         print(f"[{mark}] {c.name:<{width}}  {c.detail}{suffix}")
     if args.json:
-        _write_json(
-            args.json,
-            _report_dict(system, None, None, [(c.name, c.passed, c.detail) for c in checks]),
-        )
+        _write_json(args.json, _report_dict(system, None, None, checks))
         print(f"wrote {args.json}")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFICATION
 

@@ -45,11 +45,10 @@ from .symexpr import (
 class ParseError(MechError):
     """Syntax or resolution error with a 1-based source position."""
 
-    def __init__(self, line: int, col: int, message: str, token: str = ""):
+    def __init__(self, line: int, col: int, message: str):
         self.line = line
         self.col = col
         self.message = message
-        self.token = token
         super().__init__(f"line {line}, col {col}: {message}")
 
 
@@ -77,13 +76,6 @@ class Token:
     col: int
     primes: int = 0
 
-    def describe(self) -> str:
-        if self.type == "EOF":
-            return "end of input"
-        if self.type == "NEWLINE":
-            return "end of line"
-        return repr(str(self.value) + "'" * self.primes)
-
 
 _OPS = set("+-*/^()=,:;{}")
 
@@ -92,10 +84,6 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
-
-    def err(msg, tok=""):
-        raise ParseError(line, col, msg, tok)
-
     while i < n:
         ch = text[i]
         if ch in " \t\r":
@@ -123,7 +111,7 @@ def tokenize(text: str) -> list[Token]:
                 primes += 1
                 j += 1
             if primes > 2:
-                raise ParseError(line, start_col, "at most two primes are allowed", name)
+                raise ParseError(line, start_col, "at most two primes are allowed")
             col += j - i
             i = j
             tokens.append(Token("IDENT", name, line, start_col, primes))
@@ -135,7 +123,7 @@ def tokenize(text: str) -> list[Token]:
             if j < n and text[j] == "." and not (j + 1 < n and text[j + 1] == "."):
                 j += 1
                 if j >= n or not text[j].isdigit():
-                    raise ParseError(line, start_col, "malformed number", text[i:j])
+                    raise ParseError(line, start_col, "malformed number")
                 while j < n and text[j].isdigit():
                     j += 1
             if j < n and text[j] in "eE":
@@ -172,7 +160,7 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        err(f"unexpected character {ch!r}", ch)
+        raise ParseError(line, col, f"unexpected character {ch!r}")
     tokens.append(Token("EOF", None, line, col))
     return tokens
 
@@ -186,15 +174,13 @@ def _parse_number(lit: str, line: int, col: int) -> Fraction:
             # compare lengths first: int() of a long digit string is slow
             magnitude = exp_str.lstrip("+-").lstrip("0") or "0"
             if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
-                raise ParseError(
-                    line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude", lit
-                )
+                raise ParseError(line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude")
             exp = int(exp_str)
             break
     try:
         value = Fraction(mantissa)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line, col, "malformed number", lit) from None
+        raise ParseError(line, col, "malformed number") from None
     return value * Fraction(10) ** exp
 
 
@@ -282,9 +268,9 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: Token | Num | None = None):
         tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, message, tok.describe())
+        raise ParseError(tok.line, tok.col, message)
 
     def descend(self, tok: Token):
         """Enter one more nesting level, opened by ``tok``."""
@@ -426,9 +412,7 @@ def resolve_expr(node: ExprNode, ctx: ExprContext):
     if isinstance(node, SigRef):
         sig = ctx.signals.get(node.name)
         if sig is None:
-            raise UndeclaredSymbolError(
-                node.line, node.col, f"undeclared signal '{node.name}'", node.name
-            )
+            raise UndeclaredSymbolError(node.line, node.col, f"undeclared signal '{node.name}'")
         return signal_symbol(sig, node.order)
     if isinstance(node, Name):
         if node.name in ctx.coords:
@@ -438,12 +422,7 @@ def resolve_expr(node: ExprNode, ctx: ExprContext):
             if node.primes == 1:
                 return vel(i)
             if not ctx.allow_acceleration:
-                raise ParseError(
-                    node.line,
-                    node.col,
-                    "acceleration symbols are not permitted here",
-                    node.name + "''",
-                )
+                raise ParseError(node.line, node.col, "acceleration symbols are not permitted here")
             return acc(i)
         if node.name in ctx.params:
             if node.primes:
@@ -457,9 +436,7 @@ def resolve_expr(node: ExprNode, ctx: ExprContext):
                 node.col,
                 f"signal '{node.name}' must be referenced as sig({node.name})",
             )
-        raise UndeclaredSymbolError(
-            node.line, node.col, f"undeclared symbol '{node.name}'", node.name
-        )
+        raise UndeclaredSymbolError(node.line, node.col, f"undeclared symbol '{node.name}'")
     if isinstance(node, Neg):
         return ("neg", resolve_expr(node.operand, ctx))
     if isinstance(node, BinOp) and node.op == "^":
@@ -505,8 +482,8 @@ class SystemSpec:
     params: dict  # name -> Fraction
     signals: dict  # name -> ForcingSignal
     phi: VerticalOneForm
-    lagrangian_decl: Optional[Expr] = None
-    antiexact_decl: Optional[VerticalOneForm] = None
+    # (L, phi_a) when the file declares either half; the other half is zero
+    declared_split: Optional[tuple[Expr, VerticalOneForm]] = None
     oracle_forces: Optional[tuple[Expr, ...]] = None
     init: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
     time: Optional[tuple[float, float, float]] = None
@@ -517,24 +494,25 @@ class SystemSpec:
         return len(self.coords)
 
     def param_values(self) -> dict:
-        return {k: float(v) for k, v in self.params.items()}
+        """Parameters as floats; raises MechError for one beyond the float range."""
+        values = {}
+        for name, value in self.params.items():
+            try:
+                values[name] = float(value)
+            except OverflowError:
+                raise MechError(f"parameter '{name}' is beyond the float range") from None
+        return values
 
     @property
     def has_declared_split(self) -> bool:
-        return self.lagrangian_decl is not None or self.antiexact_decl is not None
+        return self.declared_split is not None
 
     def declared_decomposition(self) -> Decomposition:
         """Validate and return the user-declared split (may raise
         ReconstructionError)."""
-        if not self.has_declared_split:
+        if self.declared_split is None:
             raise MechError(f"system '{self.name}' declares no split")
-        lag = self.lagrangian_decl if self.lagrangian_decl is not None else ZERO
-        anti = (
-            self.antiexact_decl
-            if self.antiexact_decl is not None
-            else VerticalOneForm.zero(self.n)
-        )
-        return accept_user_split(lag, anti, self.phi)
+        return accept_user_split(*self.declared_split, self.phi)
 
     def canonical_decomposition(self) -> Decomposition:
         return decompose(self.phi)
@@ -551,14 +529,13 @@ class _SystemParser(_ExprParser):
         self.coords: list[str] = []
         self.params: dict = {}
         self.signals: dict = {}
-        # keyword -> {coordinate name: (token, node)}, in build's check order
-        self.clause_nodes: dict = {"momentum": {}, "force": {}, "oracle": {}}
-        self.lagrangian_node = None
-        self.antiexact_nodes: dict = {}  # (name, primed) -> node
-        self.init_nodes: dict = {}  # (name, primed) -> Fraction
+        # (keyword, coordinate, primes) -> (token, node), in source order: one
+        # entry per slot of phi, phi_a, the oracle and init. The lagrangian is
+        # ("lagrangian", "", 0); an init value is the Num of its literal.
+        self.clauses: dict = {}
         self.time_clause = None
         self.integrator = "rk4"
-        self.declared_positions: dict = {}
+        self.declared: set = set()
 
     # token plumbing -------------------------------------------------------
 
@@ -611,17 +588,28 @@ class _SystemParser(_ExprParser):
             value = value / den.value
         return -value if neg else value
 
+    def number_node(self) -> Num:
+        """A number literal at the position of its first token."""
+        tok = self.peek()
+        return Num(self.number_literal(), tok.line, tok.col)
+
+    def to_float(self, literal: Num) -> float:
+        try:
+            return float(literal.value)
+        except OverflowError:
+            self.fail("number beyond the float range", literal)
+
     # declarations ---------------------------------------------------------
 
-    def declare(self, tok: Token, kind: str):
+    def declare(self, tok: Token):
         name = tok.value
         if name in RESERVED:
             self.fail(f"'{name}' is reserved", tok)
-        if name in self.declared_positions:
+        if name in self.declared:
             raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate declaration of '{name}'", name
+                tok.line, tok.col, f"duplicate declaration of '{name}'"
             )
-        self.declared_positions[name] = (tok.line, tok.col, kind)
+        self.declared.add(name)
 
     # statement dispatch ----------------------------------------------------
 
@@ -660,7 +648,7 @@ class _SystemParser(_ExprParser):
             "momentum": self.stmt_clause,
             "force": self.stmt_clause,
             "lagrangian": self.stmt_lagrangian,
-            "antiexact": self.stmt_antiexact,
+            "antiexact": self.stmt_clause,
             "oracle": self.stmt_clause,
             "init": self.stmt_init,
             "time": self.stmt_time,
@@ -675,7 +663,7 @@ class _SystemParser(_ExprParser):
         name = self.expect_ident("parameter name")
         if name.primes:
             self.fail("parameter names cannot carry primes", name)
-        self.declare(name, "parameter")
+        self.declare(name)
         self.expect_op("=")
         self.params[name.value] = self.number_literal()
 
@@ -683,12 +671,12 @@ class _SystemParser(_ExprParser):
         name = self.expect_ident("coordinate name")
         if name.primes:
             self.fail("declare the coordinate without primes", name)
-        self.declare(name, "coordinate")
+        self.declare(name)
         self.coords.append(name.value)
 
     def stmt_signal(self, _):
         name = self.expect_ident("signal name")
-        self.declare(name, "signal")
+        self.declare(name)
         self.expect_op("=")
         kind = self.expect_ident("signal kind")
         self.expect_op("(")
@@ -706,40 +694,26 @@ class _SystemParser(_ExprParser):
         else:
             self.fail("signal kind must be polynomial or sinusoid", kind)
 
-    def coordinate_ref(self, allow_prime=False) -> tuple[str, int, Token]:
-        tok = self.expect_ident("coordinate name")
-        if tok.primes > (1 if allow_prime else 0):
-            self.fail("unexpected primes on coordinate reference", tok)
-        return tok.value, tok.primes, tok
-
     def stmt_clause(self, keyword: Token):
-        """``momentum|force|oracle <coordinate>: <expression>``."""
-        nodes = self.clause_nodes[keyword.value]
-        name, _, tok = self.coordinate_ref()
-        if name in nodes:
+        """``momentum|force|oracle|antiexact <coordinate>: <expression>``;
+        ``antiexact x':`` is the dx' slot of phi_a."""
+        tok = self.expect_ident("coordinate name")
+        if tok.primes > (keyword.value == "antiexact"):
+            self.fail("unexpected primes on coordinate reference", tok)
+        key = (keyword.value, tok.value, tok.primes)
+        if key in self.clauses:
             raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate {keyword.value} clause for '{name}'", name
+                tok.line, tok.col, f"duplicate {keyword.value} clause for '{tok.value}'"
             )
         self.expect_op(":")
-        nodes[name] = (tok, self.parse())
+        self.clauses[key] = (tok, self.parse())
 
     def stmt_lagrangian(self, tok):
-        if self.lagrangian_node is not None:
-            raise DuplicateDeclarationError(
-                tok.line, tok.col, "duplicate lagrangian clause", "lagrangian"
-            )
+        key = ("lagrangian", "", 0)
+        if key in self.clauses:
+            raise DuplicateDeclarationError(tok.line, tok.col, "duplicate lagrangian clause")
         self.expect_op(":")
-        self.lagrangian_node = self.parse()
-
-    def stmt_antiexact(self, _):
-        name, primes, tok = self.coordinate_ref(allow_prime=True)
-        key = (name, primes)
-        if key in self.antiexact_nodes:
-            raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate antiexact clause for '{name}'", name
-            )
-        self.expect_op(":")
-        self.antiexact_nodes[key] = (tok, self.parse())
+        self.clauses[key] = (tok, self.parse())
 
     def stmt_init(self, _):
         while True:
@@ -747,13 +721,13 @@ class _SystemParser(_ExprParser):
             if tok.primes > 1:
                 self.fail("init assigns x or x' only", tok)
             self.expect_op("=")
-            value = self.number_literal()
-            key = (tok.value, tok.primes)
-            if key in self.init_nodes:
+            literal = self.number_node()
+            key = ("init", tok.value, tok.primes)
+            if key in self.clauses:
                 raise DuplicateDeclarationError(
-                    tok.line, tok.col, f"duplicate init for '{tok.value}'", tok.value
+                    tok.line, tok.col, f"duplicate init for '{tok.value}'"
                 )
-            self.init_nodes[key] = (tok, value)
+            self.clauses[key] = (tok, literal)
             nxt = self.peek()
             if nxt.type == "OP" and nxt.value == ",":
                 self.advance()
@@ -761,21 +735,20 @@ class _SystemParser(_ExprParser):
             break
 
     def stmt_time(self, _):
-        a = self.number_literal()
+        a = self.number_node()
         self.expect_op("..")
-        b = self.number_literal()
+        b = self.number_node()
         step_tok = self.expect_ident("'step'")
         if step_tok.value != "step":
             self.fail("expected 'step'", step_tok)
-        h_tok = self.peek()
-        h = self.number_literal()
-        if not b > a:
+        h = self.number_node()
+        if not b.value > a.value:
             self.fail("time interval must satisfy b > a", step_tok)
-        if not h > 0:
+        if not h.value > 0:
             self.fail("step must be positive", step_tok)
-        if (b - a) / h > MAX_TIME_STEPS:
-            self.fail(f"time grid of more than {MAX_TIME_STEPS} steps", h_tok)
-        self.time_clause = (float(a), float(b), float(h))
+        if (b.value - a.value) / h.value > MAX_TIME_STEPS:
+            self.fail(f"time grid of more than {MAX_TIME_STEPS} steps", h)
+        self.time_clause = tuple(self.to_float(literal) for literal in (a, b, h))
 
     def stmt_integrator(self, _):
         tok = self.expect_ident("integrator name")
@@ -784,12 +757,6 @@ class _SystemParser(_ExprParser):
         self.integrator = tok.value
 
     # assembly ---------------------------------------------------------------
-
-    def require_coordinate(self, name: str, tok: Token):
-        if name not in self.coords:
-            raise UndeclaredSymbolError(
-                tok.line, tok.col, f"undeclared coordinate '{name}'", name
-            )
 
     def build(self, sys_name: str) -> SystemSpec:
         if not self.coords:
@@ -800,83 +767,46 @@ class _SystemParser(_ExprParser):
             signals=dict(self.signals),
             allow_acceleration=False,
         )
-
-        def to_expr(pair) -> Expr:
-            _, node = pair
-            return normalize(resolve_expr(node, ctx))
-
-        momentum_nodes, force_nodes, oracle_nodes = self.clause_nodes.values()
-        for name, pair in {**momentum_nodes, **force_nodes, **oracle_nodes}.items():
-            self.require_coordinate(name, pair[0])
-        for (name, _), pair in self.antiexact_nodes.items():
-            self.require_coordinate(name, pair[0])
-        for (name, _), pair in self.init_nodes.items():
-            self.require_coordinate(name, pair[0])
-
-        n = len(self.coords)
-        default_momentum = None
-        if "m" in self.params:
-            m = Expr.var(param("m"))
-            default_momentum = [m * Expr.var(vel(i)) for i in range(n)]
-        F, Pi = [], []
-        for i, cname in enumerate(self.coords):
-            F.append(to_expr(force_nodes[cname]) if cname in force_nodes else ZERO)
-            if cname in momentum_nodes:
-                Pi.append(to_expr(momentum_nodes[cname]))
-            elif default_momentum is not None:
-                Pi.append(default_momentum[i])
+        # source order, so the first error in the file is the one reported
+        values = {}
+        for key, (tok, node) in self.clauses.items():
+            keyword, name, _ = key
+            if keyword != "lagrangian" and name not in self.coords:
+                raise UndeclaredSymbolError(tok.line, tok.col, f"undeclared coordinate '{name}'")
+            if keyword == "init":
+                values[key] = self.to_float(node)
             else:
-                Pi.append(ZERO)
-        phi = VerticalOneForm(tuple(F), tuple(Pi))
+                values[key] = normalize(resolve_expr(node, ctx))
+        keywords = {keyword for keyword, _, _ in values}
+        n = len(self.coords)
 
-        lagrangian = (
-            normalize(resolve_expr(self.lagrangian_node, ctx))
-            if self.lagrangian_node is not None
-            else None
-        )
-        antiexact = None
-        if self.antiexact_nodes:
-            aF = [ZERO] * n
-            aPi = [ZERO] * n
-            for (cname, primes), pair in self.antiexact_nodes.items():
-                i = self.coords.index(cname)
-                if primes == 0:
-                    aF[i] = to_expr(pair)
-                else:
-                    aPi[i] = to_expr(pair)
-            antiexact = VerticalOneForm(tuple(aF), tuple(aPi))
-        elif lagrangian is not None:
-            antiexact = VerticalOneForm.zero(n)
-
-        oracle = None
-        if oracle_nodes:
-            oracle = tuple(
-                to_expr(oracle_nodes[cname]) if cname in oracle_nodes else ZERO
-                for cname in self.coords
+        def slot(keyword, primes=0, default=(ZERO,) * n):
+            """One value per coordinate, ``default[i]`` where none is given."""
+            return tuple(
+                values.get((keyword, name, primes), fallback)
+                for name, fallback in zip(self.coords, default)
             )
 
-        init = None
-        if self.init_nodes:
-            x0 = [0.0] * n
-            v0 = [0.0] * n
-            for (cname, primes), (_, value) in self.init_nodes.items():
-                i = self.coords.index(cname)
-                if primes == 0:
-                    x0[i] = float(value)
-                else:
-                    v0[i] = float(value)
-            init = (tuple(x0), tuple(v0))
-
+        momentum = (ZERO,) * n
+        if "m" in self.params:
+            m = Expr.var(param("m"))
+            momentum = tuple(m * Expr.var(vel(i)) for i in range(n))
+        declared_split = None
+        if keywords & {"lagrangian", "antiexact"}:
+            declared_split = (
+                values.get(("lagrangian", "", 0), ZERO),
+                VerticalOneForm(slot("antiexact"), slot("antiexact", 1)),
+            )
+        zeros = (0.0,) * n
         return SystemSpec(
             name=sys_name,
             coords=tuple(self.coords),
             params=dict(self.params),
             signals=dict(self.signals),
-            phi=phi,
-            lagrangian_decl=lagrangian,
-            antiexact_decl=antiexact,
-            oracle_forces=oracle,
-            init=init,
+            phi=VerticalOneForm(slot("force"), slot("momentum", 0, momentum)),
+            declared_split=declared_split,
+            oracle_forces=slot("oracle") if "oracle" in keywords else None,
+            init=(slot("init", 0, zeros), slot("init", 1, zeros)) if "init" in keywords else None,
             time=self.time_clause,
             integrator=self.integrator,
         )

@@ -15,11 +15,10 @@ class AdmissibilityError(MechError):
     Carries the offending signal name in ``signal_name``.
     """
 
-    def __init__(self, signal_name: str, message: str | None = None):
+    def __init__(self, signal_name: str):
         self.signal_name = signal_name
         super().__init__(
-            message
-            or f"signal '{signal_name}' is not homotopy-admissible "
+            f"signal '{signal_name}' is not homotopy-admissible "
             "(homotopy decomposition requires polynomial signals)"
         )
 
@@ -41,10 +40,6 @@ class ReconstructionError(MechError):
 
 class SingularMassError(MechError):
     """Mass matrix not invertible at some state (pivot below threshold)."""
-
-    def __init__(self, message: str, state=None):
-        self.state = state
-        super().__init__(message)
 
 
 class AuditUnsupportedError(MechError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, Context
 from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -652,7 +653,12 @@ def scaling_integral(
 
 
 def _float_lit(q: Fraction) -> str:
-    return repr(float(q))
+    try:
+        return repr(float(q))
+    except OverflowError:
+        # four digits in scientific notation, however long the exact value
+        value = Context(prec=4, Emax=MAX_EMAX).divide(q.numerator, q.denominator)
+        raise MechError(f"number {value:.3e} is beyond the float range") from None
 
 
 def _signal_code(sym: Symbol, t: str) -> str:

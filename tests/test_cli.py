@@ -69,6 +69,26 @@ system "m0" {
 DEEP_PARENS = 'system "deep" { coordinate x; force x: ' + "(" * 3000 + "x" + ")" * 3000 + " }"
 
 
+# a forced oscillator with one statement per kind of value that becomes a float
+FLOAT_RANGE = """system "big" {{
+  parameter m = 1
+  {parameter}
+  coordinate x
+  {signal}
+  {force}
+  {init}
+  {time}
+}}
+"""
+FLOAT_RANGE_DEFAULTS = {
+    "parameter": "parameter k = 1",
+    "signal": "signal f = sinusoid(1, 1, 0)",
+    "force": "force x: -k*x + sig(f)",
+    "init": "init x = 1, x' = 0",
+    "time": "time 0 .. 1 step 1/10",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -352,6 +372,34 @@ class TestExitTable:
         )
         assert printed.splitlines()[-1].startswith(prefix)
         assert other == ""
+
+
+class TestFloatRange:
+    """Exact values beyond the float range end in exit 2, not an internal error."""
+
+    @pytest.mark.parametrize(
+        "slot, statement, message",
+        [
+            ("parameter", "parameter k = 1e400", "error: parameter 'k' is beyond the float range"),
+            ("init", "init x = 1e400, x' = 0",
+             "parse error: line 7, col 12: number beyond the float range"),
+            ("time", "time 0 .. 1e400 step 1e395",
+             "parse error: line 8, col 13: number beyond the float range"),
+            ("signal", "signal f = sinusoid(1e400, 1, 0)",
+             "error: number 1.000e+400 is beyond the float range"),
+            ("force", "force x: -1e400*x + sig(f)",
+             "error: number -1.000e+400 is beyond the float range"),
+        ],
+        ids=["parameter", "init", "time", "signal", "coefficient"],
+    )
+    def test_simulate_is_usage_error(self, capsys, tmp_path, slot, statement, message):
+        path = tmp_path / "big.mech"
+        path.write_text(FLOAT_RANGE.format(**{**FLOAT_RANGE_DEFAULTS, slot: statement}))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "big.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 class TestLongExpressions:

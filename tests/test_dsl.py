@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetmech.dsl import (
     MAX_EXPONENT,
@@ -13,6 +14,7 @@ from jetmech.dsl import (
     ParseError,
     PRESETS,
     SigRef,
+    SystemSpec,
     UndeclaredSymbolError,
     format_expr,
     parse_expr,
@@ -20,7 +22,7 @@ from jetmech.dsl import (
     preset,
     text_to_expr,
 )
-from jetmech.errors import ReconstructionError
+from jetmech.errors import MechError, ReconstructionError
 from jetmech.formcalc import VerticalOneForm
 from jetmech.symexpr import (
     TAU,
@@ -210,6 +212,20 @@ system "default-momentum" {
             parse_system(text)
         assert "'q'" in str(err.value)
 
+    def test_first_error_in_source_order_is_reported(self):
+        # the undeclared coordinate comes later in the file than the symbol
+        text = """system "order" {
+  parameter m = 1
+  coordinate x
+  coordinate y
+  force x: q*x
+  oracle z: 1
+}"""
+        with pytest.raises(UndeclaredSymbolError) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (5, 12)
+        assert err.value.message == "undeclared symbol 'q'"
+
     def test_duplicate_declaration(self):
         text = 'system "dup" { parameter k = 1; coordinate k; force k: 0 }'
         with pytest.raises(DuplicateDeclarationError):
@@ -337,6 +353,42 @@ class TestPresets:
         b0 = Expr.var(param("b0"))
         expected = M * A + K * X + b0 * (X**2 - 1) * V
         assert spec.eom().normalized() == (expected,)
+
+
+# Words that reach every statement kind, the error paths of the lexer and
+# the resolver, and values beyond the float range.
+_SNIPPETS = [
+    "x", "x'", "x''", "y", "q", "k", "m", "t", "sig(f)", "dsig(f)", "1e400", "-1e400",
+    "1/0", "^", "*", "(", ")", ":", ";", "=", ",", "..", "#", '"', "}", "@",
+    "\nforce z: 1\n", "\nantiexact x': k*x\n", "\ninit x = 2\n", "\ninit x' = 1e400\n",
+    "\nlagrangian: x\n", "\noracle q: 1\n", "\ncoordinate y\n", "\nmomentum y: x\n",
+    "\nsignal g = polynomial(1, 2)\n", "\ntime 0 .. 1e400 step 1e395\n",
+]
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset with one to four words inserted, replaced or deleted."""
+    words = draw(st.sampled_from(sorted(PRESETS.values()))).split(" ")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(words) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "delete":
+            del words[i]
+        else:
+            words[i : i + (edit == "replace")] = [draw(st.sampled_from(_SNIPPETS))]
+    return " ".join(words)
+
+
+class TestParseSystemFuzz:
+    @settings(max_examples=400)
+    @given(mutated_presets())
+    def test_any_text_gives_a_spec_or_a_mech_error(self, text):
+        try:
+            spec = parse_system(text)
+        except MechError:
+            return
+        assert isinstance(spec, SystemSpec)
 
 
 class TestNestingBound:
