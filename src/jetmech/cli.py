@@ -5,7 +5,8 @@ derive (equations of motion), simulate (trajectory CSV with optional
 energy audit and oracle comparison), verify (property suites).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error
-(including the input bounds below), 3 numeric failure, 4 internal error
+(including the input bounds below, a system file that is not UTF-8 and a
+file that cannot be read or written), 3 numeric failure, 4 internal error
 (an exception no other code names; one line ``internal error: <Type>:
 <message>`` on stderr). MECH_SEED fixes the randomized-suite seed.
 
@@ -52,7 +53,13 @@ from .errors import (
     ReconstructionError,
     SingularMassError,
 )
-from .formcalc import d1, format_one_form, format_two_form, reconstruction_residual
+from .formcalc import (
+    d1,
+    decompose,
+    format_one_form,
+    format_two_form,
+    reconstruction_residual,
+)
 from .spencer import dual_spencer
 from .symexpr import Expr, SymbolKind, acc
 from .verify import DEFAULT_SEED, CheckResult, check_declared_split, run_builtin_suites
@@ -114,13 +121,13 @@ def cmd_decompose(args) -> int:
     coords = system.coords
     checks = []
     if args.mode == "declared":
-        if not system.has_declared_split:
+        if system.declared_split is None:
             raise MechError(
                 "declared mode requires lagrangian/antiexact clauses in the system"
             )
         dec = system.declared_decomposition()
     else:
-        dec = system.canonical_decomposition()
+        dec = decompose(system.phi)
     print(f"system: {system.name}")
     print(f"mode: {dec.mode}")
     print(f"L = {format_expr(dec.lagrangian, coords)}")
@@ -151,7 +158,7 @@ def cmd_decompose(args) -> int:
 def cmd_derive(args) -> int:
     system = _load_system(args.target)
     coords = system.coords
-    eom = system.eom()
+    eom = dual_spencer(system.phi)
     normalized = eom.normalized()
     for i, r in enumerate(normalized):
         print(f"{format_expr(r, coords)} = 0")
@@ -193,8 +200,8 @@ def cmd_simulate(args) -> int:
         try:
             dec = (
                 system.declared_decomposition()
-                if system.has_declared_split
-                else system.canonical_decomposition()
+                if system.declared_split is not None
+                else decompose(system.phi)
             )
             report = energy_audit(traj, dec, params)
         except (ReconstructionError, AdmissibilityError, AuditUnsupportedError):
@@ -234,7 +241,7 @@ def cmd_verify(args) -> int:
         raise MechError("verify needs a system file or --builtin-suite")
     if args.target is not None:
         system = _load_system(args.target)
-        if system.has_declared_split:
+        if system.declared_split is not None:
             checks.append(check_declared_split(system))
         if system.oracle_forces is not None and system.init and system.time:
             rep = oracle_compare(system)
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
     except (SingularMassError, AdmissibilityError, AuditUnsupportedError) as exc:
         print(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except MechError as exc:
+    except (MechError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a defect, never a verification verdict

@@ -13,18 +13,13 @@ separators; the conventional extension is ``.mech``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import MechError
-from .formcalc import (
-    Decomposition,
-    VerticalOneForm,
-    accept_user_split,
-    decompose,
-)
-from .spencer import EquationsOfMotion, dual_spencer
+from .formcalc import Decomposition, VerticalOneForm, accept_user_split
 from .symexpr import (
     TAU,
     Expr,
@@ -68,118 +63,81 @@ RESERVED = {"t", "sig", "dsig"}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str  # IDENT NUMBER STRING OP NEWLINE EOF
+class Token(NamedTuple):
+    type: str  # IDENT NUMBER STRING NEWLINE EOF, or an operator's own text
     value: object
     line: int
     col: int
     primes: int = 0
 
 
-_OPS = set("+-*/^()=,:;{}")
+# One alternative per kind of lexeme, tried in order; the named group that
+# matched is the kind. A comment belongs to the newline or end of input that
+# follows it, so that token is reported at the '#'. A number's '.' must be
+# followed by a digit, except in the range operator of ``1..2``.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r]+)
+    | (?P<IDENT>(?P<name>[^\W\d]\w*)(?P<primes>'*))
+    | (?P<operator>\.\.|[-+*/^()=,:;{}])
+    | (?P<malformed>\d+\.(?![.\d]))
+    | (?P<NUMBER>(?P<mantissa>\d+(?:\.\d+)?)(?:[eE](?P<exponent>[+-]?\d+))?)
+    | (?P<NEWLINE>(?:\#.*)?\n)
+    | (?P<EOF>(?:\#.*)?\Z)
+    | (?P<STRING>"(?P<text>[^"\n]*)")
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        col = match.start() - line_start + 1
+        if kind == "space":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            primes = 0
-            while j < n and text[j] == "'":
-                primes += 1
-                j += 1
+        if kind == "IDENT":
+            primes = len(match["primes"])
             if primes > 2:
-                raise ParseError(line, start_col, "at most two primes are allowed")
-            col += j - i
-            i = j
-            tokens.append(Token("IDENT", name, line, start_col, primes))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not (j + 1 < n and text[j + 1] == "."):
-                j += 1
-                if j >= n or not text[j].isdigit():
-                    raise ParseError(line, start_col, "malformed number")
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("NUMBER", _parse_number(lit, line, start_col), line, start_col))
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError(line, start_col, "unterminated string")
-            value = text[i + 1 : j]
-            col += j + 1 - i
-            i = j + 1
-            tokens.append(Token("STRING", value, line, start_col))
-            continue
-        if ch == "." and i + 1 < n and text[i + 1] == ".":
-            tokens.append(Token("OP", "..", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _OPS:
-            tokens.append(Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", None, line, col))
+                raise ParseError(line, col, "at most two primes are allowed")
+            tokens.append(Token(kind, match["name"], line, col, primes))
+        elif kind == "operator":
+            tokens.append(Token(match[kind], match[kind], line, col))
+        elif kind == "NUMBER":
+            value = _parse_number(match["mantissa"], match["exponent"], line, col)
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "NEWLINE":
+            tokens.append(Token(kind, "\n", line, col))
+            line, line_start = line + 1, match.end()
+        elif kind == "STRING":
+            tokens.append(Token(kind, match["text"], line, col))
+        elif kind == "EOF":
+            tokens.append(Token(kind, None, line, col))
+            break
+        elif kind == "malformed":
+            raise ParseError(line, col, "malformed number")
+        elif match[kind] == '"':
+            raise ParseError(line, col, "unterminated string")
+        else:
+            raise ParseError(line, col, f"unexpected character {match[kind]!r}")
     return tokens
 
 
-def _parse_number(lit: str, line: int, col: int) -> Fraction:
+def _parse_number(mantissa: str, exponent: Optional[str], line: int, col: int) -> Fraction:
     """Exact rational value of a decimal/scientific literal (1.25 -> 5/4)."""
-    mantissa, exp = lit, 0
-    for e in ("e", "E"):
-        if e in lit:
-            mantissa, exp_str = lit.split(e, 1)
-            # compare lengths first: int() of a long digit string is slow
-            magnitude = exp_str.lstrip("+-").lstrip("0") or "0"
-            if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
-                raise ParseError(line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude")
-            exp = int(exp_str)
-            break
+    exp = 0
+    if exponent is not None:
+        # compare lengths first: int() of a long digit string is slow
+        magnitude = exponent.lstrip("+-").lstrip("0") or "0"
+        if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
+            raise ParseError(line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude")
+        exp = int(exponent)
     try:
         value = Fraction(mantissa)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:  # more digits than int() converts
         raise ParseError(line, col, "malformed number") from None
     return value * Fraction(10) ** exp
 
@@ -272,6 +230,13 @@ class _ExprParser:
         tok = tok or self.peek()
         raise ParseError(tok.line, tok.col, message)
 
+    def expect(self, kind: str, message: str) -> Token:
+        """Consume the next token, which must be of ``kind``."""
+        tok = self.peek()
+        if tok.type != kind:
+            self.fail(message, tok)
+        return self.advance()
+
     def descend(self, tok: Token):
         """Enter one more nesting level, opened by ``tok``."""
         self.depth += 1
@@ -282,56 +247,43 @@ class _ExprParser:
         lhs = self.atom()
         while True:
             tok = self.peek()
-            if tok.type != "OP" or tok.value not in _PREC:
-                return lhs
-            prec = _PREC[tok.value]
+            prec = _PREC.get(tok.type, 0)
             if prec < min_prec:
                 return lhs
             self.advance()
-            if tok.value == "/":
-                rhs_tok = self.peek()
-                if rhs_tok.type != "NUMBER":
-                    self.fail("division requires a numeric literal", rhs_tok)
+            if tok.type == "/":
+                rhs_tok = self.expect("NUMBER", "division requires a numeric literal")
                 if rhs_tok.value == 0:
                     self.fail("division by zero", rhs_tok)
-                self.advance()
                 rhs: ExprNode = Num(rhs_tok.value, rhs_tok.line, rhs_tok.col)
-            elif tok.value == "^":
-                rhs_tok = self.peek()
-                if rhs_tok.type != "NUMBER" or rhs_tok.value.denominator != 1 or rhs_tok.value < 0:
+            elif tok.type == "^":
+                rhs_tok = self.advance()
+                if rhs_tok.type != "NUMBER" or rhs_tok.value.denominator != 1:
                     self.fail("exponent must be a nonnegative integer", rhs_tok)
-                self.advance()
                 rhs = Num(rhs_tok.value, rhs_tok.line, rhs_tok.col)
             else:
                 # left-associative + - *; climb one level
                 rhs = self.parse(prec + 1)
-            lhs = BinOp(tok.value, lhs, rhs, tok.line, tok.col)
+            lhs = BinOp(tok.type, lhs, rhs, tok.line, tok.col)
 
     def atom(self) -> ExprNode:
-        tok = self.peek()
+        tok = self.advance()
         if tok.type == "NUMBER":
-            self.advance()
             return Num(tok.value, tok.line, tok.col)
-        if tok.type == "OP" and tok.value == "-":
-            self.advance()
+        if tok.type == "-":
             self.descend(tok)
             operand = self.parse(2)  # binds looser than * and ^
             self.depth -= 1
             return Neg(operand, tok.line, tok.col)
-        if tok.type == "OP" and tok.value == "(":
-            self.advance()
+        if tok.type == "(":
             self.descend(tok)
             inner = self.parse(1)
             self.depth -= 1
-            closing = self.peek()
-            if closing.type != "OP" or closing.value != ")":
-                self.fail("expected closing parenthesis", closing)
-            self.advance()
+            self.expect(")", "expected closing parenthesis")
             return inner
         if tok.type == "IDENT":
             if tok.value in ("sig", "dsig"):
-                return self.signal_ref()
-            self.advance()
+                return self.signal_ref(tok)
             if tok.value == "t":
                 if tok.primes:
                     self.fail("'t' is reserved for time and cannot be primed", tok)
@@ -339,29 +291,20 @@ class _ExprParser:
             return Name(tok.value, tok.primes, tok.line, tok.col)
         self.fail("expected operand", tok)
 
-    def signal_ref(self) -> SigRef:
-        head = self.advance()  # 'sig' or 'dsig'
-        paren = self.peek()
-        if paren.type != "OP" or paren.value != "(":
-            self.fail("expected '(' after signal reference", paren)
-        self.advance()
-        inner_tok = self.peek()
-        if inner_tok.type == "IDENT" and inner_tok.value in ("sig", "dsig"):
+    def signal_ref(self, head: Token) -> SigRef:
+        """The rest of ``sig(name)`` or ``dsig(...)`` after its ``head``."""
+        self.expect("(", "expected '(' after signal reference")
+        inner_tok = self.expect("IDENT", "expected signal name")
+        if inner_tok.value in ("sig", "dsig"):
             if head.value == "sig":
                 self.fail("sig() takes a signal name", inner_tok)
             self.descend(inner_tok)
-            inner = self.signal_ref()
+            inner = self.signal_ref(inner_tok)
             self.depth -= 1
             name, order = inner.name, inner.order
-        elif inner_tok.type == "IDENT":
-            self.advance()
-            name, order = inner_tok.value, 0
         else:
-            self.fail("expected signal name", inner_tok)
-        closing = self.peek()
-        if closing.type != "OP" or closing.value != ")":
-            self.fail("expected closing parenthesis in signal reference", closing)
-        self.advance()
+            name, order = inner_tok.value, 0
+        self.expect(")", "expected closing parenthesis in signal reference")
         if head.value == "dsig":
             order += 1
         return SigRef(name, order, head.line, head.col)
@@ -372,9 +315,7 @@ def parse_expr(text: str) -> ExprNode:
     tokens = [t for t in tokenize(text) if t.type != "NEWLINE"]
     parser = _ExprParser(tokens)
     tree = parser.parse()
-    tail = parser.peek()
-    if tail.type != "EOF":
-        parser.fail("unexpected trailing input", tail)
+    parser.expect("EOF", "unexpected trailing input")
     return tree
 
 
@@ -503,22 +444,12 @@ class SystemSpec:
                 raise MechError(f"parameter '{name}' is beyond the float range") from None
         return values
 
-    @property
-    def has_declared_split(self) -> bool:
-        return self.declared_split is not None
-
     def declared_decomposition(self) -> Decomposition:
         """Validate and return the user-declared split (may raise
         ReconstructionError)."""
         if self.declared_split is None:
             raise MechError(f"system '{self.name}' declares no split")
         return accept_user_split(*self.declared_split, self.phi)
-
-    def canonical_decomposition(self) -> Decomposition:
-        return decompose(self.phi)
-
-    def eom(self) -> EquationsOfMotion:
-        return dual_spencer(self.phi)
 
 
 class _SystemParser(_ExprParser):
@@ -540,51 +471,23 @@ class _SystemParser(_ExprParser):
     # token plumbing -------------------------------------------------------
 
     def skip_separators(self):
-        while self.peek().type == "NEWLINE" or (
-            self.peek().type == "OP" and self.peek().value == ";"
-        ):
+        while self.peek().type in ("NEWLINE", ";"):
             self.advance()
-
-    def expect_op(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.type != "OP" or tok.value != value:
-            self.fail(f"expected '{value}'", tok)
-        return self.advance()
-
-    def expect_ident(self, what="identifier") -> Token:
-        tok = self.peek()
-        if tok.type != "IDENT":
-            self.fail(f"expected {what}", tok)
-        return self.advance()
 
     def expect_end_of_statement(self):
-        tok = self.peek()
-        if tok.type == "NEWLINE" or (tok.type == "OP" and tok.value in (";", "}")):
-            return
-        if tok.type == "EOF":
-            return
-        self.fail("expected end of statement", tok)
+        if self.peek().type not in ("NEWLINE", ";", "}", "EOF"):
+            self.fail("expected end of statement")
 
     def number_literal(self) -> Fraction:
-        neg = False
-        tok = self.peek()
-        if tok.type == "OP" and tok.value == "-":
+        neg = self.peek().type == "-"
+        if neg:
             self.advance()
-            neg = True
-            tok = self.peek()
-        if tok.type != "NUMBER":
-            self.fail("expected a number", tok)
-        self.advance()
-        value = tok.value
-        nxt = self.peek()
-        if nxt.type == "OP" and nxt.value == "/":
+        value = self.expect("NUMBER", "expected a number").value
+        if self.peek().type == "/":
             self.advance()
-            den = self.peek()
-            if den.type != "NUMBER":
-                self.fail("expected a number after '/'", den)
+            den = self.expect("NUMBER", "expected a number after '/'")
             if den.value == 0:
                 self.fail("division by zero", den)
-            self.advance()
             value = value / den.value
         return -value if neg else value
 
@@ -615,31 +518,27 @@ class _SystemParser(_ExprParser):
 
     def parse_system(self) -> SystemSpec:
         self.skip_separators()
-        head = self.expect_ident("'system'")
+        head = self.expect("IDENT", "expected 'system'")
         if head.value != "system":
             self.fail("expected 'system'", head)
-        name_tok = self.peek()
-        if name_tok.type != "STRING":
-            self.fail("expected a quoted system name", name_tok)
-        self.advance()
+        name_tok = self.expect("STRING", "expected a quoted system name")
         self.skip_separators()
-        self.expect_op("{")
+        self.expect("{", "expected '{'")
         while True:
             self.skip_separators()
             tok = self.peek()
-            if tok.type == "OP" and tok.value == "}":
+            if tok.type == "}":
                 self.advance()
                 break
             if tok.type == "EOF":
                 self.fail("unterminated system block (missing '}')", tok)
             self.statement()
         self.skip_separators()
-        if self.peek().type != "EOF":
-            self.fail("unexpected input after system block")
+        self.expect("EOF", "unexpected input after system block")
         return self.build(name_tok.value)
 
     def statement(self):
-        tok = self.expect_ident("statement keyword")
+        tok = self.expect("IDENT", "expected statement keyword")
         kw = tok.value
         handler = {
             "parameter": self.stmt_parameter,
@@ -660,31 +559,31 @@ class _SystemParser(_ExprParser):
         self.expect_end_of_statement()
 
     def stmt_parameter(self, _):
-        name = self.expect_ident("parameter name")
+        name = self.expect("IDENT", "expected parameter name")
         if name.primes:
             self.fail("parameter names cannot carry primes", name)
         self.declare(name)
-        self.expect_op("=")
+        self.expect("=", "expected '='")
         self.params[name.value] = self.number_literal()
 
     def stmt_coordinate(self, _):
-        name = self.expect_ident("coordinate name")
+        name = self.expect("IDENT", "expected coordinate name")
         if name.primes:
             self.fail("declare the coordinate without primes", name)
         self.declare(name)
         self.coords.append(name.value)
 
     def stmt_signal(self, _):
-        name = self.expect_ident("signal name")
+        name = self.expect("IDENT", "expected signal name")
         self.declare(name)
-        self.expect_op("=")
-        kind = self.expect_ident("signal kind")
-        self.expect_op("(")
+        self.expect("=", "expected '='")
+        kind = self.expect("IDENT", "expected signal kind")
+        self.expect("(", "expected '('")
         args = [self.number_literal()]
-        while self.peek().type == "OP" and self.peek().value == ",":
+        while self.peek().type == ",":
             self.advance()
             args.append(self.number_literal())
-        self.expect_op(")")
+        self.expect(")", "expected ')'")
         if kind.value == "polynomial":
             self.signals[name.value] = PolynomialSignal(name.value, tuple(args))
         elif kind.value == "sinusoid":
@@ -697,7 +596,7 @@ class _SystemParser(_ExprParser):
     def stmt_clause(self, keyword: Token):
         """``momentum|force|oracle|antiexact <coordinate>: <expression>``;
         ``antiexact x':`` is the dx' slot of phi_a."""
-        tok = self.expect_ident("coordinate name")
+        tok = self.expect("IDENT", "expected coordinate name")
         if tok.primes > (keyword.value == "antiexact"):
             self.fail("unexpected primes on coordinate reference", tok)
         key = (keyword.value, tok.value, tok.primes)
@@ -705,22 +604,22 @@ class _SystemParser(_ExprParser):
             raise DuplicateDeclarationError(
                 tok.line, tok.col, f"duplicate {keyword.value} clause for '{tok.value}'"
             )
-        self.expect_op(":")
+        self.expect(":", "expected ':'")
         self.clauses[key] = (tok, self.parse())
 
     def stmt_lagrangian(self, tok):
         key = ("lagrangian", "", 0)
         if key in self.clauses:
             raise DuplicateDeclarationError(tok.line, tok.col, "duplicate lagrangian clause")
-        self.expect_op(":")
+        self.expect(":", "expected ':'")
         self.clauses[key] = (tok, self.parse())
 
     def stmt_init(self, _):
         while True:
-            tok = self.expect_ident("coordinate name")
+            tok = self.expect("IDENT", "expected coordinate name")
             if tok.primes > 1:
                 self.fail("init assigns x or x' only", tok)
-            self.expect_op("=")
+            self.expect("=", "expected '='")
             literal = self.number_node()
             key = ("init", tok.value, tok.primes)
             if key in self.clauses:
@@ -728,17 +627,15 @@ class _SystemParser(_ExprParser):
                     tok.line, tok.col, f"duplicate init for '{tok.value}'"
                 )
             self.clauses[key] = (tok, literal)
-            nxt = self.peek()
-            if nxt.type == "OP" and nxt.value == ",":
-                self.advance()
-                continue
-            break
+            if self.peek().type != ",":
+                break
+            self.advance()
 
     def stmt_time(self, _):
         a = self.number_node()
-        self.expect_op("..")
+        self.expect("..", "expected '..'")
         b = self.number_node()
-        step_tok = self.expect_ident("'step'")
+        step_tok = self.expect("IDENT", "expected 'step'")
         if step_tok.value != "step":
             self.fail("expected 'step'", step_tok)
         h = self.number_node()
@@ -751,7 +648,7 @@ class _SystemParser(_ExprParser):
         self.time_clause = tuple(self.to_float(literal) for literal in (a, b, h))
 
     def stmt_integrator(self, _):
-        tok = self.expect_ident("integrator name")
+        tok = self.expect("IDENT", "expected integrator name")
         if tok.value not in ("rk4", "rkf45"):
             self.fail("integrator must be rk4 or rkf45", tok)
         self.integrator = tok.value

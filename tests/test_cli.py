@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,9 @@ system "m0" {
 """
 
 DEEP_PARENS = 'system "deep" { coordinate x; force x: ' + "(" * 3000 + "x" + ")" * 3000 + " }"
+
+# written in Latin-1, whose 'é' is not UTF-8
+LATIN1 = 'system "latin1" { parameter é = 1; coordinate x }'
 
 
 # a forced oscillator with one statement per kind of value that becomes a float
@@ -345,12 +349,15 @@ class TestExitTable:
             (["verify", "{m0}"], 3, "numeric failure: ", "out"),
             (["derive", "not-a-preset"], 2, "error: ", "err"),
             (["derive", "{deep}"], 2, "parse error: ", "err"),
+            (["derive", "{latin1}"], 2, "error: 'utf-8' codec can't decode", "err"),
+            (["simulate", "harmonic", "--out", "{missing}/t.csv"], 2,
+             "error: [Errno 2] No such file or directory", "err"),
             (["derive", "harmonic"], 4, "internal error: RuntimeError: planted defect", "err"),
         ],
         ids=[
             "reconstruction", "admissibility", "singular-oracle-simulate",
             "singular-oracle-verify", "unknown-preset", "nested-parentheses",
-            "internal-error",
+            "non-utf8-file", "output-in-missing-directory", "internal-error",
         ],
     )
     def test_row(self, capsys, monkeypatch, tmp_path, argv, code, prefix, stream):
@@ -360,11 +367,13 @@ class TestExitTable:
                 raise RuntimeError("planted\ndefect")
 
             monkeypatch.setattr(cli, "cmd_derive", crash)
-        paths = {"csv": str(tmp_path / "t.csv")}
-        for name, text in (("badsplit", BAD_SPLIT), ("m0", SINGULAR_ORACLE_MASS),
-                           ("deep", DEEP_PARENS)):
+        paths = {"csv": str(tmp_path / "t.csv"), "missing": str(tmp_path / "missing")}
+        for name, text, encoding in (
+            ("badsplit", BAD_SPLIT, "utf-8"), ("m0", SINGULAR_ORACLE_MASS, "utf-8"),
+            ("deep", DEEP_PARENS, "utf-8"), ("latin1", LATIN1, "latin-1"),
+        ):
             paths[name] = str(tmp_path / f"{name}.mech")
-            (tmp_path / f"{name}.mech").write_text(text)
+            (tmp_path / f"{name}.mech").write_text(text, encoding=encoding)
         assert main([arg.format(**paths) for arg in argv]) == code
         captured = capsys.readouterr()
         printed, other = (
@@ -436,3 +445,37 @@ class TestLongExpressions:
         assert captured.out == ""
         assert captured.err.startswith("error: expression too large: ")
         assert f"MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}" in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, expected stdout lines) of each ``$ jetmech ...`` example in README."""
+    examples, expected = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ jetmech "):
+            expected = []
+            examples.append((line.split()[2:], expected))
+        elif not line.strip() or line.startswith("```"):
+            expected = None
+        elif expected is not None:
+            expected.append(line)
+    return examples
+
+
+class TestReadmeExamples:
+    def test_stdout_matches(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # the simulate example writes traj.csv
+        examples = readme_examples()
+        assert [argv[0] for argv, _ in examples] == ["derive", "decompose", "simulate"]
+        for argv, expected in examples:
+            assert main(argv) == 0, argv
+            printed = capsys.readouterr().out.splitlines()
+            assert len(printed) == len(expected), argv
+            for line, want in zip(printed, expected):
+                # a trailing '...' stands for any tail
+                if want.endswith("..."):
+                    assert line.startswith(want[:-3]), line
+                else:
+                    assert line == want

@@ -21,9 +21,11 @@ from jetmech.dsl import (
     parse_system,
     preset,
     text_to_expr,
+    tokenize,
 )
 from jetmech.errors import MechError, ReconstructionError
 from jetmech.formcalc import VerticalOneForm
+from jetmech.spencer import dual_spencer
 from jetmech.symexpr import (
     TAU,
     Expr,
@@ -121,24 +123,40 @@ class TestParseExpr:
 
     def test_error_positions_battery(self):
         cases = [
-            ("x +", 1, 4),
-            ("(x", 1, 3),
-            ("x ^ y", 1, 5),
-            ("* x", 1, 1),
-            ("x 2", 1, 3),
-            ("sig()", 1, 5),
-            ("sig(f", 1, 6),
-            ("x @ 2", 1, 3),
-            ("x +\n y *", 2, 5),
+            (parse_expr, "x +", 1, 4, "expected operand"),
+            (parse_expr, "(x", 1, 3, "expected closing parenthesis"),
+            (parse_expr, "x ^ y", 1, 5, "exponent must be a nonnegative integer"),
+            (parse_expr, "* x", 1, 1, "expected operand"),
+            (parse_expr, "x 2", 1, 3, "unexpected trailing input"),
+            (parse_expr, "sig()", 1, 5, "expected signal name"),
+            (parse_expr, "sig(f", 1, 6, "expected closing parenthesis in signal reference"),
+            (parse_expr, "x @ 2", 1, 3, "unexpected character '@'"),
+            (parse_expr, "x +\n y *", 2, 5, "expected operand"),
+            # lexer: a number's '.' needs a digit after it, unless it starts '..'
+            (parse_expr, "1.2.3", 1, 4, "unexpected character '.'"),
+            (parse_expr, "1.", 1, 1, "malformed number"),
+            (parse_expr, "1.e3", 1, 1, "malformed number"),
+            (parse_expr, "1..2", 1, 2, "unexpected trailing input"),
+            (parse_expr, ".", 1, 1, "unexpected character '.'"),
+            (parse_expr, "x'''", 1, 1, "at most two primes are allowed"),
+            (parse_expr, '"abc', 1, 1, "unterminated string"),
+            # a comment ends at the newline or end of input, reported at its '#'
+            (parse_expr, "x * # c", 1, 5, "expected operand"),
+            (parse_system, 'system "s" {\n  parameter k = # c\n  1\n}', 2, 17,
+             "expected a number"),
+            (parse_system, 'system "s" {\n  coordinate x # c', 2, 16,
+             "unterminated system block (missing '}')"),
         ]
-        for text, line, col in cases:
+        for parse, text, line, col, message in cases:
             with pytest.raises(ParseError) as err:
-                parse_expr(text)
-            assert (err.value.line, err.value.col) == (line, col), text
+                parse(text)
+            assert (err.value.line, err.value.col, err.value.message) == (line, col, message), text
             # position indexes a real character or one-past-end of its line
             lines = text.split("\n")
             assert 1 <= err.value.line <= len(lines)
             assert 1 <= err.value.col <= len(lines[err.value.line - 1]) + 1
+        # '1..2' is a number, the range operator and a number
+        assert [(t.value, t.col) for t in tokenize("1..2")] == [(1, 1), ("..", 2), (2, 4), (None, 5)]
 
 
 class TestFormatExpr:
@@ -289,7 +307,7 @@ system "badsplit" {
 }
 """
         spec = parse_system(text)
-        assert spec.has_declared_split
+        assert spec.declared_split is not None
         with pytest.raises(ReconstructionError) as err:
             spec.declared_decomposition()
         assert "x" in str(err.value)
@@ -339,20 +357,20 @@ class TestPresets:
         f = spec.signals["f"]
         fe = Expr.var(signal_symbol(f))
         A = Expr.var(acc(0))
-        assert spec.eom().normalized() == (M * A + K * X + B * V - fe,)
+        assert dual_spencer(spec.phi).normalized() == (M * A + K * X + B * V - fe,)
 
     def test_duffing_equation(self):
         spec = preset("duffing")
         A = Expr.var(acc(0))
         a_p = Expr.var(param("a"))
-        assert spec.eom().normalized() == (M * A + a_p * X**3 + B * V,)
+        assert dual_spencer(spec.phi).normalized() == (M * A + a_p * X**3 + B * V,)
 
     def test_vanderpol_equation(self):
         spec = preset("vanderpol")
         A = Expr.var(acc(0))
         b0 = Expr.var(param("b0"))
         expected = M * A + K * X + b0 * (X**2 - 1) * V
-        assert spec.eom().normalized() == (expected,)
+        assert dual_spencer(spec.phi).normalized() == (expected,)
 
 
 # Words that reach every statement kind, the error paths of the lexer and
