@@ -6,7 +6,8 @@ energy audit and oracle comparison), verify (property suites).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error
 (including the input bounds below, a system file that is not UTF-8 and a
-file that cannot be read or written), 3 numeric failure, 4 internal error
+file that cannot be read or written; the ``--out`` and ``--json`` paths are
+opened for writing before any other work), 3 numeric failure, 4 internal error
 (an exception no other code names; one line ``internal error: <Type>:
 <message>`` on stderr). MECH_SEED fixes the randomized-suite seed.
 
@@ -318,6 +319,11 @@ def main(argv=None) -> int:
     # stream. Verification and numeric failures print on stdout, next to the
     # "wrote ..." lines of the same run; usage and parse errors on stderr.
     try:
+        # a bad output path fails before any work; a later failure leaves it empty
+        for path in (vars(args).get("out"), vars(args).get("json")):
+            if path:
+                with open(path, "w"):
+                    pass
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -534,7 +534,8 @@ class _SystemParser(_ExprParser):
                 self.fail("unterminated system block (missing '}')", tok)
             self.statement()
         self.skip_separators()
-        self.expect("EOF", "unexpected input after system block")
+        if self.peek().type != "EOF":  # not consumed: build's errors point at it
+            self.fail("unexpected input after system block")
         return self.build(name_tok.value)
 
     def statement(self):

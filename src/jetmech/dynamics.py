@@ -427,17 +427,30 @@ def assemble_explicit(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution on a uniform grid."""
+    """Sampled solution on a uniform grid.
+
+    ``law`` is the ExplicitODE that ``integrate`` ran to make it; it is None
+    on a trajectory built by hand.
+    """
 
     taus: np.ndarray
     xs: np.ndarray  # (N, n)
     vs: np.ndarray  # (N, n)
     h: float
     truncated: bool = False
+    law: ExplicitODE | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.xs.shape[1]
+
+    @cached_property
+    def accels(self) -> np.ndarray:
+        """The (N, n) accelerations of the trajectory's own law at each
+        sample, computed on first use."""
+        if self.law is None:
+            raise MechError("a trajectory built without a law has no accelerations")
+        return accelerations_on(self, self.law)
 
     def section(self) -> NumericSection:
         return NumericSection(self.taus, self.xs, self.vs)
@@ -511,7 +524,7 @@ def integrate(
         xs, vs, truncated = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
         m = len(xs) // n
         return Trajectory(
-            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff, truncated
+            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff, truncated, ode
         )
     if method != "rkf45":
         raise ValueError(f"unknown integrator '{method}'")
@@ -521,7 +534,7 @@ def integrate(
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
     m = len(xs)
-    return Trajectory(taus[:m], xs, vs, h_eff, truncated or m < len(taus))
+    return Trajectory(taus[:m], xs, vs, h_eff, truncated or m < len(taus), ode)
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +561,11 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * s + tail)
 
 
-def _eval_on_trajectory(e: Expr, traj: Trajectory, params, accels=None) -> np.ndarray:
+def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
+    """``e`` at every sample; reads ``traj.accels`` only if ``e`` has accelerations."""
     fn = compile_expr(e, params, vectorized=True)
-    x_rows = traj.xs.T
-    v_rows = traj.vs.T
-    a_rows = accels.T if accels is not None else None
-    out = fn(traj.taus, x_rows, v_rows, a_rows)
+    a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
+    out = fn(traj.taus, traj.xs.T, traj.vs.T, a_rows)
     return np.broadcast_to(np.asarray(out, dtype=float), traj.taus.shape).copy()
 
 
@@ -738,19 +750,21 @@ class VariationField:
         return delta, ddot
 
 
+def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
+    """(Pi_i delta^i) at the first and the last sample, for (N, n) ``delta``."""
+    ends = [0, -1]
+    pairing = sum(
+        _eval_on_trajectory(phi.Pi[i], traj, params)[ends] * delta[ends, i] for i in range(traj.n)
+    )
+    return float(pairing[0]), float(pairing[1])
+
+
 def transversality_term(
     traj: Trajectory, phi: VerticalOneForm, variation: VariationField, params
 ) -> tuple[float, float]:
     """Boundary pairing (Pi_i delta-x^i) at the two interval endpoints."""
     delta, _ = variation.sample_on(traj.taus, traj.h)
-    pi_fns = [compile_expr(phi.Pi[i], params) for i in range(traj.n)]
-    vals = []
-    for k in (0, len(traj.taus) - 1):
-        t = float(traj.taus[k])
-        vals.append(
-            sum(pi_fns[i](t, traj.xs[k], traj.vs[k]) * delta[k, i] for i in range(traj.n))
-        )
-    return vals[0], vals[1]
+    return _boundary_pairing(traj, phi, delta, params)
 
 
 def first_variation(
@@ -764,9 +778,10 @@ def first_variation(
     """First-variation functional along a prolonged trajectory, by Simpson.
 
     form="pre" integrates F_i d^i + Pi_i d(d^i)/dt. form="post" integrates
-    the integrated-by-parts density (F_i - d(Pi_i)/dt) d^i and, unless
+    the integrated-by-parts density (F_i - d(Pi_i)/dt) d^i, with the
+    accelerations of the trajectory's own law (``traj.accels``), and, unless
     include_boundary is False, adds the transversality boundary term. The
-    two forms agree to quadrature tolerance.
+    two forms agree to quadrature tolerance on any integrated trajectory.
     """
     delta, ddot = variation.sample_on(traj.taus, traj.h)
     if form == "pre":
@@ -777,18 +792,13 @@ def first_variation(
         return simpson_uniform(integrand, traj.h)
     if form != "post":
         raise ValueError("form must be 'pre' or 'post'")
-    eom = dual_spencer(phi)
-    ode = assemble_explicit(eom, params)
-    accels = accelerations_on(traj, ode)
+    residuals = dual_spencer(phi).residuals
     integrand = np.zeros_like(traj.taus)
     for i in range(traj.n):
-        integrand += (
-            _eval_on_trajectory(eom.residuals[i], traj, params, accels=accels)
-            * delta[:, i]
-        )
+        integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]
     total = simpson_uniform(integrand, traj.h)
     if include_boundary:
-        theta_a, theta_b = transversality_term(traj, phi, variation, params)
+        theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
         total += theta_b - theta_a
     return total
 

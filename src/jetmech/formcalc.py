@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ReconstructionError
 from .symexpr import (
-    FIBER_SCALED_KINDS,
     TAU,
     Expr,
     Symbol,
@@ -226,7 +225,7 @@ def homotopy(omega: VerticalOneForm) -> Expr:
     _require_admissible(omega)
     out = ZERO
     for b, e in omega.components():
-        out = out + scaling_integral(e, FIBER_SCALED_KINDS) * Expr.var(b)
+        out = out + scaling_integral(e) * Expr.var(b)
     return out
 
 
@@ -240,7 +239,7 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     for (b1, b2), a in eta.coeffs:
         if b1 == TAU:
             continue
-        a_int = scaling_integral(a, FIBER_SCALED_KINDS, weight=1)
+        a_int = scaling_integral(a, weight=1)
         comps[b2] = comps.get(b2, ZERO) + a_int * Expr.var(b1)
         comps[b1] = comps.get(b1, ZERO) - a_int * Expr.var(b2)
     return VerticalOneForm(

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import AdmissibilityError, DifferentiationError, MechError, UnboundSymbolError
+from .errors import DifferentiationError, MechError, UnboundSymbolError
 
 Rational = Union[int, Fraction]
 
@@ -590,59 +590,17 @@ def evaluate(e: Expr, binding: Mapping[Symbol, float]) -> float:
 # the scaling integral
 # ---------------------------------------------------------------------------
 
-DEFAULT_SCALED_KINDS = (SymbolKind.TIME, SymbolKind.COORD, SymbolKind.VEL, SymbolKind.ACC)
-FIBER_SCALED_KINDS = (SymbolKind.COORD, SymbolKind.VEL)
+def scaling_integral(e: Expr, weight: int = 0) -> Expr:
+    """Integrate s^weight * e(t, s*x, s*v) over s in [0, 1], exactly.
 
-
-def _signal_poly_expr(sym: Symbol) -> Expr:
-    """Expand a polynomial-signal symbol into its explicit time polynomial."""
-    coeffs = sym.signal.derivative_coeffs(sym.order)
-    out = ZERO
-    for k, c in enumerate(coeffs):
-        out = out + Expr.const(c) * Expr.var(TAU) ** k
-    return out
-
-
-def expand_polynomial_signals(e: Expr) -> Expr:
-    """Replace polynomial-signal symbols by explicit time polynomials.
-
-    Raises AdmissibilityError when a sinusoid signal is present, naming it.
+    Coordinates and velocities are scaled by s; time, signals and parameters
+    never are, so a term of fiber degree d picks up the factor
+    1/(d+weight+1). The weight powers the homotopy operators on higher form
+    degrees.
     """
-    out = ZERO
-    for mono, c in e.terms:
-        term = Expr.const(c)
-        for sym, exp in mono:
-            if sym.kind == SymbolKind.SIGNAL:
-                if not sym.signal.admissible:
-                    raise AdmissibilityError(sym.signal.name)
-                term = term * _signal_poly_expr(sym) ** exp
-            else:
-                term = term * Expr.var(sym) ** exp
-        out = out + term
-    return out
-
-
-def scaling_integral(
-    e: Expr,
-    scaled_kinds: Iterable[SymbolKind] = DEFAULT_SCALED_KINDS,
-    weight: int = 0,
-) -> Expr:
-    """Integrate s^weight * e(s * point) over s in [0, 1], exactly.
-
-    Every symbol whose kind is in ``scaled_kinds`` is scaled by s
-    (parameters never are), so a term of total scaled degree d picks up the
-    factor 1/(d+weight+1). The weight powers the homotopy operators on
-    higher form degrees. When time is scaled, signals ride along as
-    f(s*t): polynomial signals are expanded into explicit time polynomials
-    first and sinusoids are rejected, since f(s*t) would leave their
-    closed family.
-    """
-    kinds = frozenset(scaled_kinds)
-    if SymbolKind.TIME in kinds:
-        e = expand_polynomial_signals(e)
     acc: dict = {}
     for mono, c in e.terms:
-        d = sum(exp for sym, exp in mono if sym.kind in kinds)
+        d = sum(exp for sym, exp in mono if sym.kind in (SymbolKind.COORD, SymbolKind.VEL))
         acc[mono] = acc.get(mono, Fraction(0)) + c / (d + weight + 1)
     return Expr._from_map(acc)
 

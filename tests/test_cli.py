@@ -352,12 +352,17 @@ class TestExitTable:
             (["derive", "{latin1}"], 2, "error: 'utf-8' codec can't decode", "err"),
             (["simulate", "harmonic", "--out", "{missing}/t.csv"], 2,
              "error: [Errno 2] No such file or directory", "err"),
+            (["simulate", "harmonic", "--audit", "--out", "{missing}/t.csv"], 2,
+             "error: [Errno 2] No such file or directory", "err"),
+            (["derive", "harmonic", "--json", "{missing}/r.json"], 2,
+             "error: [Errno 2] No such file or directory", "err"),
             (["derive", "harmonic"], 4, "internal error: RuntimeError: planted defect", "err"),
         ],
         ids=[
             "reconstruction", "admissibility", "singular-oracle-simulate",
             "singular-oracle-verify", "unknown-preset", "nested-parentheses",
-            "non-utf8-file", "output-in-missing-directory", "internal-error",
+            "non-utf8-file", "output-in-missing-directory",
+            "audited-output-in-missing-directory", "json-in-missing-directory", "internal-error",
         ],
     )
     def test_row(self, capsys, monkeypatch, tmp_path, argv, code, prefix, stream):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from jetmech.cli import main
 from jetmech.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -146,6 +150,9 @@ class TestParseExpr:
              "expected a number"),
             (parse_system, 'system "s" {\n  coordinate x # c', 2, 16,
              "unterminated system block (missing '}')"),
+            # reported at the end of input, after the whole block is read
+            (parse_system, 'system "s" {\n  parameter k = 1\n}', 3, 2,
+             "system declares no coordinates"),
         ]
         for parse, text, line, col, message in cases:
             with pytest.raises(ParseError) as err:
@@ -385,9 +392,13 @@ _SNIPPETS = [
 
 
 @st.composite
-def mutated_presets(draw):
-    """A preset with one to four words inserted, replaced or deleted."""
-    words = draw(st.sampled_from(sorted(PRESETS.values()))).split(" ")
+def mutated_presets(draw, time=None):
+    """A preset with one to four words inserted, replaced or deleted; with
+    ``time``, that clause first replaces the preset's own."""
+    text = draw(st.sampled_from(sorted(PRESETS.values())))
+    if time is not None:
+        text = re.sub(r"time [^\n]*", time, text)
+    words = text.split(" ")
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(words) - 1))
         edit = draw(st.sampled_from(["insert", "replace", "delete"]))
@@ -396,6 +407,16 @@ def mutated_presets(draw):
         else:
             words[i : i + (edit == "replace")] = [draw(st.sampled_from(_SNIPPETS))]
     return " ".join(words)
+
+
+# every command that derives, decomposes, integrates or audits a system
+_CLI_RUNS = (
+    ["derive"],
+    ["decompose"],
+    ["decompose", "--mode", "declared"],
+    ["simulate", "--audit", "--oracle", "--out"],
+    ["simulate", "--method", "rkf45", "--audit", "--out"],
+)
 
 
 class TestParseSystemFuzz:
@@ -407,6 +428,26 @@ class TestParseSystemFuzz:
         except MechError:
             return
         assert isinstance(spec, SystemSpec)
+
+    @settings(max_examples=500)
+    @given(mutated_presets(time="time 0 .. 0.2 step 1e-2"))
+    # found by this test: a block without coordinates ended in an IndexError
+    @example(text=PRESETS["harmonic"].replace("  coordinate x\n", ""))
+    def test_any_text_exits_0_to_3_through_the_cli(self, tmp_path_factory, text):
+        work = tmp_path_factory.getbasetemp()
+        (work / "fuzz.mech").write_text(text, encoding="utf-8")
+        for run in _CLI_RUNS:
+            argv = [run[0], str(work / "fuzz.mech"), *run[1:]]
+            if argv[-1] == "--out":
+                argv.append(str(work / "fuzz.csv"))
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, printed.getvalue())
+            assert "internal error" not in printed.getvalue()
+            assert "Traceback" not in printed.getvalue()
+            if printed.getvalue().startswith("parse error: "):
+                break  # every command parses the same file first
 
 
 class TestNestingBound:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jetmech.dynamics import (
+    Trajectory,
     VariationField,
     accelerations_on,
     assemble_explicit,
@@ -18,7 +19,7 @@ from jetmech.dynamics import (
     transversality_term,
     write_trajectory_csv,
 )
-from jetmech.errors import AuditUnsupportedError, SingularMassError
+from jetmech.errors import AuditUnsupportedError, MechError, SingularMassError
 from jetmech.formcalc import Decomposition, VerticalOneForm, decompose
 from jetmech.spencer import EquationsOfMotion, dual_spencer, spencer_residual
 from jetmech.symexpr import (
@@ -26,6 +27,7 @@ from jetmech.symexpr import (
     Expr,
     ZERO,
     acc,
+    compile_expr,
     coord,
     param,
     signal_symbol,
@@ -323,6 +325,10 @@ class TestVariation:
         assert abs(on_perturbed) >= 100.0 * abs(on_solution)
 
     def test_integration_by_parts_identity(self):
+        # on the solution and on a trajectory of another law (k = 1.1), where
+        # the pre form is far from zero: post uses each trajectory's own law
+        perturbed_ode = assemble_explicit(dual_spencer(self.phi), dict(self.params, k=1.1))
+        perturbed = integrate(perturbed_ode, [1.0], [0.0], (0.0, 10.0), 1e-3)
         rng = random.Random(41)
         t = Expr.var(TAU)
         for _ in range(5):
@@ -330,10 +336,37 @@ class TestVariation:
             for k in range(3):
                 poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, 2)) * t**k
             variation = VariationField.from_exprs(t * (Expr.const(10) - t) * poly / 25)
-            pre = first_variation(self.traj, self.phi, variation, self.params, "pre")
-            post = first_variation(self.traj, self.phi, variation, self.params, "post")
-            scale = 1.0 + abs(pre) + abs(post)
-            assert abs(pre - post) <= 1e-8 * scale
+            for traj in (self.traj, perturbed):
+                pre = first_variation(traj, self.phi, variation, self.params, "pre")
+                post = first_variation(traj, self.phi, variation, self.params, "post")
+                scale = 1.0 + abs(pre) + abs(post)
+                assert abs(pre - post) <= 1e-8 * scale
+
+    def test_post_on_a_solution_is_the_rederived_law_bitwise(self):
+        # post once re-derived phi's law for every call; on a solution of phi
+        # that law is the trajectory's own, so the value is unchanged
+        ode = assemble_explicit(dual_spencer(self.phi), self.params)
+        accels = accelerations_on(self.traj, ode)
+        assert np.array_equal(self.traj.accels, accels)
+        variation = VariationField.from_exprs(Expr.var(TAU) / 10)
+        delta, _ = variation.sample_on(self.traj.taus, self.traj.h)
+        integrand = np.zeros_like(self.traj.taus)
+        for i, r in enumerate(dual_spencer(self.phi).residuals):
+            fn = compile_expr(r, self.params, vectorized=True)
+            integrand += fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, accels.T) * delta[:, i]
+        post = first_variation(
+            self.traj, self.phi, variation, self.params, "post", include_boundary=False
+        )
+        assert post == simpson_uniform(integrand, self.traj.h)
+
+    def test_hand_built_trajectory_has_no_accelerations(self):
+        taus = np.linspace(0.0, 1.0, 11)
+        traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
+        variation = VariationField.from_exprs(Expr.var(TAU))
+        # the pre form never needs them
+        assert abs(first_variation(traj, ho_phi(), variation, HO_PARAMS, "pre") - 1.0) < 1e-12
+        with pytest.raises(MechError, match="without a law"):
+            first_variation(traj, ho_phi(), variation, HO_PARAMS, "post")
 
     def test_post_without_boundary_plus_theta(self):
         t = Expr.var(TAU)
@@ -355,8 +388,6 @@ class TestVariation:
         taus = np.linspace(0.0, 1.0, 11)
         xs = np.zeros((11, 1))
         vs = np.full((11, 1), 0.5)
-        from jetmech.dynamics import Trajectory
-
         traj = Trajectory(taus, xs, vs, 0.1)
         variation = VariationField.from_exprs(Expr.const(1))
         ta, tb = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
@@ -364,8 +395,6 @@ class TestVariation:
 
     def test_transversality_zero_at_a_for_ramp(self):
         taus = np.linspace(0.0, 1.0, 11)
-        from jetmech.dynamics import Trajectory
-
         traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
         variation = VariationField.from_exprs(Expr.var(TAU))
         ta, _ = transversality_term(traj, ho_phi(), variation, HO_PARAMS)

@@ -150,10 +150,11 @@ class TestHomotopy:
             assert at_origin.is_zero
 
     def test_sinusoid_refused(self):
-        f = sinusoid_signal("f", 1, 1, 0)
+        f = sinusoid_signal("drive", 1, 1, 0)
         omega = VerticalOneForm((Expr.var(signal_symbol(f)),), (ZERO,))
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(AdmissibilityError) as err:
             homotopy(omega)
+        assert err.value.signal_name == "drive"
 
 
 class TestDecompose:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jetmech.errors import (
-    AdmissibilityError,
     DifferentiationError,
     UnboundSymbolError,
 )
@@ -18,7 +17,6 @@ from jetmech.symexpr import (
     compile_expr,
     coord,
     evaluate,
-    expand_polynomial_signals,
     normalize,
     param,
     partial,
@@ -305,7 +303,7 @@ class TestScalingIntegral:
             d = 0
             for _ in range(rng.randint(0, 5)):
                 s = rng.choice(syms + [param("p")])
-                if s.kind != SymbolKind.PARAM:
+                if s.kind in (SymbolKind.COORD, SymbolKind.VEL):
                     d += 1
                 mono = mono * var(s)
             assert scaling_integral(mono) * (d + 1) == mono
@@ -315,22 +313,11 @@ class TestScalingIntegral:
         e1, e2 = normalize(t1), normalize(t2)
         assert scaling_integral(e1 + e2) == scaling_integral(e1) + scaling_integral(e2)
 
-    def test_time_scaling_expands_polynomial_signals(self):
-        # f(s t) for f = c0 + c1 t integrates to c0 + c1 t / 2
-        f = polynomial_signal("f", 2, 3)
-        got = scaling_integral(var(signal_symbol(f)))
-        assert got == Expr.const(2) + Expr.const(Fraction(3, 2)) * var(TAU)
-
-    def test_sinusoid_rejected_with_name(self):
+    def test_time_and_signals_ride_unscaled(self):
+        # only the fiber (x, v) scales; t and a sinusoid signal stay put
         f = sinusoid_signal("drive", 1, 1, 0)
-        with pytest.raises(AdmissibilityError) as err:
-            scaling_integral(var(signal_symbol(f)))
-        assert err.value.signal_name == "drive"
-
-    def test_signal_expansion_matches_derivative(self):
-        f = polynomial_signal("f", 1, 2, 3)
-        expanded = expand_polynomial_signals(var(signal_symbol(f, 1)))
-        assert expanded == Expr.const(2) + 6 * var(TAU)
+        e = var(TAU) * var(signal_symbol(f)) * var(X)
+        assert scaling_integral(e) == e / 2
 
 
 # ---------------------------------------------------------------------------
