@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jetmech.errors import (
+    AdmissibilityError,
     DifferentiationError,
     UnboundSymbolError,
 )
+from jetmech.formcalc import VerticalOneForm, homotopy
 from jetmech.symexpr import (
     TAU,
+    ZERO,
     Expr,
     SymbolKind,
     acc,
@@ -318,6 +321,17 @@ class TestScalingIntegral:
         f = sinusoid_signal("drive", 1, 1, 0)
         e = var(TAU) * var(signal_symbol(f)) * var(X)
         assert scaling_integral(e) == e / 2
+
+    def test_sinusoid_rejected_with_name(self):
+        # the scaling integral leaves a sinusoid alone; the homotopy built on
+        # it reads the signal's admissibility and refuses it by name
+        f = sinusoid_signal("drive", 1, 1, 0)
+        assert not f.admissible
+        assert polynomial_signal("p", 1, 2).admissible
+        omega = VerticalOneForm((var(signal_symbol(f)) * var(X),), (ZERO,))
+        with pytest.raises(AdmissibilityError) as err:
+            homotopy(omega)
+        assert err.value.signal_name == "drive"
 
 
 # ---------------------------------------------------------------------------
