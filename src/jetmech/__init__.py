@@ -54,7 +54,6 @@ from .formcalc import (
 )
 from .spencer import (
     EquationsOfMotion,
-    NumericSection,
     assemble_with_split,
     dual_spencer,
     spencer_residual,

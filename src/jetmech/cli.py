@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error
 file that cannot be read or written; the ``--out`` and ``--json`` paths are
 opened for writing before any other work), 3 numeric failure, 4 internal error
 (an exception no other code names; one line ``internal error: <Type>:
-<message>`` on stderr). MECH_SEED fixes the randomized-suite seed.
+<message>`` on stderr). MECH_SEED fixes the randomized-suite seed; a value
+that is not an integer is a usage error (exit 2). ``simulate --tol`` takes a
+finite number >= 0; anything else is a usage error.
 
 Input bounds, each a documented constant: expressions nest at most
 ``dsl.MAX_NESTING`` levels, numeric literals carry a decimal exponent of at
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -62,7 +65,7 @@ from .formcalc import (
     reconstruction_residual,
 )
 from .spencer import dual_spencer
-from .symexpr import Expr, SymbolKind, acc
+from .symexpr import Expr, acc
 from .verify import DEFAULT_SEED, CheckResult, check_declared_split, run_builtin_suites
 
 EXIT_OK = 0
@@ -70,6 +73,9 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
+
+# largest derived-versus-oracle state divergence that passes
+ORACLE_TOL = 1e-8
 
 
 def _load_system(target: str) -> SystemSpec:
@@ -163,15 +169,11 @@ def cmd_derive(args) -> int:
     normalized = eom.normalized()
     for i, r in enumerate(normalized):
         print(f"{format_expr(r, coords)} = 0")
-    mass, force = mass_and_force(eom)
+    mass, force, constant = mass_and_force(eom)
     n = eom.n
-    diagonal_constant = all(
-        (i == j or mass[i][j].is_zero)
-        and all(s.kind == SymbolKind.PARAM for s in mass[i][i].symbols())
-        for i in range(n)
-        for j in range(n)
-    ) and all(not mass[i][i].is_zero for i in range(n))
-    if diagonal_constant:
+    # nonzero on the diagonal and zero off it
+    diagonal = all(mass[i][j].is_zero != (i == j) for i in range(n) for j in range(n))
+    if constant and diagonal:
         for i in range(n):
             lhs = format_expr(mass[i][i] * Expr.var(acc(i)), coords)
             print(f"explicit: {lhs} = {format_expr(force[i], coords)}")
@@ -223,7 +225,7 @@ def cmd_simulate(args) -> int:
         return EXIT_NUMERIC
 
     if args.oracle:
-        oracle_report = oracle_compare(system, (a, b), h, method)
+        oracle_report = oracle_compare(system, method)
         print(f"max divergence {oracle_report.max_divergence:.6e}")
         if oracle_report.max_divergence > args.tol:
             failures.append(
@@ -235,7 +237,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = int(os.environ.get("MECH_SEED", str(DEFAULT_SEED)))
+    seed_text = os.environ.get("MECH_SEED", str(DEFAULT_SEED))
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise MechError(f"MECH_SEED must be an integer, got {seed_text!r}") from None
     checks = []
     system = None
     if args.target is None and not args.builtin_suite:
@@ -249,7 +255,7 @@ def cmd_verify(args) -> int:
             checks.append(
                 CheckResult(
                     "oracle-equivalence",
-                    rep.max_divergence <= 1e-8,
+                    rep.max_divergence <= ORACLE_TOL,
                     f"max divergence {rep.max_divergence:.3e}",
                 )
             )
@@ -269,6 +275,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+def tolerance(text: str) -> float:
+    """An argparse type: a finite float >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--audit", action="store_true", help="append E, P, rho columns")
     p.add_argument("--oracle", action="store_true", help="compare against the newton oracle")
-    p.add_argument("--tol", type=float, default=1e-8, help="oracle divergence tolerance")
+    p.add_argument("--tol", type=tolerance, default=ORACLE_TOL, help="oracle divergence tolerance")
     p.add_argument("--method", choices=("rk4", "rkf45"), default=None)
     p.set_defaults(handler=cmd_simulate)
 

@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import AuditUnsupportedError, MechError, SingularMassError
 from .formcalc import Decomposition, VerticalOneForm
-from .spencer import (
-    EquationsOfMotion,
-    NumericSection,
-    as_samples,
-    diff_order2,
-    dual_spencer,
-)
+from .spencer import EquationsOfMotion, as_samples, diff_order2, dual_spencer
 from .symexpr import (
     TAU,
     Expr,
@@ -40,6 +34,16 @@ from .symexpr import (
     substitute,
     vel,
 )
+
+# A mass-matrix pivot below this magnitude is singular.
+PIVOT_THRESHOLD = 1e-12
+
+# RKF45 accepts a step whose error estimate is within RKF45_ATOL +
+# RKF45_RTOL * max(|x|, |v|, 1); knots are at most RKF45_MAX_STEP apart, so
+# the cubic Hermite resampling error stays at the tolerance level.
+RKF45_ATOL = 1e-10
+RKF45_RTOL = 1e-9
+RKF45_MAX_STEP = 0.02
 
 # ---------------------------------------------------------------------------
 # linear algebra (tiny systems, explicit pivot threshold semantics)
@@ -321,16 +325,16 @@ class ExplicitODE:
 
     n: int
     rhs: Callable[[float, Sequence[float], Sequence[float]], list]
-    mass_constant: bool
-    params: dict
-    pivot_threshold: float
-    mass_symbolic: tuple  # n x n tuple of Expr, M_ij = -dR_i/da^j
-    force_symbolic: tuple  # n tuple of Expr, c_i = R_i at a = 0
     kernel: _Kernel = field(repr=False, compare=False)
 
 
-def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple]:
-    """Split affine residuals R = c - M a into (M, c) symbolically."""
+def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
+    """Split affine residuals R = c - M a into (M, c) symbolically.
+
+    Returns (M, c, constant): M is an n x n tuple of Expr with
+    M_ij = -dR_i/da^j, c_i is R_i with the accelerations zeroed, and
+    ``constant`` says that every entry of M involves parameters only.
+    """
     n = eom.n
     zero_acc = {acc(j): ZERO for j in range(n)}
     mass = []
@@ -343,31 +347,20 @@ def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple]:
             row.append(entry)
         mass.append(tuple(row))
     force = tuple(substitute(eom.residuals[i], zero_acc) for i in range(n))
-    return tuple(mass), force
+    constant = all(s.kind == SymbolKind.PARAM for row in mass for e in row for s in e.symbols())
+    return tuple(mass), force, constant
 
 
-def assemble_explicit(
-    eom: EquationsOfMotion,
-    params: Mapping[str, float],
-    pivot_threshold: float = 1e-12,
-) -> ExplicitODE:
+def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> ExplicitODE:
     """Solve M a = c pointwise for the accelerations.
 
-    M_ij = -dR_i/da^j and c_i = R_i with accelerations zeroed; the solve
-    uses partial pivoting and reports the offending state when a pivot
-    falls below the threshold. A state-independent mass matrix is detected
-    and inverted once. The resulting law is emitted as source for the
-    system's generated kernel.
+    (M, c) come from ``mass_and_force``; the solve uses partial pivoting and
+    reports the offending state when a pivot falls below PIVOT_THRESHOLD. A
+    constant mass matrix is inverted once. The resulting law is emitted as
+    source for the system's generated kernel.
     """
     n = eom.n
-    mass_sym, force_sym = mass_and_force(eom)
-    params = dict(params)
-    state_kinds = (SymbolKind.TIME, SymbolKind.COORD, SymbolKind.VEL, SymbolKind.SIGNAL)
-    constant = all(
-        not any(s.kind in state_kinds for s in mass_sym[i][j].symbols())
-        for i in range(n)
-        for j in range(n)
-    )
+    mass_sym, force_sym, constant = mass_and_force(eom)
 
     def source(e: Expr) -> str:
         return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
@@ -381,7 +374,7 @@ def assemble_explicit(
         ]
         if n == 1:
             pivot = M0[0][0]
-            if abs(pivot) < pivot_threshold:
+            if abs(pivot) < PIVOT_THRESHOLD:
                 raise SingularMassError(
                     f"mass matrix singular (pivot {pivot:.3e} below threshold)"
                 )
@@ -392,7 +385,7 @@ def assemble_explicit(
             for j in range(n):
                 e = [0.0] * n
                 e[j] = 1.0
-                inv_cols.append(_solve_pivoting(M0, e, pivot_threshold))
+                inv_cols.append(_solve_pivoting(M0, e, PIVOT_THRESHOLD))
             inv_rows = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
             law += [f"a{{s}}_{i} = {_dot(inv_rows[i], 'c{{s}}_{}')}" for i in range(n)]
     else:
@@ -404,20 +397,11 @@ def assemble_explicit(
             return "".join(f"{kind}{{s}}_{i}, " for i in range(n))
 
         law.append(
-            f"{names('a')}= _solve_pivoting([{rows}], [{names('c')}], {pivot_threshold!r}, "
+            f"{names('a')}= _solve_pivoting([{rows}], [{names('c')}], {PIVOT_THRESHOLD!r}, "
             f"(t{{s}}, ({names('x')}), ({names('v')})))"
         )
     kernel = _Kernel(n, "\n".join(law))
-    return ExplicitODE(
-        n=n,
-        rhs=kernel.rhs,
-        mass_constant=constant,
-        params=params,
-        pivot_threshold=pivot_threshold,
-        mass_symbolic=mass_sym,
-        force_symbolic=force_sym,
-        kernel=kernel,
-    )
+    return ExplicitODE(n=n, rhs=kernel.rhs, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +411,12 @@ def assemble_explicit(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution on a uniform grid.
+    """Sampled jet-space section (t_k, x_k, v_k) on a uniform grid.
 
-    ``law`` is the ExplicitODE that ``integrate`` ran to make it; it is None
-    on a trajectory built by hand.
+    ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n); a grid that
+    is not uniform and increasing raises ValueError. ``law`` is the
+    ExplicitODE that ``integrate`` ran to make it; it is None on a
+    trajectory built by hand.
     """
 
     taus: np.ndarray
@@ -439,6 +425,20 @@ class Trajectory:
     h: float
     truncated: bool = False
     law: ExplicitODE | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        taus = np.asarray(self.taus, dtype=float)
+        xs = as_samples(self.xs, len(taus))
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "vs", as_samples(self.vs, len(taus), xs.shape[1]))
+        if len(taus) >= 2:
+            # a step may differ from the mean by the rounding of the times
+            # themselves, as np.linspace leaves it far from t = 0
+            step = (taus[-1] - taus[0]) / (len(taus) - 1)
+            slack = 1e-12 + 4 * np.finfo(float).eps * max(abs(taus[0]), abs(taus[-1]))
+            if not step > 0 or not np.allclose(np.diff(taus), step, rtol=1e-9, atol=slack):
+                raise ValueError("section grid must be uniform and increasing")
 
     @property
     def n(self) -> int:
@@ -451,9 +451,6 @@ class Trajectory:
         if self.law is None:
             raise MechError("a trajectory built without a law has no accelerations")
         return accelerations_on(self, self.law)
-
-    def section(self) -> NumericSection:
-        return NumericSection(self.taus, self.xs, self.vs)
 
 
 def _hermite_resample(taus, knot_ts, kx, kv, ka, n, span):
@@ -493,18 +490,14 @@ def integrate(
     interval: tuple[float, float],
     h: float,
     method: str = "rk4",
-    atol: float = 1e-10,
-    rtol: float = 1e-9,
-    max_step: float = 0.02,
 ) -> Trajectory:
     """Integrate to a uniform grid of step ~h over [a, b].
 
     rk4 is the fixed-step workhorse (global order 4). rkf45 runs adaptively
-    under (atol, rtol) and is resampled onto the uniform grid by cubic
-    Hermite interpolation; max_step bounds the knot spacing so the
-    interpolation error stays at the tolerance level. Non-finite states,
-    and float overflow inside the law, truncate the trajectory and set the
-    flag instead of raising.
+    under the RKF45_* tolerances and is resampled onto the uniform grid by
+    cubic Hermite interpolation. Non-finite states, and float overflow
+    inside the law, truncate the trajectory and set the flag instead of
+    raising.
     """
     a_t, b_t = float(interval[0]), float(interval[1])
     if not b_t > a_t:
@@ -530,7 +523,7 @@ def integrate(
         raise ValueError(f"unknown integrator '{method}'")
 
     knot_ts, kx, kv, ka, truncated = ode.kernel.rkf45(
-        x0, v0, a_t, b_t, atol, rtol, max_step
+        x0, v0, a_t, b_t, RKF45_ATOL, RKF45_RTOL, RKF45_MAX_STEP
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
     m = len(xs)
@@ -595,9 +588,10 @@ def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotio
     return EquationsOfMotion(residuals)
 
 
-def oracle_compare(system, interval=None, h=None, method: str = "rk4") -> OracleReport:
-    """Integrate the derived equations and the declared Newtonian law with
-    identical integrator and steps; report the max state divergence.
+def oracle_compare(system, method: str = "rk4") -> OracleReport:
+    """Integrate the derived equations and the declared Newtonian law on the
+    system's time grid with identical integrator and steps; report the max
+    state divergence.
 
     ``system`` is a parsed SystemSpec (duck-typed: phi, oracle_forces,
     param_values(), init, time fields are used).
@@ -608,16 +602,17 @@ def oracle_compare(system, interval=None, h=None, method: str = "rk4") -> Oracle
         raise MechError("newton oracle requires a parameter named 'm'")
     if system.init is None:
         raise MechError("oracle comparison requires initial conditions")
-    interval = interval or (system.time[0], system.time[1])
-    h = h or system.time[2]
+    if system.time is None:
+        raise MechError("oracle comparison requires a time clause")
+    a, b, h = system.time
     params = system.param_values()
     x0, v0 = system.init
     derived_ode = assemble_explicit(dual_spencer(system.phi), params)
     oracle_ode = assemble_explicit(
         newton_oracle_eom(system.oracle_forces, system.n), params
     )
-    derived = integrate(derived_ode, x0, v0, interval, h, method)
-    oracle = integrate(oracle_ode, x0, v0, interval, h, method)
+    derived = integrate(derived_ode, x0, v0, (a, b), h, method)
+    oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
     m = min(len(derived.taus), len(oracle.taus))
     div = np.abs(derived.xs[:m] - oracle.xs[:m]).sum(axis=1) + np.abs(
         derived.vs[:m] - oracle.vs[:m]
@@ -773,15 +768,14 @@ def first_variation(
     variation: VariationField,
     params,
     form: str = "pre",
-    include_boundary: bool = True,
 ) -> float:
     """First-variation functional along a prolonged trajectory, by Simpson.
 
     form="pre" integrates F_i d^i + Pi_i d(d^i)/dt. form="post" integrates
     the integrated-by-parts density (F_i - d(Pi_i)/dt) d^i, with the
-    accelerations of the trajectory's own law (``traj.accels``), and, unless
-    include_boundary is False, adds the transversality boundary term. The
-    two forms agree to quadrature tolerance on any integrated trajectory.
+    accelerations of the trajectory's own law (``traj.accels``), and adds
+    the transversality boundary term. The two forms agree to quadrature
+    tolerance on any integrated trajectory.
     """
     delta, ddot = variation.sample_on(traj.taus, traj.h)
     if form == "pre":
@@ -797,10 +791,8 @@ def first_variation(
     for i in range(traj.n):
         integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]
     total = simpson_uniform(integrand, traj.h)
-    if include_boundary:
-        theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
-        total += theta_b - theta_a
-    return total
+    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
+    return total + (theta_b - theta_a)
 
 
 # ---------------------------------------------------------------------------

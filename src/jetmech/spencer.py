@@ -66,38 +66,6 @@ def as_samples(values, N: int, n: int | None = None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class NumericSection:
-    """Sampled jet-space section (t_k, x_k, v_k) on a uniform grid.
-
-    ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n).
-    """
-
-    taus: np.ndarray
-    xs: np.ndarray  # shape (N, n)
-    vs: np.ndarray  # shape (N, n)
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        xs = as_samples(self.xs, len(taus))
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "vs", as_samples(self.vs, len(taus), xs.shape[1]))
-        if len(taus) >= 2:
-            steps = np.diff(taus)
-            h = steps[0]
-            if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
-                raise ValueError("section grid must be uniform and increasing")
-
-    @property
-    def h(self) -> float:
-        return float(self.taus[1] - self.taus[0])
-
-    @property
-    def n(self) -> int:
-        return self.xs.shape[1]
-
-
 def total_time_derivative(e: Expr) -> Expr:
     """Total derivative along sections: d/dt + v^j d/dx^j + a^j d/dv^j.
 
@@ -152,16 +120,17 @@ def assemble_with_split(dec: Decomposition, phi: VerticalOneForm) -> EquationsOf
     return EquationsOfMotion(combined)
 
 
-def spencer_residual(section: NumericSection) -> np.ndarray:
-    """Sampled Spencer residual r_k = (dx/dt)|_k - v_k, shape (N, n).
+def spencer_residual(traj) -> np.ndarray:
+    """Sampled Spencer residual r_k = (dx/dt)|_k - v_k of a
+    ``dynamics.Trajectory``, shape (N, n).
 
-    dx/dt comes from the second-order stencil of ``diff_order2``; the
-    residual is identically zero (to O(h^2)) iff the section is the
-    prolongation of a curve.
+    dx/dt comes from the second-order stencil of ``diff_order2`` with the
+    first grid step; the residual is identically zero (to O(h^2)) iff the
+    section is the prolongation of a curve.
     """
-    if len(section.taus) < 3:
+    if len(traj.taus) < 3:
         raise ValueError("Spencer residual needs at least 3 samples")
-    return diff_order2(section.xs, section.h) - section.vs
+    return diff_order2(traj.xs, float(traj.taus[1] - traj.taus[0])) - traj.vs
 
 
 def diff_order2(y: np.ndarray, h: float) -> np.ndarray:

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import (
+    Trajectory,
     VariationField,
     assemble_explicit,
     first_variation,
@@ -45,7 +46,6 @@ from .formcalc import (
     homotopy_two_form,
 )
 from .spencer import (
-    NumericSection,
     assemble_with_split,
     dual_spencer,
     spencer_residual,
@@ -63,6 +63,12 @@ from .symexpr import (
 )
 
 DEFAULT_SEED = 12345
+
+# cases drawn by each randomized suite
+COCHAIN_CASES = 200
+EL_CASES = 100
+SPLIT_CASES = 100
+VARIATION_CASES = 20
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ def random_vertical_form(
 # ---------------------------------------------------------------------------
 
 
-def check_cochain_contraction(seed: int, count: int = 200) -> CheckResult:
-    for i in range(count):
+def check_cochain_contraction(seed: int) -> CheckResult:
+    for i in range(COCHAIN_CASES):
         case_seed = seed + i
         rng = random.Random(case_seed)
         n = rng.randint(1, 3)
@@ -156,13 +162,13 @@ def check_cochain_contraction(seed: int, count: int = 200) -> CheckResult:
     return CheckResult(
         "cochain-contraction",
         True,
-        f"{count}/{count} random forms: exact reconstruction, H(phi_a) = 0",
+        f"{COCHAIN_CASES}/{COCHAIN_CASES} random forms: exact reconstruction, H(phi_a) = 0",
         seed,
     )
 
 
-def check_el_equivalence(seed: int, count: int = 100) -> CheckResult:
-    for i in range(count):
+def check_el_equivalence(seed: int) -> CheckResult:
+    for i in range(EL_CASES):
         case_seed = seed + 10_000 + i
         rng = random.Random(case_seed)
         n = rng.randint(1, 3)
@@ -176,13 +182,13 @@ def check_el_equivalence(seed: int, count: int = 100) -> CheckResult:
     return CheckResult(
         "el-equivalence",
         True,
-        f"{count}/{count} random Lagrangians: dual-Spencer = variational derivative",
+        f"{EL_CASES}/{EL_CASES} random Lagrangians: dual-Spencer = variational derivative",
         seed,
     )
 
 
-def check_split_invariance(seed: int, count: int = 100) -> CheckResult:
-    for i in range(count):
+def check_split_invariance(seed: int) -> CheckResult:
+    for i in range(SPLIT_CASES):
         case_seed = seed + 20_000 + i
         rng = random.Random(case_seed)
         n = rng.randint(1, 3)
@@ -198,7 +204,7 @@ def check_split_invariance(seed: int, count: int = 100) -> CheckResult:
     return CheckResult(
         "split-invariance",
         True,
-        f"{count}/{count} random splits assemble the direct residuals exactly",
+        f"{SPLIT_CASES}/{SPLIT_CASES} random splits assemble the direct residuals exactly",
         seed,
     )
 
@@ -214,7 +220,7 @@ def _fixed_boundary_variation(rng: random.Random, a: float, b: float) -> Variati
     return VariationField.from_exprs(env * poly, vanishes_at_a=True, vanishes_at_b=True)
 
 
-def check_first_variation(seed: int, count: int = 20) -> CheckResult:
+def check_first_variation(seed: int) -> CheckResult:
     system = preset("damped_ho")
     params = system.param_values()
     a, b = 0.0, 10.0
@@ -225,7 +231,7 @@ def check_first_variation(seed: int, count: int = 20) -> CheckResult:
     perturbed_params = dict(params, k=params["k"] * 1.1)
     perturbed = integrate(assemble_explicit(eom, perturbed_params), x0, v0, (a, b), h)
 
-    for i in range(count):
+    for i in range(VARIATION_CASES):
         case_seed = seed + 30_000 + i
         rng = random.Random(case_seed)
         variation = _fixed_boundary_variation(rng, a, b)
@@ -261,8 +267,8 @@ def check_first_variation(seed: int, count: int = 20) -> CheckResult:
     return CheckResult(
         "first-variation",
         True,
-        f"{count}/{count} fixed-boundary variations: extremality, detection of "
-        "perturbed dynamics, and integration-by-parts hold",
+        f"{VARIATION_CASES}/{VARIATION_CASES} fixed-boundary variations: extremality, "
+        "detection of perturbed dynamics, and integration-by-parts hold",
         seed,
     )
 
@@ -274,14 +280,14 @@ def check_spencer_residual(seed: int) -> CheckResult:
     maxima = []
     for h in (2e-3, 1e-3):
         traj = integrate(ode, system.init[0], system.init[1], (0.0, 10.0), h)
-        maxima.append(float(np.abs(spencer_residual(traj.section())).max()))
+        maxima.append(float(np.abs(spencer_residual(traj)).max()))
     ratio = maxima[0] / maxima[1]
     if ratio < 3.5:
         return CheckResult(
             "spencer-residual", False, f"halving ratio {ratio:.2f} < 3.5", seed
         )
     taus = np.linspace(0.0, 1.0, 101)
-    broken = NumericSection(taus, taus.reshape(-1, 1), np.zeros((101, 1)))
+    broken = Trajectory(taus, taus.reshape(-1, 1), np.zeros((101, 1)), taus[1] - taus[0])
     r = spencer_residual(broken)
     if np.abs(r - 1.0).max() > 1e-9:
         return CheckResult(

@@ -207,6 +207,16 @@ class TestSimulate:
         assert code == 1
         assert "exceeds tol" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        out_csv = tmp_path / "t.csv"
+        code = main(["simulate", "harmonic", "--out", str(out_csv), "--oracle", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in captured.err
+        assert not out_csv.exists()
+
     def test_singular_mass_is_numeric_failure(self, capsys, tmp_path):
         path = tmp_path / "m.mech"
         path.write_text(
@@ -356,13 +366,16 @@ class TestExitTable:
              "error: [Errno 2] No such file or directory", "err"),
             (["derive", "harmonic", "--json", "{missing}/r.json"], 2,
              "error: [Errno 2] No such file or directory", "err"),
+            (["MECH_SEED=abc", "verify", "--builtin-suite"], 2,
+             "error: MECH_SEED must be an integer, got 'abc'", "err"),
             (["derive", "harmonic"], 4, "internal error: RuntimeError: planted defect", "err"),
         ],
         ids=[
             "reconstruction", "admissibility", "singular-oracle-simulate",
             "singular-oracle-verify", "unknown-preset", "nested-parentheses",
             "non-utf8-file", "output-in-missing-directory",
-            "audited-output-in-missing-directory", "json-in-missing-directory", "internal-error",
+            "audited-output-in-missing-directory", "json-in-missing-directory", "non-integer-seed",
+            "internal-error",
         ],
     )
     def test_row(self, capsys, monkeypatch, tmp_path, argv, code, prefix, stream):
@@ -372,6 +385,9 @@ class TestExitTable:
                 raise RuntimeError("planted\ndefect")
 
             monkeypatch.setattr(cli, "cmd_derive", crash)
+        if argv[0].startswith("MECH_SEED="):
+            monkeypatch.setenv("MECH_SEED", argv[0].partition("=")[2])
+            argv = argv[1:]
         paths = {"csv": str(tmp_path / "t.csv"), "missing": str(tmp_path / "missing")}
         for name, text, encoding in (
             ("badsplit", BAD_SPLIT, "utf-8"), ("m0", SINGULAR_ORACLE_MASS, "utf-8"),

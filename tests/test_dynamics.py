@@ -13,6 +13,7 @@ from jetmech.dynamics import (
     energy_audit,
     first_variation,
     integrate,
+    mass_and_force,
     newton_oracle_eom,
     oracle_compare,
     simpson_uniform,
@@ -61,7 +62,7 @@ class TestAssembleExplicit:
         phi = ho_phi(forcing=Expr.var(signal_symbol(f)), damping=True)
         params = {"k": 1.0, "m": 2.0, "b": 0.1}
         ode = assemble_explicit(dual_spencer(phi), params)
-        assert ode.mass_constant
+        assert mass_and_force(dual_spencer(phi))[2]
         t, x, v = 0.7, 0.3, -0.2
         expected = (-1.0 * x - 0.1 * v + 0.3 * math.sin(1.2 * t)) / 2.0
         assert abs(ode.rhs(t, [x], [v])[0] - expected) < 1e-15
@@ -85,7 +86,7 @@ class TestAssembleExplicit:
         pi = M * V * (1 + X**2)
         phi = VerticalOneForm((-K * X,), (pi,))
         ode = assemble_explicit(dual_spencer(phi), {"k": 1.0, "m": 2.0})
-        assert not ode.mass_constant
+        assert not mass_and_force(dual_spencer(phi))[2]
         t, x, v = 0.0, 0.5, 0.4
         expected = (-x - 2 * 2.0 * x * v * v) / (2.0 * (1 + x * x))
         assert abs(ode.rhs(t, [x], [v])[0] - expected) < 1e-14
@@ -190,11 +191,16 @@ class TestIntegrate:
         assert traj.truncated
         assert 1 <= len(traj.taus) < 1001
 
+    def test_grid_far_from_zero_passes_the_uniform_grid_check(self):
+        # linspace steps near t = 1e6 differ by one ulp of 1e6 (1.2e-7 of h)
+        traj = integrate(ho_ode(), [1.0], [0.0], (1e6, 1e6 + 1), 1e-3)
+        assert len(traj.taus) == 1001
+
     def test_integrated_sections_are_integrable(self):
         maxima = []
         for h in (2e-3, 1e-3):
             traj = integrate(ho_ode(), [1.0], [0.0], (0.0, 10.0), h)
-            maxima.append(np.abs(spencer_residual(traj.section())).max())
+            maxima.append(np.abs(spencer_residual(traj)).max())
         assert maxima[0] / maxima[1] >= 3.5
 
 
@@ -354,10 +360,9 @@ class TestVariation:
         for i, r in enumerate(dual_spencer(self.phi).residuals):
             fn = compile_expr(r, self.params, vectorized=True)
             integrand += fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, accels.T) * delta[:, i]
-        post = first_variation(
-            self.traj, self.phi, variation, self.params, "post", include_boundary=False
-        )
-        assert post == simpson_uniform(integrand, self.traj.h)
+        post = first_variation(self.traj, self.phi, variation, self.params, "post")
+        ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
+        assert post == simpson_uniform(integrand, self.traj.h) + (tb - ta)
 
     def test_hand_built_trajectory_has_no_accelerations(self):
         taus = np.linspace(0.0, 1.0, 11)
@@ -372,10 +377,9 @@ class TestVariation:
         t = Expr.var(TAU)
         variation = VariationField.from_exprs(t / 10)
         pre = first_variation(self.traj, self.phi, variation, self.params, "pre")
-        post_nb = first_variation(
-            self.traj, self.phi, variation, self.params, "post", include_boundary=False
-        )
         ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
+        post_nb = first_variation(self.traj, self.phi, variation, self.params, "post") - (tb - ta)
+        assert tb != ta
         assert abs(pre - (post_nb + tb - ta)) <= 1e-8 * (1 + abs(pre))
 
     def test_transversality_fixed_boundary(self):
@@ -461,6 +465,13 @@ class TestOracle:
         )
         report = oracle_compare(system)
         assert report.max_divergence > 1e-3
+
+    def test_time_clause_required(self):
+        system = _MiniSystem(
+            VerticalOneForm((-K * X,), (M * V,)), (-K * X,), HO_PARAMS, ((1.0,), (0.0,)), None
+        )
+        with pytest.raises(MechError, match="oracle comparison requires a time clause"):
+            oracle_compare(system)
 
     def test_oracle_residuals(self):
         eom = newton_oracle_eom((-K * X,), 1)

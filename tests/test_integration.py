@@ -63,7 +63,7 @@ def test_coupled_oscillator_pipeline(tmp_path, capsys):
     assert np.abs(traj.xs[:, 1] - ref_y).max() <= 1e-8
 
     # integrable section, conserved energy, matching oracle
-    assert np.abs(spencer_residual(traj.section())).max() <= 5e-6
+    assert np.abs(spencer_residual(traj)).max() <= 5e-6
     audit = energy_audit(traj, dec, params)
     assert audit.relative_drift <= 1e-10
     assert oracle_compare(spec).max_divergence <= 1e-10

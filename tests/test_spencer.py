@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jetmech.dynamics import Trajectory
 from jetmech.errors import ReconstructionError
 from jetmech.formcalc import Decomposition, VerticalOneForm, d0, decompose
 from jetmech.spencer import (
-    NumericSection,
     assemble_with_split,
     dual_spencer,
     spencer_residual,
@@ -185,15 +185,20 @@ class TestSympyEulerLagrange:
                 assert sympy.expand(to_sympy(residual, paths) - expected) == 0, seed
 
 
+def grid_section(taus, xs, vs):
+    """A hand-built Trajectory whose step is its first grid step."""
+    return Trajectory(taus, xs, vs, taus[1] - taus[0])
+
+
 class TestSpencerResidual:
     def test_exact_for_quadratic_prolongation(self):
         taus = np.linspace(0.0, 1.0, 101)
-        section = NumericSection(taus, (taus**2).reshape(-1, 1), (2 * taus).reshape(-1, 1))
+        section = grid_section(taus, (taus**2).reshape(-1, 1), (2 * taus).reshape(-1, 1))
         assert np.abs(spencer_residual(section)).max() <= 1e-12
 
     def test_unit_residual_for_broken_section(self):
         taus = np.linspace(0.0, 1.0, 101)
-        section = NumericSection(taus, taus.reshape(-1, 1), np.zeros((101, 1)))
+        section = grid_section(taus, taus.reshape(-1, 1), np.zeros((101, 1)))
         r = spencer_residual(section)
         assert np.abs(r - 1.0).max() <= 1e-12
 
@@ -201,7 +206,7 @@ class TestSpencerResidual:
         maxima = []
         for h in (0.01, 0.005):
             taus = np.arange(0.0, 1.0 + h / 2, h)
-            section = NumericSection(
+            section = grid_section(
                 taus, np.sin(taus).reshape(-1, 1), np.cos(taus).reshape(-1, 1)
             )
             maxima.append(np.abs(spencer_residual(section)).max())
@@ -211,18 +216,18 @@ class TestSpencerResidual:
     def test_requires_three_samples(self):
         taus = np.array([0.0, 0.1])
         with pytest.raises(ValueError):
-            spencer_residual(NumericSection(taus, taus.reshape(-1, 1), taus.reshape(-1, 1)))
+            spencer_residual(grid_section(taus, taus.reshape(-1, 1), taus.reshape(-1, 1)))
 
     def test_nonuniform_grid_rejected(self):
         taus = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
-            NumericSection(taus, taus.reshape(-1, 1), taus.reshape(-1, 1))
+            grid_section(taus, taus.reshape(-1, 1), taus.reshape(-1, 1))
 
     def test_samples_are_rows_never_transposed(self):
         taus = np.linspace(0.0, 1.0, 5)
-        section = NumericSection(taus, taus, 2 * taus)  # 1-D: one coordinate
+        section = grid_section(taus, taus, 2 * taus)  # 1-D: one coordinate
         assert section.xs.shape == section.vs.shape == (5, 1)
         with pytest.raises(ValueError):
-            NumericSection(taus, taus.reshape(1, -1), np.zeros((5, 1)))  # (1, N) row
+            grid_section(taus, taus.reshape(1, -1), np.zeros((5, 1)))  # (1, N) row
         with pytest.raises(ValueError):
-            NumericSection(taus, np.zeros((5, 2)), np.zeros((5, 1)))
+            grid_section(taus, np.zeros((5, 2)), np.zeros((5, 1)))
