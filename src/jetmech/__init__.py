@@ -29,7 +29,6 @@ from .symexpr import (
     compile_expr,
     coord,
     evaluate,
-    normalize,
     param,
     partial,
     polynomial_signal,

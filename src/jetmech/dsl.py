@@ -13,6 +13,7 @@ separators; the conventional extension is ``.mech``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,6 @@ from .symexpr import (
     acc,
     coord,
     format_expr,  # re-exported: the DSL's rendering of canonical expressions
-    normalize,
     param,
     signal_symbol,
     vel,
@@ -211,6 +211,11 @@ MAX_EXPONENT = 400
 # trajectory holds steps + 1 samples, every one of them kept in memory.
 MAX_TIME_STEPS = 1_000_000
 
+# Finest step of a time grid, in ulps of its larger endpoint in magnitude
+# (math.ulp(max(|a|, |b|))). A finer float step leaves the sample times
+# rounded to a few distinct values, so the grid repeats and skips times.
+MIN_STEP_ULPS = 2**12
+
 
 class _ExprParser:
     def __init__(self, tokens: list[Token]):
@@ -334,79 +339,77 @@ class ExprContext:
     allow_acceleration: bool = True
 
 
-_CHAIN_KIND = {"+": "add", "-": "add", "*": "mul", "/": "mul"}
+def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
+    """Lower an AST into a canonical Expr, with Expr's own arithmetic.
 
-
-def resolve_expr(node: ExprNode, ctx: ExprContext):
-    """Lower an AST into a raw tree over Symbols and rationals.
-
-    A left-nested chain of + and - becomes one n-ary ``add`` node, one of *
-    and / one n-ary ``mul`` node, and one of ^ a single ``pow``, so the
-    recursion here and in ``normalize`` follows the parser's nesting bound,
-    not the length of the expression. Operands resolve left to right, so
-    the first undeclared name in the text is the one reported.
+    The left spine of a chain of binary operators is walked in one loop, so
+    the recursion here follows the parser's nesting bound, not the length of
+    the expression. A run of ^ is folded into one power, (b^p)^q = b^(p*q).
+    Operands resolve and combine left to right, so of an undeclared name and
+    a product too large to expand, the first in the text is the one reported.
     """
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.lhs
+    out = _resolve_leaf(node, ctx)
+    exponent = 1
+    for link in reversed(spine):
+        if link.op == "^":
+            exponent *= int(link.rhs.value)
+            continue
+        if exponent != 1:
+            out, exponent = out**exponent, 1
+        if link.op == "/":
+            out = out / link.rhs.value
+        elif link.op == "*":
+            out = out * resolve_expr(link.rhs, ctx)
+        elif link.op == "+":
+            out = out + resolve_expr(link.rhs, ctx)
+        else:
+            out = out - resolve_expr(link.rhs, ctx)
+    return out if exponent == 1 else out**exponent
+
+
+def _resolve_leaf(node: ExprNode, ctx: ExprContext) -> Expr:
     if isinstance(node, Num):
-        return node.value
+        return Expr.const(node.value)
     if isinstance(node, TimeRef):
-        return TAU
+        return Expr.var(TAU)
+    if isinstance(node, Neg):
+        return -resolve_expr(node.operand, ctx)
     if isinstance(node, SigRef):
         sig = ctx.signals.get(node.name)
         if sig is None:
             raise UndeclaredSymbolError(node.line, node.col, f"undeclared signal '{node.name}'")
-        return signal_symbol(sig, node.order)
-    if isinstance(node, Name):
-        if node.name in ctx.coords:
-            i = ctx.coords.index(node.name)
-            if node.primes == 0:
-                return coord(i)
-            if node.primes == 1:
-                return vel(i)
-            if not ctx.allow_acceleration:
-                raise ParseError(node.line, node.col, "acceleration symbols are not permitted here")
-            return acc(i)
-        if node.name in ctx.params:
-            if node.primes:
-                raise ParseError(
-                    node.line, node.col, f"parameter '{node.name}' cannot be primed"
-                )
-            return param(node.name)
-        if node.name in ctx.signals:
-            raise ParseError(
-                node.line,
-                node.col,
-                f"signal '{node.name}' must be referenced as sig({node.name})",
-            )
-        raise UndeclaredSymbolError(node.line, node.col, f"undeclared symbol '{node.name}'")
-    if isinstance(node, Neg):
-        return ("neg", resolve_expr(node.operand, ctx))
-    if isinstance(node, BinOp) and node.op == "^":
-        exponent = 1
-        while isinstance(node, BinOp) and node.op == "^":
-            exponent *= int(node.rhs.value)  # (b^p)^q = b^(p*q)
-            node = node.lhs
-        return ("pow", resolve_expr(node, ctx), exponent)
-    if isinstance(node, BinOp):
-        kind = _CHAIN_KIND[node.op]
-        spine = []
-        while isinstance(node, BinOp) and _CHAIN_KIND.get(node.op) == kind:
-            spine.append(node)
-            node = node.lhs
-        operands = [resolve_expr(node, ctx)]
-        for link in reversed(spine):
-            if link.op == "/":
-                operands.append(1 / link.rhs.value)
-            elif link.op == "-":
-                operands.append(("neg", resolve_expr(link.rhs, ctx)))
-            else:
-                operands.append(resolve_expr(link.rhs, ctx))
-        return (kind, *operands)
-    raise TypeError(f"unknown AST node {node!r}")
+        return Expr.var(signal_symbol(sig, node.order))
+    if not isinstance(node, Name):
+        raise TypeError(f"unknown AST node {node!r}")
+    if node.name in ctx.coords:
+        i = ctx.coords.index(node.name)
+        if node.primes == 0:
+            return Expr.var(coord(i))
+        if node.primes == 1:
+            return Expr.var(vel(i))
+        if not ctx.allow_acceleration:
+            raise ParseError(node.line, node.col, "acceleration symbols are not permitted here")
+        return Expr.var(acc(i))
+    if node.name in ctx.params:
+        if node.primes:
+            raise ParseError(node.line, node.col, f"parameter '{node.name}' cannot be primed")
+        return Expr.var(param(node.name))
+    if node.name in ctx.signals:
+        raise ParseError(
+            node.line,
+            node.col,
+            f"signal '{node.name}' must be referenced as sig({node.name})",
+        )
+    raise UndeclaredSymbolError(node.line, node.col, f"undeclared symbol '{node.name}'")
 
 
 def text_to_expr(text: str, ctx: ExprContext) -> Expr:
-    """parse, resolve and canonicalize in one step."""
-    return normalize(resolve_expr(parse_expr(text), ctx))
+    """Parse and resolve in one step."""
+    return resolve_expr(parse_expr(text), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +650,9 @@ class _SystemParser(_ExprParser):
         if (b.value - a.value) / h.value > MAX_TIME_STEPS:
             self.fail(f"time grid of more than {MAX_TIME_STEPS} steps", h)
         self.time_clause = tuple(self.to_float(literal) for literal in (a, b, h))
+        a_f, b_f, h_f = self.time_clause
+        if h_f < MIN_STEP_ULPS * math.ulp(max(abs(a_f), abs(b_f))):
+            self.fail(f"step finer than {MIN_STEP_ULPS} ulps of the larger time endpoint", h)
 
     def stmt_integrator(self, _):
         tok = self.expect("IDENT", "expected integrator name")
@@ -674,7 +680,7 @@ class _SystemParser(_ExprParser):
             if keyword == "init":
                 values[key] = self.to_float(node)
             else:
-                values[key] = normalize(resolve_expr(node, ctx))
+                values[key] = resolve_expr(node, ctx)
         keywords = {keyword for keyword, _, _ in values}
         n = len(self.coords)
 

@@ -317,7 +317,9 @@ class Expr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
+        """``other`` as an Expr, or NotImplemented if it is not exact."""
         if isinstance(other, Expr):
             return other
         if isinstance(other, (int, Fraction)):
@@ -404,7 +406,6 @@ class Expr:
 
 
 ZERO = Expr.const(0)
-ONE = Expr.const(1)
 
 
 # factor order for rendering: parameters first, then signals, time, and the
@@ -450,54 +451,6 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
         else:
             parts.append((" - " if c < 0 else " + ") + frag)
     return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# normalize: raw trees -> canonical expressions
-# ---------------------------------------------------------------------------
-
-# raw trees are nested tuples over Symbol / int / Fraction / Expr leaves:
-#   ("add", *xs) ("sub", a, b) ("mul", *xs) ("neg", a)
-#   ("pow", base, int-exponent) ("div", a, rational)
-RawExpr = Union[Expr, Symbol, int, Fraction, tuple]
-
-
-def normalize(raw: RawExpr) -> Expr:
-    """Fold a raw expression tree into canonical form. Idempotent."""
-    if isinstance(raw, Expr):
-        return raw
-    if isinstance(raw, Symbol):
-        return Expr.var(raw)
-    if isinstance(raw, (int, Fraction)):
-        return Expr.const(raw)
-    if not isinstance(raw, tuple) or not raw:
-        raise TypeError(f"not a raw expression tree: {raw!r}")
-    op, *args = raw
-    if op == "add":
-        out = ZERO
-        for a in args:
-            out = out + normalize(a)
-        return out
-    if op == "sub":
-        a, b = args
-        return normalize(a) - normalize(b)
-    if op == "mul":
-        out = ONE
-        for a in args:
-            out = out * normalize(a)
-        return out
-    if op == "neg":
-        (a,) = args
-        return -normalize(a)
-    if op == "pow":
-        base, exp = args
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponents must be nonnegative integers")
-        return normalize(base) ** exp
-    if op == "div":
-        a, b = args
-        return normalize(a) / _as_fraction(b)
-    raise TypeError(f"unknown raw-tree operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +500,18 @@ def substitute(e: Expr, binding: Mapping[Symbol, Union[Expr, Rational, Symbol]])
 
     Signal symbols may not be rebound (they are functions of time).
     """
-    for key in binding:
+    values = {}
+    for key, value in binding.items():
         if key.kind == SymbolKind.SIGNAL:
             raise ValueError("cannot substitute for signal symbols")
+        values[key] = Expr._coerce(value)
+        if values[key] is NotImplemented:
+            raise TypeError(f"cannot substitute {value!r}: not an exact expression")
     out = ZERO
     for mono, c in e.terms:
         term = Expr.const(c)
         for sym, exp in mono:
-            if sym in binding:
-                term = term * normalize(binding[sym]) ** exp
-            else:
-                term = term * Expr.var(sym) ** exp
+            term = term * values.get(sym, Expr.var(sym)) ** exp
         out = out + term
     return out
 

@@ -1,13 +1,16 @@
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from jetmech import cli
+from jetmech import cli, spencer
 from jetmech.cli import main
-from jetmech.dsl import parse_system
+from jetmech.dsl import format_expr, parse_system
+from jetmech.formcalc import format_one_form
 from jetmech.symexpr import MAX_TERM_PRODUCT, ZERO, Expr, coord
+from jetmech.verify import DEFAULT_SEED, check_split_invariance
 
 DAMPED = """
 system "lab" {
@@ -273,6 +276,26 @@ class TestVerify:
             assert f"[PASS] {name}" in out
         assert "seed=" in out
 
+    def test_split_disagreement_is_a_failing_check(self, capsys, monkeypatch):
+        # a wrong variational derivative makes every split assemble wrong
+        # residuals; the suite reports that as its own failure, with a seed
+        real = spencer.variational_derivative
+
+        def skewed(lagrangian, n=None):
+            return tuple(r + 1 for r in real(lagrangian, n=n))
+
+        monkeypatch.setattr(spencer, "variational_derivative", skewed)
+        result = check_split_invariance(DEFAULT_SEED)
+        assert not result.passed
+        assert result.seed == DEFAULT_SEED + 20_000
+        assert "split assembly disagrees" in result.detail
+        code, out = run(capsys, "verify", "--builtin-suite")
+        assert code == 1
+        assert re.search(r"\[FAIL\] split-invariance .*\(seed=\d+\)", out)
+        for name in ("cochain-contraction", "el-equivalence", "first-variation",
+                     "spencer-residual"):
+            assert f"[PASS] {name}" in out
+
     def test_bad_split_file_fails_with_residual(self, capsys, tmp_path):
         path = tmp_path / "bad.mech"
         path.write_text(BAD_SPLIT)
@@ -467,6 +490,26 @@ class TestLongExpressions:
         assert captured.err.startswith("error: expression too large: ")
         assert f"MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}" in captured.err
 
+    @pytest.mark.parametrize("too_large_first", [True, False])
+    def test_first_error_in_a_clause_is_reported(self, capsys, tmp_path, too_large_first):
+        # a product too large to expand and an undeclared name in one clause:
+        # whichever comes first in the text is the error
+        squares = "x + 1"
+        for _ in range(12):
+            squares = f"k*({squares})^2"
+        clause = f"{squares} + q" if too_large_first else f"q + {squares}"
+        head = 'system "order" { parameter m = 1; parameter k = 1; coordinate x; force x: '
+        path = tmp_path / "order.mech"
+        path.write_text(head + clause + " }")
+        assert main(["derive", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if too_large_first:
+            assert captured.err.startswith("error: expression too large: ")
+        else:
+            col = len(head) + 1
+            assert captured.err == f"parse error: line 1, col {col}: undeclared symbol 'q'\n"
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -500,3 +543,26 @@ class TestReadmeExamples:
                     assert line.startswith(want[:-3]), line
                 else:
                     assert line == want
+
+
+def readme_library_block():
+    """The source of README's ```python block."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n") + len("```python\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_library_block_runs_as_its_comments_say():
+    block = readme_library_block()
+    namespace = {"format_expr": format_expr, "format_one_form": format_one_form}
+    exec(block, namespace)  # noqa: S102 - the README's own example
+    dec, eom, traj = namespace["dec"], namespace["eom"], namespace["traj"]
+    assert format_expr(dec.lagrangian) == "-1/2*b*x*x' - 1/2*k*x^2 + 1/2*m*x'^2"
+    assert format_one_form(dec.anti_exact) == "(-1/2*b*x') dx + (1/2*b*x) dx'"
+    assert [format_expr(r) for r in eom.residuals] == ["-k*x - b*x' - m*x''"]
+    assert traj.xs.shape == (10_001, 1) and traj.taus[-1] == 10.0
+    # each '# <call>: <text>' comment names what its call renders
+    claims = [line[2:].split(": ", 1) for line in block.splitlines() if line.startswith("# ")]
+    assert len(claims) == 3
+    for call, text in claims:
+        assert eval(call, namespace) == text, call  # noqa: S307

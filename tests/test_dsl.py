@@ -12,6 +12,7 @@ from jetmech.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TIME_STEPS,
+    MIN_STEP_ULPS,
     BinOp,
     DuplicateDeclarationError,
     ExprContext,
@@ -500,3 +501,35 @@ class TestInputBounds:
             parse_system(text)
         assert info.value.message == f"time grid of more than {MAX_TIME_STEPS} steps"
         assert (info.value.line, info.value.col) == (3, len("  time 0 .. 1 step ") + 1)
+
+    def test_step_below_float_resolution_fails_at_step(self, capsys, tmp_path):
+        # near 1e16 floats are 2 apart: a step of 1 would repeat sample times
+        text = (
+            'system "far" {\n  parameter m = 1\n  coordinate x\n  force x: -x\n'
+            "  init x = 1, x' = 0\n  time 10000000000000000 .. 10000000000000100 step 1\n}"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert info.value.message == f"step finer than {MIN_STEP_ULPS} ulps of the larger time endpoint"
+        assert (info.value.line, info.value.col) == (6, text.splitlines()[5].index("step 1") + 6)
+        path = tmp_path / "far.mech"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "far.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: line 6, col {info.value.col}: step finer")
+
+    @pytest.mark.parametrize("step", ["1e-3", "1e-4"])
+    def test_fine_step_far_from_zero_simulates(self, capsys, tmp_path, step):
+        text = (
+            'system "far" { parameter m = 1; coordinate x; force x: -x; '
+            f"init x = 1, x' = 0; time 1000000 .. 1000001 step {step} }}"
+        )
+        assert parse_system(text).time == (1e6, 1e6 + 1, float(Fraction(step)))
+        path = tmp_path / "far.mech"
+        path.write_text(text)
+        out = tmp_path / "far.csv"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + round(1 / float(Fraction(step))) + 1

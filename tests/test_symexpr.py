@@ -10,6 +10,7 @@ from jetmech.errors import (
     DifferentiationError,
     UnboundSymbolError,
 )
+from jetmech.dsl import ExprContext, text_to_expr
 from jetmech.formcalc import VerticalOneForm, homotopy
 from jetmech.symexpr import (
     TAU,
@@ -20,7 +21,7 @@ from jetmech.symexpr import (
     compile_expr,
     coord,
     evaluate,
-    normalize,
+    format_expr,
     param,
     partial,
     polynomial_signal,
@@ -80,7 +81,10 @@ def eval_expr_exact(e, binding):
 
 
 POOL = [TAU, coord(0), coord(1), vel(0), vel(1), param("p"), param("q")]
+POOL_CTX = ExprContext(coords=("x", "y"), params=frozenset({"p", "q"}))
 
+# raw trees are test data: nested tuples ("add", a, b) ("sub", a, b)
+# ("mul", a, b) ("neg", a) ("pow", a, k) over POOL symbols and rationals
 leaves = st.one_of(
     st.sampled_from(POOL),
     st.integers(-5, 5),
@@ -102,41 +106,92 @@ bindings = st.tuples(
 ).map(lambda vals: dict(zip(POOL, vals)))
 
 
+def build(raw):
+    """A raw tree folded with Expr's own operators.
+
+    Numeric leaves stay ints and Fractions, so the operators coerce them
+    from either side; a tree with no symbol in it ends as a plain rational.
+    """
+    if isinstance(raw, tuple) and raw and isinstance(raw[0], str):
+        op, *args = raw
+        if op == "neg":
+            return -build(args[0])
+        if op == "pow":
+            return build(args[0]) ** args[1]
+        a, b = build(args[0]), build(args[1])
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        assert op == "mul", op
+        return a * b
+    if isinstance(raw, (int, Fraction)):
+        return raw
+    return var(raw)
+
+
+def to_expr(raw) -> Expr:
+    """The tree through Expr operators, as an Expr."""
+    e = build(raw)
+    return e if isinstance(e, Expr) else Expr.const(e)
+
+
+def render(raw) -> str:
+    """The tree as .mech expression text over POOL_CTX's names."""
+    if isinstance(raw, tuple) and raw and isinstance(raw[0], str):
+        op, *args = raw
+        if op == "neg":
+            return f"(-{render(args[0])})"
+        if op == "pow":
+            return f"({render(args[0])}^{args[1]})"
+        symbol = {"add": "+", "sub": "-", "mul": "*"}[op]
+        return f"({render(args[0])} {symbol} {render(args[1])})"
+    if isinstance(raw, (int, Fraction)):
+        q = Fraction(raw)
+        return f"({q.numerator}/{q.denominator})"
+    return format_expr(var(raw), POOL_CTX.coords)
+
+
 # ---------------------------------------------------------------------------
-# normalize
+# canonical form
 # ---------------------------------------------------------------------------
 
 
 class TestNormalize:
+    """Expr arithmetic and the .mech front end normalize to one canonical form."""
+
     def test_identity_elements(self):
-        assert normalize(("mul", ("add", X, 0), 1)) == var(X)
+        assert (var(X) + 0) * 1 == var(X)
+        assert text_to_expr("(x + 0)*1", POOL_CTX) == var(X)
 
     def test_cancellation_gives_empty_term_set(self):
-        zero = normalize(("sub", X, X))
-        assert zero.is_zero
-        assert zero.terms == ()
+        for zero in (var(X) - var(X), text_to_expr("x - x", POOL_CTX)):
+            assert zero.is_zero
+            assert zero.terms == ()
 
     def test_square_expansion(self):
         # hand expansion: (x + v)^2 = x^2 + 2 x v + v^2
-        got = normalize(("pow", ("add", X, V), 2))
         expected = var(X) ** 2 + 2 * var(X) * var(V) + var(V) ** 2
-        assert got == expected
-
-    @given(trees)
-    def test_idempotent(self, tree):
-        once = normalize(tree)
-        assert normalize(once) == once
+        assert (var(X) + var(V)) ** 2 == expected
+        assert text_to_expr("(x + x')^2", POOL_CTX) == expected
 
     @given(trees, bindings)
     def test_semantics_preserved(self, tree, binding):
-        # canonical form evaluates exactly like the raw tree, in rationals
-        assert eval_expr_exact(normalize(tree), binding) == eval_tree_exact(tree, binding)
+        # canonical form evaluates exactly like the raw tree, in rationals,
+        # whether built by Expr operators or parsed from rendered text
+        want = eval_tree_exact(tree, binding)
+        built = to_expr(tree)
+        assert eval_expr_exact(built, binding) == want
+        parsed = text_to_expr(render(tree), POOL_CTX)
+        assert eval_expr_exact(parsed, binding) == want
+        assert parsed == built
 
     def test_structural_equality_is_semantic(self):
         rng = random.Random(7)
-        e1 = normalize(("add", ("mul", X, V), ("mul", V, X)))
-        e2 = normalize(("mul", 2, ("mul", X, V)))
+        e1 = var(X) * var(V) + var(V) * var(X)
+        e2 = 2 * (var(X) * var(V))
         assert e1 == e2
+        assert text_to_expr("x*x' + x'*x", POOL_CTX) == text_to_expr("2*(x*x')", POOL_CTX) == e1
         for _ in range(100):
             binding = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for s in POOL}
             assert eval_expr_exact(e1, binding) == eval_expr_exact(e2, binding)
@@ -145,7 +200,11 @@ class TestNormalize:
         with pytest.raises(TypeError):
             Expr.const(0.5)
         with pytest.raises(TypeError):
-            normalize(("add", X, 0.25))
+            var(X) + 0.25
+        with pytest.raises(TypeError):
+            0.5 * var(X)
+        with pytest.raises(TypeError):
+            substitute(var(X), {X: 0.25})
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +237,19 @@ class TestPartial:
 
     @given(trees, trees)
     def test_linearity(self, t1, t2):
-        e1, e2 = normalize(t1), normalize(t2)
+        e1, e2 = to_expr(t1), to_expr(t2)
         for s in (X, V, TAU):
             assert partial(e1 + e2, s) == partial(e1, s) + partial(e2, s)
 
     @given(trees, trees)
     def test_leibniz(self, t1, t2):
-        e1, e2 = normalize(t1), normalize(t2)
+        e1, e2 = to_expr(t1), to_expr(t2)
         for s in (X, V, TAU):
             assert partial(e1 * e2, s) == partial(e1, s) * e2 + e1 * partial(e2, s)
 
     @given(trees)
     def test_clairaut(self, tree):
-        e = normalize(tree)
+        e = to_expr(tree)
         pairs = [(X, V), (TAU, X), (coord(1), vel(1)), (TAU, V)]
         for s1, s2 in pairs:
             assert partial(partial(e, s1), s2) == partial(partial(e, s2), s1)
@@ -246,6 +305,12 @@ class TestSubstituteEvaluate:
         e = var(X) * var(V)
         got = substitute(e, {X: var(TAU) ** 2, V: 2 * var(TAU)})
         assert got == 2 * var(TAU) ** 3
+
+    def test_binding_values_coerce_like_arithmetic(self):
+        # a Symbol, an int and a Fraction bind as Expr arithmetic reads them
+        e = var(X) * var(V) + var(K)
+        got = substitute(e, {X: V, V: 2, K: Fraction(1, 3)})
+        assert got == 2 * var(V) + Fraction(1, 3)
 
     def test_signal_keys_rejected(self):
         f = polynomial_signal("f", 1)
@@ -313,7 +378,7 @@ class TestScalingIntegral:
 
     @given(trees, trees)
     def test_linearity(self, t1, t2):
-        e1, e2 = normalize(t1), normalize(t2)
+        e1, e2 = to_expr(t1), to_expr(t2)
         assert scaling_integral(e1 + e2) == scaling_integral(e1) + scaling_integral(e2)
 
     def test_time_and_signals_ride_unscaled(self):
