@@ -414,9 +414,9 @@ class Trajectory:
     """Sampled jet-space section (t_k, x_k, v_k) on a uniform grid.
 
     ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n); a grid that
-    is not uniform and increasing raises ValueError. ``law`` is the
-    ExplicitODE that ``integrate`` ran to make it; it is None on a
-    trajectory built by hand.
+    is not uniform and increasing, or whose step is not ``h``, raises
+    ValueError. ``law`` is the ExplicitODE that ``integrate`` ran to make
+    it; it is None on a trajectory built by hand.
     """
 
     taus: np.ndarray
@@ -439,6 +439,8 @@ class Trajectory:
             slack = 1e-12 + 4 * np.finfo(float).eps * max(abs(taus[0]), abs(taus[-1]))
             if not step > 0 or not np.allclose(np.diff(taus), step, rtol=1e-9, atol=slack):
                 raise ValueError("section grid must be uniform and increasing")
+            if not np.isclose(self.h, step, rtol=1e-9, atol=slack):
+                raise ValueError(f"step h = {self.h!r} disagrees with the grid step {step!r}")
 
     @property
     def n(self) -> int:

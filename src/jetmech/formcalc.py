@@ -96,10 +96,9 @@ class VerticalOneForm:
 
 def _oriented(b1: Symbol, b2: Symbol):
     """(key, sign) of db1 ^ db2 on the ordered basis, or None when b1 == b2."""
-    k1, k2 = b1.sort_key(), b2.sort_key()
-    if k1 == k2:
+    if b1 == b2:
         return None
-    return ((b1, b2), 1) if k1 < k2 else ((b2, b1), -1)
+    return ((b1, b2), 1) if b1 < b2 else ((b2, b1), -1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class TwoForm:
     """Exterior 2-form stored on the ordered basis; absent keys are zero.
 
     Basis covectors are keyed by the jet symbols TAU, coord(i) and vel(i);
-    ``Symbol.sort_key`` orders them dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
+    the ``Symbol`` tuple order puts dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
     and keys are strictly ordered pairs.
     """
 
@@ -115,14 +114,9 @@ class TwoForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoForm":
-        items = tuple(
-            sorted(
-                ((pair, e) for pair, e in data.items() if not e.is_zero),
-                key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key()),
-            )
-        )
+        items = tuple(sorted((pair, e) for pair, e in data.items() if not e.is_zero))
         for (b1, b2), _ in items:
-            if not b1.sort_key() < b2.sort_key():
+            if not b1 < b2:
                 raise ValueError("two-form keys must be strictly ordered pairs")
         return cls(items)
 

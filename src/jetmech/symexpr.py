@@ -17,7 +17,8 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
 from fractions import Fraction
@@ -140,44 +141,53 @@ class SymbolKind(IntEnum):
     SIGNAL = 5
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "kind index name order shape signal")):
     """One coordinate of the symbolic vocabulary.
 
     ``index`` is the coordinate index for COORD/VEL/ACC kinds, ``name`` the
     identifier for PARAM, and SIGNAL symbols carry their ForcingSignal plus
     a derivative order (order 0 is the signal itself, 1 its time derivative,
-    and so on).
+    and so on). A signal symbol's name is its signal's, and its ``shape`` is
+    the signal's family tag and exact arguments (empty for other kinds).
+
+    A symbol is the tuple (kind, index, name, order, shape, signal), so
+    equality, hashing and the canonical term order are one definition.
     """
 
-    kind: SymbolKind
-    index: int = 0
-    name: str = ""
-    signal: ForcingSignal | None = field(default=None, compare=True)
-    order: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __new__(
+        cls,
+        kind: SymbolKind,
+        index: int = 0,
+        name: str = "",
+        signal: ForcingSignal | None = None,
+        order: int = 0,
+    ):
+        if index < 0:
             raise ValueError("coordinate index must be nonnegative")
-        if self.kind == SymbolKind.PARAM and not self.name:
+        if kind == SymbolKind.PARAM and not name:
             raise ValueError("parameter symbols need a name")
-        if self.kind == SymbolKind.SIGNAL:
-            if self.signal is None:
+        shape: tuple = ()
+        if kind == SymbolKind.SIGNAL:
+            if signal is None:
                 raise ValueError("signal symbols must reference a ForcingSignal")
-            if self.order < 0:
+            if order < 0:
                 raise ValueError("signal derivative order must be nonnegative")
-        elif self.signal is not None or self.order != 0:
-            raise ValueError("signal/order fields are reserved for SIGNAL symbols")
-
-    def sort_key(self):
-        if self.kind == SymbolKind.SIGNAL:
-            sig = self.signal
-            if isinstance(sig, PolynomialSignal):
-                fp: tuple = ("poly", sig.coeffs)
+            if index != 0 or name not in ("", signal.name):
+                raise ValueError("signal symbols take no index and their signal's name")
+            name = signal.name
+            if isinstance(signal, PolynomialSignal):
+                shape = ("poly", signal.coeffs)
             else:
-                fp = ("sin", sig.amplitude, sig.omega, sig.phase, sig.cosine)
-            return (int(self.kind), 0, sig.name, self.order, fp)
-        return (int(self.kind), self.index, self.name, 0, ())
+                shape = ("sin", signal.amplitude, signal.omega, signal.phase, signal.cosine)
+        elif signal is not None or order != 0:
+            raise ValueError("signal/order fields are reserved for SIGNAL symbols")
+        return super().__new__(cls, kind, index, name, order, shape, signal)
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild a symbol through the constructor's arguments
+        return self.kind, self.index, self.name, self.signal, self.order
 
     def display(self, coords: tuple[str, ...] = ()) -> str:
         """Short name used by repr and the default renderer."""
@@ -231,7 +241,7 @@ def signal_symbol(signal: ForcingSignal, order: int = 0) -> Symbol:
 # expressions
 # ---------------------------------------------------------------------------
 
-# a monomial is a tuple of (Symbol, exponent>0) pairs sorted by sort_key
+# a monomial is a tuple of (Symbol, exponent>0) pairs in Symbol tuple order
 Monomial = tuple[tuple[Symbol, int], ...]
 
 # Most term products one multiplication may form (terms of one factor times
@@ -242,17 +252,13 @@ Monomial = tuple[tuple[Symbol, int], ...]
 MAX_TERM_PRODUCT = 50_000
 
 
-def _mono_key(mono: Monomial):
-    return tuple((sym.sort_key(), exp) for sym, exp in mono)
-
-
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     merged: dict = {}
     for sym, exp in m1:
         merged[sym] = merged.get(sym, 0) + exp
     for sym, exp in m2:
         merged[sym] = merged.get(sym, 0) + exp
-    return tuple(sorted(merged.items(), key=lambda it: it[0].sort_key()))
+    return tuple(sorted(merged.items()))
 
 
 class Expr:
@@ -273,13 +279,7 @@ class Expr:
 
     @staticmethod
     def _from_map(acc: dict) -> "Expr":
-        terms = tuple(
-            sorted(
-                ((m, c) for m, c in acc.items() if c != 0),
-                key=lambda it: _mono_key(it[0]),
-            )
-        )
-        return Expr(terms)
+        return Expr(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
 
     @classmethod
     def const(cls, value: Rational) -> "Expr":
@@ -431,9 +431,7 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
         return "0"
     parts = []
     for i, (mono, c) in enumerate(e.terms):
-        factors = sorted(
-            mono, key=lambda it: (_DISPLAY_RANK[it[0].kind], it[0].sort_key())
-        )
+        factors = sorted(mono, key=lambda it: (_DISPLAY_RANK[it[0].kind], it[0]))
         frags = []
         for sym, exp in factors:
             s = sym.display(coords)

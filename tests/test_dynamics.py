@@ -196,6 +196,13 @@ class TestIntegrate:
         traj = integrate(ho_ode(), [1.0], [0.0], (1e6, 1e6 + 1), 1e-3)
         assert len(traj.taus) == 1001
 
+    def test_step_must_be_the_grid_step(self):
+        taus = np.linspace(0.0, 1.0, 101)
+        xs = vs = np.zeros((101, 1))
+        assert Trajectory(taus, xs, vs, 0.01).h == 0.01
+        with pytest.raises(ValueError, match="disagrees with the grid step"):
+            Trajectory(taus, xs, vs, 0.5)
+
     def test_integrated_sections_are_integrable(self):
         maxima = []
         for h in (2e-3, 1e-3):

@@ -20,11 +20,13 @@ from jetmech.formcalc import (
 from jetmech.symexpr import (
     TAU,
     Expr,
+    SymbolKind,
     ZERO,
     acc,
     coord,
     param,
     polynomial_signal,
+    scaling_integral,
     signal_symbol,
     sinusoid_signal,
     vel,
@@ -155,6 +157,63 @@ class TestHomotopy:
         with pytest.raises(AdmissibilityError) as err:
             homotopy(omega)
         assert err.value.signal_name == "drive"
+
+
+class TestSympyScalingOracle:
+    """scaling_integral and homotopy against sympy's own integral
+    int_0^1 s^w e(t, s x, s v) ds, on the polynomial-signal cases of the
+    verify generators. Signals are opaque sympy symbols: they are not scaled."""
+
+    @staticmethod
+    def to_sympy(sympy, e: Expr, s=1):
+        """e with x^i and x'^i scaled by s; t, parameters and signals not."""
+        out = sympy.Integer(0)
+        for mono, c in e.terms:
+            term = sympy.Rational(c.numerator, c.denominator)
+            for sym, exp in mono:
+                if sym.kind == SymbolKind.COORD:
+                    base = s * sympy.Symbol(f"x{sym.index}")
+                elif sym.kind == SymbolKind.VEL:
+                    base = s * sympy.Symbol(f"v{sym.index}")
+                elif sym.kind == SymbolKind.SIGNAL:
+                    base = sympy.Symbol(f"sig_{sym.name}_{sym.order}")
+                else:
+                    base = sympy.Symbol("t" if sym.kind == SymbolKind.TIME else sym.name)
+                term *= base**exp
+            out += term
+        return out
+
+    @staticmethod
+    def over_unit_interval(sympy, integrand, s):
+        """int_0^1 integrand ds from sympy's antiderivative in s."""
+        antiderivative = sympy.integrate(sympy.expand(integrand), s)
+        return antiderivative.subs(s, 1) - antiderivative.subs(s, 0)
+
+    def test_scaling_integral(self):
+        sympy = pytest.importorskip("sympy")
+        s = sympy.Symbol("s")
+        for seed in range(30):
+            rng = random.Random(seed)
+            e = random_expr(rng, rng.randint(1, 3), with_signal=True)
+            for weight in (0, 1, 2):
+                integrand = s**weight * self.to_sympy(sympy, e, s)
+                expected = self.over_unit_interval(sympy, integrand, s)
+                got = self.to_sympy(sympy, scaling_integral(e, weight))
+                assert sympy.expand(got - expected) == 0, (seed, weight)
+
+    def test_homotopy(self):
+        sympy = pytest.importorskip("sympy")
+        s = sympy.Symbol("s")
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(1, 3)
+            phi = random_vertical_form(rng, n)
+            expected = sum(
+                self.over_unit_interval(sympy, self.to_sympy(sympy, e, s), s)
+                * self.to_sympy(sympy, Expr.var(b))
+                for b, e in phi.components()
+            )
+            assert sympy.expand(self.to_sympy(sympy, homotopy(phi)) - expected) == 0, seed
 
 
 class TestDecompose:

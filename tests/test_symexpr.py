@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from jetmech.symexpr import (
     TAU,
     ZERO,
     Expr,
+    SinusoidSignal,
+    Symbol,
     SymbolKind,
     acc,
     compile_expr,
@@ -205,6 +208,81 @@ class TestNormalize:
             0.5 * var(X)
         with pytest.raises(TypeError):
             substitute(var(X), {X: 0.25})
+
+
+# ---------------------------------------------------------------------------
+# symbols: one tuple gives equality, hash and term order
+# ---------------------------------------------------------------------------
+
+# signals that share the name "w" across both families and both phases
+SHARED_NAME_SIGNALS = [
+    polynomial_signal("w", 1, 2),
+    polynomial_signal("w", 1, 3),
+    sinusoid_signal("w", 1, 2, 0),
+    SinusoidSignal("w", Fraction(1), Fraction(2), Fraction(0), cosine=True),
+    polynomial_signal("u", 0, 1),
+]
+symbols = st.one_of(
+    st.just(TAU),
+    st.builds(
+        Symbol,
+        st.sampled_from([SymbolKind.COORD, SymbolKind.VEL, SymbolKind.ACC]),
+        st.integers(0, 3),
+    ),
+    st.builds(param, st.sampled_from(["p", "q", "w"])),
+    st.builds(signal_symbol, st.sampled_from(SHARED_NAME_SIGNALS), st.integers(0, 3)),
+)
+
+
+def spellings(sig, order):
+    """A signal symbol with the default name and with its signal's own."""
+    return (
+        Symbol(SymbolKind.SIGNAL, signal=sig, order=order),
+        Symbol(SymbolKind.SIGNAL, name=sig.name, signal=sig, order=order),
+    )
+
+
+symbol_pairs = st.one_of(
+    st.tuples(symbols, symbols),
+    st.builds(spellings, st.sampled_from(SHARED_NAME_SIGNALS), st.integers(0, 3)),
+)
+
+
+class TestSymbolOrder:
+    @given(symbol_pairs)
+    def test_sum_and_product_commute(self, pair):
+        a, b = pair
+        assert var(a) + var(b) == var(b) + var(a)
+        assert var(a) * var(b) == var(b) * var(a)
+
+    @given(symbol_pairs)
+    def test_order_agrees_with_equality(self, pair):
+        a, b = pair
+        assert (a < b) + (a == b) + (b < a) == 1
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_kind_order_is_the_term_order(self):
+        f = polynomial_signal("w", 1, 2)
+        ordered = [TAU, coord(0), coord(1), vel(0), acc(0), param("a"), param("b"),
+                   signal_symbol(f), signal_symbol(f, 1)]
+        assert sorted(reversed(ordered)) == ordered
+        assert format_expr(sum((var(s) for s in reversed(ordered)), ZERO)) == (
+            "t + x + y + x' + x'' + a + b + sig(w) + dsig(w)"
+        )
+
+    def test_signal_symbol_has_one_spelling(self):
+        f = polynomial_signal("w", 1, 2)
+        assert Symbol(SymbolKind.SIGNAL, name="w", signal=f) == signal_symbol(f)
+        assert signal_symbol(f).name == "w"
+        with pytest.raises(ValueError):
+            Symbol(SymbolKind.SIGNAL, index=2, signal=f)
+        with pytest.raises(ValueError):
+            Symbol(SymbolKind.SIGNAL, name="q", signal=f)
+
+    def test_pickle_round_trip(self):
+        for sym in (TAU, vel(2), param("k"), signal_symbol(polynomial_signal("w", 1), 2)):
+            assert pickle.loads(pickle.dumps(sym)) == sym
 
 
 # ---------------------------------------------------------------------------
