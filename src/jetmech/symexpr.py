@@ -3,10 +3,12 @@
 The scalar algebra everything else is built on: expressions are finite sums
 of terms ``rational * power-product`` over a small vocabulary of symbols
 (time t, coordinates x^i, velocities x'^i, accelerations x''^i, named
-parameters, and registered forcing signals). Coefficients are exact
-``fractions.Fraction`` values, so algebraic identities hold exactly, not to
-tolerance. Two expressions are equal iff their canonical forms are
-structurally identical.
+parameters, and registered forcing signals). Coefficients are exact: an
+``int`` when the value is integral and a ``fractions.Fraction`` otherwise,
+so algebraic identities hold exactly, not to tolerance, and the common
+integer case does no ``Fraction`` work. Two expressions are equal iff their
+canonical forms are structurally identical; ``2 == Fraction(2)`` and their
+hashes agree, so equality and hashing do not depend on the coefficient type.
 
 Forcing signals are opaque functions of time from two closed families
 (polynomials and sinusoids), each with exact derivatives inside its family.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
 from fractions import Fraction
@@ -31,11 +33,18 @@ from .errors import DifferentiationError, MechError, UnboundSymbolError
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
+def _canonical(c: Rational) -> Rational:
+    """An integral Fraction as its int; any other coefficient unchanged."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def _exact(value) -> Rational:
+    """``value`` as a canonical coefficient: an int when integral, else a
+    Fraction with denominator > 1."""
     if isinstance(value, Fraction):
-        return value
+        return _canonical(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, float):
         raise TypeError(
             "floating-point coefficients are not exact; use Fraction or int"
@@ -48,21 +57,37 @@ def _as_fraction(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _pair(q: Rational) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+# A signal's ``shape`` is its family tag and exact arguments as
+# (numerator, denominator) int pairs, computed once; symbols order by it.
+# Its hash is recomputed on every call: a cached hash would be pickled with
+# the signal, and str hashes differ between processes.
+
+
 @dataclass(frozen=True)
 class PolynomialSignal:
-    """Signal t -> sum_k coeffs[k) * t**k with exact rational coefficients."""
+    """Signal t -> sum_k coeffs[k] * t**k with exact rational coefficients."""
 
     name: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        coeffs = tuple(_exact(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "shape", ("poly", tuple(_pair(c) for c in coeffs)))
+
+    def __hash__(self):
+        return hash((self.name, self.shape))
 
     @property
     def admissible(self) -> bool:
         return True
 
-    def derivative_coeffs(self, order: int) -> tuple[Fraction, ...]:
+    def derivative_coeffs(self, order: int) -> tuple[Rational, ...]:
         """Coefficients of the order-th derivative, same polynomial family."""
         coeffs = self.coeffs
         for _ in range(order):
@@ -85,21 +110,28 @@ class SinusoidSignal:
     """
 
     name: str
-    amplitude: Fraction
-    omega: Fraction
-    phase: Fraction
+    amplitude: Rational
+    omega: Rational
+    phase: Rational
     cosine: bool = False
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", _as_fraction(self.amplitude))
-        object.__setattr__(self, "omega", _as_fraction(self.omega))
-        object.__setattr__(self, "phase", _as_fraction(self.phase))
+        amplitude, omega, phase = map(_exact, (self.amplitude, self.omega, self.phase))
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "phase", phase)
+        shape = ("sin", _pair(amplitude), _pair(omega), _pair(phase), self.cosine)
+        object.__setattr__(self, "shape", shape)
+
+    def __hash__(self):
+        return hash((self.name, self.shape))
 
     @property
     def admissible(self) -> bool:
         return False
 
-    def derivative_parts(self, order: int) -> tuple[Fraction, bool]:
+    def derivative_parts(self, order: int) -> tuple[Rational, bool]:
         """(signed amplitude including omega**order, use-cosine flag)."""
         amp = self.amplitude * self.omega**order
         phase_quarter = (order + (1 if self.cosine else 0)) % 4
@@ -118,13 +150,11 @@ ForcingSignal = Union[PolynomialSignal, SinusoidSignal]
 
 
 def polynomial_signal(name: str, *coeffs) -> PolynomialSignal:
-    return PolynomialSignal(name, tuple(_as_fraction(c) for c in coeffs))
+    return PolynomialSignal(name, coeffs)
 
 
 def sinusoid_signal(name: str, amplitude, omega, phase) -> SinusoidSignal:
-    return SinusoidSignal(
-        name, _as_fraction(amplitude), _as_fraction(omega), _as_fraction(phase)
-    )
+    return SinusoidSignal(name, amplitude, omega, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +207,7 @@ class Symbol(namedtuple("Symbol", "kind index name order shape signal")):
             if index != 0 or name not in ("", signal.name):
                 raise ValueError("signal symbols take no index and their signal's name")
             name = signal.name
-            if isinstance(signal, PolynomialSignal):
-                shape = ("poly", signal.coeffs)
-            else:
-                shape = ("sin", signal.amplitude, signal.omega, signal.phase, signal.cosine)
+            shape = signal.shape
         elif signal is not None or order != 0:
             raise ValueError("signal/order fields are reserved for SIGNAL symbols")
         return super().__new__(cls, kind, index, name, order, shape, signal)
@@ -253,12 +280,28 @@ MAX_TERM_PRODUCT = 50_000
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    merged: dict = {}
-    for sym, exp in m1:
-        merged[sym] = merged.get(sym, 0) + exp
-    for sym, exp in m2:
-        merged[sym] = merged.get(sym, 0) + exp
-    return tuple(sorted(merged.items()))
+    """Product of two monomials: a merge of their sorted factor tuples."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        s1, e1 = m1[i]
+        s2, e2 = m2[j]
+        if s1 == s2:
+            out.append((s1, e1 + e2))
+            i += 1
+            j += 1
+        elif s1 < s2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 class Expr:
@@ -271,30 +314,41 @@ class Expr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, _terms: tuple[tuple[Monomial, Fraction], ...] = ()):
-        # internal: _terms must already be canonical; use the factories below
+    def __init__(self, _terms: tuple[tuple[Monomial, Rational], ...] = ()):
+        # internal: _terms must already be canonical (sorted monomials, no
+        # zero coefficient, an int for every integral one); use the
+        # factories below
         self._terms = _terms
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _from_map(acc: dict) -> "Expr":
-        return Expr(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
+    def from_map(acc: Mapping[Monomial, Rational]) -> "Expr":
+        """The expression sum(c * mono) of a {monomial: coefficient} map.
+
+        Each monomial must be canonical; zero coefficients are dropped and
+        integral Fractions become ints.
+        """
+        terms = [(mono, _canonical(c)) for mono, c in acc.items() if c]
+        terms.sort()
+        return Expr(tuple(terms))
 
     @classmethod
     def const(cls, value: Rational) -> "Expr":
-        q = _as_fraction(value)
+        q = _exact(value)
         return cls(() if q == 0 else (((), q),))
 
     @classmethod
     def var(cls, symbol: Symbol) -> "Expr":
-        term = (((symbol, 1),), Fraction(1))
+        term = (((symbol, 1),), 1)
         return cls((term,))  # type: ignore[arg-type]
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Monomial, Rational], ...]:
+        """(monomial, coefficient) pairs in canonical order; a coefficient is
+        an int when integral and a Fraction otherwise."""
         return self._terms
 
     @property
@@ -332,10 +386,31 @@ class Expr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, c in other._terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + c
-        return Expr._from_map(acc)
+        a, b = self._terms, other._terms
+        if not a:
+            return other
+        if not b:
+            return self
+        # merge the two sorted term tuples
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            ma = a[i][0]
+            mb = b[j][0]
+            if ma == mb:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((ma, _canonical(c)))
+                i += 1
+                j += 1
+            elif ma < mb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Expr((*out, *a[i:], *b[j:]))
 
     __radd__ = __add__
 
@@ -355,17 +430,27 @@ class Expr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self._terms) * len(other._terms) > MAX_TERM_PRODUCT:
+        a, b = self._terms, other._terms
+        if len(a) * len(b) > MAX_TERM_PRODUCT:
             raise MechError(
-                f"expression too large: a product of {len(self._terms)} by "
-                f"{len(other._terms)} terms exceeds MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}"
+                f"expression too large: a product of {len(a)} by "
+                f"{len(b)} terms exceeds MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}"
             )
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # one term times each term: the monomials stay distinct, but
+            # their order can change
+            ((m2, c2),) = b
+            terms = [(_mono_mul(m1, m2), _canonical(c1 * c2)) for m1, c1 in a]
+            terms.sort()
+            return Expr(tuple(terms))
         acc: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
+        for m1, c1 in a:
+            for m2, c2 in b:
                 mono = _mono_mul(m1, m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Expr._from_map(acc)
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        return Expr.from_map(acc)
 
     __rmul__ = __mul__
 
@@ -385,10 +470,10 @@ class Expr:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = _exact(other)
             if q == 0:
                 raise ZeroDivisionError("division of an expression by zero")
-            return self * (1 / q)
+            return self * Fraction(1, q)
         raise TypeError("expressions may only be divided by exact rationals")
 
     def __eq__(self, other):
@@ -466,9 +551,9 @@ def _power_rule(e: Expr, s: Symbol) -> Expr:
                     new = mono[:k] + mono[k + 1 :]
                 else:
                     new = mono[:k] + ((sym, exp - 1),) + mono[k + 1 :]
-                acc[new] = acc.get(new, Fraction(0)) + c * exp
+                acc[new] = acc.get(new, 0) + c * exp
                 break
-    return Expr._from_map(acc)
+    return Expr.from_map(acc)
 
 
 def partial(e: Expr, s: Symbol) -> Expr:
@@ -553,8 +638,8 @@ def scaling_integral(e: Expr, weight: int = 0) -> Expr:
     acc: dict = {}
     for mono, c in e.terms:
         d = sum(exp for sym, exp in mono if sym.kind in (SymbolKind.COORD, SymbolKind.VEL))
-        acc[mono] = acc.get(mono, Fraction(0)) + c / (d + weight + 1)
-    return Expr._from_map(acc)
+        acc[mono] = acc.get(mono, 0) + Fraction(c, d + weight + 1)
+    return Expr.from_map(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +647,7 @@ def scaling_integral(e: Expr, weight: int = 0) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _float_lit(q: Fraction) -> str:
+def _float_lit(q: Rational) -> str:
     try:
         return repr(float(q))
     except OverflowError:

@@ -102,15 +102,17 @@ def random_expr(
         pool.append(TAU)
     if with_signal:
         pool.append(signal_symbol(_SIGNAL_POOL))
-    e = ZERO
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        mono = Expr.const(1)
+        powers: dict = {}
         for _ in range(rng.randint(0, max_degree)):
-            mono = mono * Expr.var(rng.choice(pool))
+            sym = rng.choice(pool)
+            powers[sym] = powers.get(sym, 0) + 1
+        mono = tuple(sorted(powers.items()))
         num = rng.randint(-6, 6) or 1
         den = rng.randint(1, 3)
-        e = e + Expr.const(Fraction(num, den)) * mono
-    return e
+        terms[mono] = terms.get(mono, 0) + Fraction(num, den)
+    return Expr.from_map(terms)
 
 
 def random_vertical_form(

@@ -1,18 +1,24 @@
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import jetmech
 from jetmech.errors import (
     AdmissibilityError,
     DifferentiationError,
     UnboundSymbolError,
 )
-from jetmech.dsl import ExprContext, text_to_expr
-from jetmech.formcalc import VerticalOneForm, homotopy
+from jetmech.dsl import ExprContext, parse_system, text_to_expr
+from jetmech.formcalc import VerticalOneForm, decompose, homotopy
+from jetmech.spencer import dual_spencer
 from jetmech.symexpr import (
     TAU,
     ZERO,
@@ -515,3 +521,197 @@ class TestCompile:
     def test_missing_parameter_raises(self):
         with pytest.raises(UnboundSymbolError):
             compile_expr(var(K) * var(X), {})
+
+
+# ---------------------------------------------------------------------------
+# coefficients: an int when integral, a Fraction otherwise
+# ---------------------------------------------------------------------------
+
+POLY = polynomial_signal("g", 1, Fraction(-1, 2), Fraction(1, 3))
+SINE = sinusoid_signal("s", Fraction(3, 10), Fraction(6, 5), 0)
+SIGNAL_POOL = POOL + [signal_symbol(POLY), signal_symbol(POLY, 1), signal_symbol(SINE)]
+signal_trees = st.recursive(
+    st.one_of(
+        st.sampled_from(SIGNAL_POOL),
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    ),
+    lambda ch: st.one_of(
+        st.tuples(st.just("add"), ch, ch),
+        st.tuples(st.just("mul"), ch, ch),
+        st.tuples(st.just("neg"), ch),
+    ),
+    max_leaves=8,
+)
+divisors = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+)
+
+
+def assert_canonical(e: Expr):
+    """Sorted distinct monomials of sorted distinct factors, nonzero
+    coefficients, and an int for every integral coefficient."""
+    monos = [mono for mono, _ in e.terms]
+    assert monos == sorted(set(monos))
+    for mono, c in e.terms:
+        syms = [sym for sym, _ in mono]
+        assert syms == sorted(set(syms)) and all(exp > 0 for _, exp in mono)
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+class TestCoefficients:
+    @given(trees, trees, divisors, st.integers(0, 3))
+    def test_arithmetic(self, t1, t2, q, k):
+        e1, e2 = to_expr(t1), to_expr(t2)
+        for e in (e1 + e2, e1 - e2, e1 * e2, -e1, e1**k, e1 / q, e1 * q, q + e1):
+            assert_canonical(e)
+
+    @given(signal_trees)
+    def test_partial(self, tree):
+        e = to_expr(tree)
+        for s in (TAU, X, V, K):
+            assert_canonical(partial(e, s))
+
+    @given(signal_trees, trees, divisors)
+    def test_substitute(self, tree, value, q):
+        e = to_expr(tree)
+        assert_canonical(substitute(e, {X: to_expr(value), V: q, K: 2, TAU: half}))
+
+    @given(signal_trees)
+    def test_scaling_integral(self, tree):
+        # sinusoids ride unscaled here; only the homotopy refuses them
+        e = to_expr(tree)
+        for weight in (0, 1, 2):
+            assert_canonical(scaling_integral(e, weight))
+
+    @given(trees)
+    def test_text_to_expr(self, tree):
+        assert_canonical(text_to_expr(render(tree), POOL_CTX))
+
+    def test_explicit_cases(self):
+        two = Expr.const(Fraction(4, 2))
+        assert two.terms == (((), 2),)
+        assert type(two.terms[0][1]) is int
+        third = (var(X) / 3).terms[0][1]
+        assert third == Fraction(1, 3) and type(third) is Fraction
+        assert (var(X) / 2) * 2 == var(X)
+        assert type(((var(X) / 2) * 2).terms[0][1]) is int
+        assert type(var(X).terms[0][1]) is int
+        assert type(scaling_integral(var(X) ** 2 * 3).terms[0][1]) is int
+        assert text_to_expr("x*4/2", POOL_CTX).terms == ((((X, 1),), 2),)
+
+    def test_signal_arguments_are_canonical(self):
+        assert POLY.coeffs == (1, Fraction(-1, 2), Fraction(1, 3))
+        assert type(POLY.coeffs[0]) is int
+        assert type(polynomial_signal("h", Fraction(6, 3)).coeffs[0]) is int
+        assert type(SINE.phase) is int and type(SINE.amplitude) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# signals: equality and hashing by name and exact arguments
+# ---------------------------------------------------------------------------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+def as_int_when_integral(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+class TestSignalHash:
+    @given(st.lists(rationals, min_size=1, max_size=4), st.integers(0, 3))
+    def test_polynomial_spellings_agree(self, coeffs, order):
+        a = polynomial_signal("w", *coeffs)
+        b = polynomial_signal("w", *map(as_int_when_integral, coeffs))
+        assert a == b and hash(a) == hash(b)
+        sa, sb = signal_symbol(a, order), signal_symbol(b, order)
+        assert sa == sb and hash(sa) == hash(sb)
+        assert var(sa) + var(sb) == 2 * var(sa)
+
+    @given(rationals, rationals, rationals, st.booleans())
+    def test_sinusoid_spellings_agree(self, amplitude, omega, phase, cosine):
+        args = (amplitude, omega, phase)
+        a = SinusoidSignal("w", *args, cosine=cosine)
+        b = SinusoidSignal("w", *map(as_int_when_integral, args), cosine=cosine)
+        assert a == b and hash(a) == hash(b)
+        assert hash(signal_symbol(a)) == hash(signal_symbol(b))
+
+    def test_shape_holds_int_pairs(self):
+        assert POLY.shape == ("poly", ((1, 1), (-1, 2), (1, 3)))
+        assert SINE.shape == ("sin", (3, 10), (6, 5), (0, 1), False)
+        assert signal_symbol(POLY, 2).shape is POLY.shape
+
+    def test_pickled_symbol_found_under_another_hash_seed(self, tmp_path):
+        # a hash cached at construction would travel in the pickle and
+        # disagree with the str hashes of the loading process
+        src = str(Path(jetmech.__file__).resolve().parent.parent)
+        dump = (
+            "import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from jetmech.symexpr import polynomial_signal, signal_symbol, sinusoid_signal\n"
+            "syms = [signal_symbol(polynomial_signal('w', 1, Fraction(-1, 2)), 1),\n"
+            "        signal_symbol(sinusoid_signal('f', Fraction(3, 10), 2, 0))]\n"
+            "sys.stdout.buffer.write(pickle.dumps(syms))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from jetmech.symexpr import polynomial_signal, signal_symbol, sinusoid_signal\n"
+            "fresh = [signal_symbol(polynomial_signal('w', 1, Fraction(-1, 2)), 1),\n"
+            "         signal_symbol(sinusoid_signal('f', Fraction(3, 10), 2, 0))]\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert loaded == fresh\n"
+            "assert all(s in set(fresh) for s in loaded)\n"
+            "table = {s: i for i, s in enumerate(fresh)}\n"
+            "assert [table[s] for s in loaded] == [0, 1]\n"
+            "assert all(hash(a) == hash(b) for a, b in zip(loaded, fresh))\n"
+        )
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], input=data, env=env, capture_output=True
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        run(load, 2, run(dump, 1))
+
+
+# ---------------------------------------------------------------------------
+# the hot path hashes no Fraction
+# ---------------------------------------------------------------------------
+
+DRIVEN = """
+system "driven" {
+  parameter m = 2
+  parameter k = 3/2
+  coordinate x
+  coordinate y
+  signal w = polynomial(1/2, -1/4, 1/8)
+  force x: -k*x + x*y^2/3 + sig(w)*y
+  force y: -k*y + x^2*y/3 - t*sig(w)/5
+  momentum x: m*x' + y*x'/2
+  momentum y: m*y'
+}
+"""
+
+
+def test_parse_decompose_derive_hash_no_fraction(monkeypatch):
+    calls = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert hash(Fraction(1, 3)) and len(calls) == 1  # the counter is live
+    calls.clear()
+    system = parse_system(DRIVEN)
+    dec = decompose(system.phi)
+    eom = dual_spencer(system.phi)
+    assert not dec.lagrangian.is_zero and eom.n == 2
+    assert calls == []
