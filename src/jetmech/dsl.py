@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import MechError
@@ -126,8 +127,9 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _parse_number(mantissa: str, exponent: Optional[str], line: int, col: int) -> Fraction:
-    """Exact rational value of a decimal/scientific literal (1.25 -> 5/4)."""
+def _parse_number(mantissa: str, exponent: Optional[str], line: int, col: int) -> Rational:
+    """Exact value of a decimal/scientific literal: an int when integral
+    (2, 2.0, 1e2), else a Fraction (1.25 -> 5/4)."""
     exp = 0
     if exponent is not None:
         # compare lengths first: int() of a long digit string is slow
@@ -135,11 +137,23 @@ def _parse_number(mantissa: str, exponent: Optional[str], line: int, col: int) -
         if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
             raise ParseError(line, col, f"literal exponent beyond {MAX_EXPONENT} in magnitude")
         exp = int(exponent)
+    whole, _, decimals = mantissa.partition(".")
     try:
-        value = Fraction(mantissa)
+        value = int(whole)
+        if decimals:
+            value = value * 10 ** len(decimals) + int(decimals)
     except ValueError:  # more digits than int() converts
         raise ParseError(line, col, "malformed number") from None
-    return value * Fraction(10) ** exp
+    exp -= len(decimals)
+    return value * 10**exp if exp >= 0 else _ratio(value, 10**-exp)
+
+
+def _ratio(num: Rational, den: Rational) -> Rational:
+    """``num / den`` exactly: an int when integral, else a Fraction."""
+    if num.__class__ is int and den.__class__ is int and num % den == 0:
+        return num // den
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +163,7 @@ def _parse_number(mantissa: str, exponent: Optional[str], line: int, col: int) -
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: Rational  # int when integral, else Fraction
     line: int
     col: int
 
@@ -423,7 +437,7 @@ class SystemSpec:
 
     name: str
     coords: tuple[str, ...]
-    params: dict  # name -> Fraction
+    params: dict  # name -> int when integral, else Fraction
     signals: dict  # name -> ForcingSignal
     phi: VerticalOneForm
     # (L, phi_a) when the file declares either half; the other half is zero
@@ -481,7 +495,7 @@ class _SystemParser(_ExprParser):
         if self.peek().type not in ("NEWLINE", ";", "}", "EOF"):
             self.fail("expected end of statement")
 
-    def number_literal(self) -> Fraction:
+    def number_literal(self) -> Rational:
         neg = self.peek().type == "-"
         if neg:
             self.advance()
@@ -491,7 +505,7 @@ class _SystemParser(_ExprParser):
             den = self.expect("NUMBER", "expected a number after '/'")
             if den.value == 0:
                 self.fail("division by zero", den)
-            value = value / den.value
+            value = _ratio(value, den.value)
         return -value if neg else value
 
     def number_node(self) -> Num:
@@ -647,7 +661,7 @@ class _SystemParser(_ExprParser):
             self.fail("time interval must satisfy b > a", step_tok)
         if not h.value > 0:
             self.fail("step must be positive", step_tok)
-        if (b.value - a.value) / h.value > MAX_TIME_STEPS:
+        if b.value - a.value > MAX_TIME_STEPS * h.value:
             self.fail(f"time grid of more than {MAX_TIME_STEPS} steps", h)
         self.time_clause = tuple(self.to_float(literal) for literal in (a, b, h))
         a_f, b_f, h_f = self.time_clause

@@ -46,48 +46,73 @@ RKF45_RTOL = 1e-9
 RKF45_MAX_STEP = 0.02
 
 # ---------------------------------------------------------------------------
-# linear algebra (tiny systems, explicit pivot threshold semantics)
+# the mass solve: Gaussian elimination emitted as straight-line source
 # ---------------------------------------------------------------------------
 
 
-def _solve_pivoting(A: list, b: list, threshold: float, state=None) -> list:
-    """Gaussian elimination with partial pivoting on small dense systems.
+def _singular_mass(pivot, state):
+    """Raise the SingularMassError for a pivot below PIVOT_THRESHOLD.
 
     ``state`` is the (t, x, v) at which a state-dependent matrix was
-    evaluated, named by the error a vanishing pivot raises; None stands for
-    a constant matrix.
+    evaluated, named in plain floats; None stands for a constant matrix.
     """
-    n = len(b)
-    M = [row[:] for row in A]
-    rhs = b[:]
+    where = "constant mass matrix"
+    if state is not None:
+        t, x, v = state
+        where = f"t={float(t)!r}, x={[float(c) for c in x]!r}, v={[float(c) for c in v]!r}"
+    raise SingularMassError(f"mass matrix singular (pivot {pivot:.3e} below threshold) at {where}")
+
+
+def _elimination(n: int, state: str) -> list:
+    """Law source solving ``m_r_c * a{s}_c = r_r`` (r, c < n) for ``a{s}_r``.
+
+    Gaussian elimination with partial pivoting, unrolled for this ``n``. It
+    does the float operations of the textbook loop in their order: the pivot
+    is the first row of largest magnitude (strict ``>`` in row order, which
+    is max()'s first-maximum rule, NaN included), the rows swap over columns
+    ``>= col``, a zero factor skips its row, and back-substitution subtracts
+    left to right. Column ``col`` of the rows below is never written, as
+    nothing reads it again. ``state`` is the source of the state argument of
+    ``_singular_mass``.
+    """
+    lines = []
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(M[r][col]))
-        pivot = M[pivot_row][col]
-        if abs(pivot) < threshold:
-            where = "constant mass matrix"
-            if state is not None:
-                t, x, v = state
-                where = f"t={float(t)!r}, x={[float(c) for c in x]!r}, v={[float(c) for c in v]!r}"
-            raise SingularMassError(
-                f"mass matrix singular (pivot {pivot:.3e} below threshold) at {where}",
-            )
-        if pivot_row != col:
-            M[col], M[pivot_row] = M[pivot_row], M[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        inv = 1.0 / M[col][col]
-        for r in range(col + 1, n):
-            factor = M[r][col] * inv
-            if factor != 0.0:
-                for c in range(col, n):
-                    M[r][c] -= factor * M[col][c]
-                rhs[r] -= factor * rhs[col]
-    out = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = rhs[r]
-        for c in range(r + 1, n):
-            s -= M[r][c] * out[c]
-        out[r] = s / M[r][r]
-    return out
+        below = range(col + 1, n)
+        lines.append(f"big = abs(m_{col}_{col})")
+        if below:
+            lines.append(f"p = {col}")
+        for r in below:
+            lines += [f"mag = abs(m_{r}_{col})", f"if mag > big: big = mag; p = {r}"]
+        for r in below:
+            top = ", ".join([f"m_{col}_{c}" for c in range(col, n)] + [f"r_{col}"])
+            low = ", ".join([f"m_{r}_{c}" for c in range(col, n)] + [f"r_{r}"])
+            branch = "if" if r == col + 1 else "elif"
+            lines.append(f"{branch} p == {r}: {top}, {low} = {low}, {top}")
+        lines.append(f"if big < {PIVOT_THRESHOLD!r}: _singular_mass(m_{col}_{col}, {state})")
+        if below:
+            lines.append(f"inv = 1.0 / m_{col}_{col}")
+        for r in below:
+            update = [f"m_{r}_{c} -= f * m_{col}_{c}" for c in range(col + 1, n)]
+            update.append(f"r_{r} -= f * r_{col}")
+            lines += [f"f = m_{r}_{col} * inv", f"if f != 0.0: {'; '.join(update)}"]
+    for r in reversed(range(n)):
+        terms = "".join(f" - m_{r}_{c} * a{{s}}_{c}" for c in range(r + 1, n))
+        lines.append(f"a{{s}}_{r} = (r_{r}{terms}) / m_{r}_{r}")
+    return lines
+
+
+def _solver(n: int):
+    """``solve(M, b) -> list``: the emitted elimination compiled as a
+    function of an n x n list ``M`` and a right side ``b``; a vanishing pivot
+    is reported for a constant matrix."""
+    body = [f"m_{r}_{c} = M[{r}][{c}]" for r in range(n) for c in range(n)]
+    body += [f"r_{r} = b[{r}]" for r in range(n)]
+    body += _elimination(n, "None")
+    body.append("return [" + ", ".join(f"a{{s}}_{r}" for r in range(n)) + "]")
+    namespace = {"_singular_mass": _singular_mass}
+    source = "def solve(M, b):\n" + "".join(f"    {line}\n" for line in body).format(s="")
+    exec(source, namespace)  # noqa: S102 - generated locally
+    return namespace["solve"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +192,15 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 # Stage s evaluates the law at (tk{s}, xk{s}_i, vk{s}_i); vk{s}_i and ak{s}_i
-# are the stage's slopes of x and v.
+# are the stage's slopes of x and v. Stage 0 is at the knot itself, whose law
+# value a_i is already known: t + 0.0 * dt and x_i + dt * 0 are t and x_i
+# bitwise unless one is -0.0. None is: parsed times and states start from
+# float() of an exact literal, and x + dt * (0.0 + ...) is never -0.0 when x
+# is not.
+_RKF45_STAGE0 = """\
+            vk0_{i} = v_{i}
+            ak0_{i} = a_{i}
+"""
 _RKF45_STAGE = """\
             tk{s} = t + {c!r} * dt
             xk{s}_{{i}} = x_{{i}} + dt * {a_vk}
@@ -230,10 +263,14 @@ class _Kernel:
 
     ``law`` is emitted once. It reads ``t{s}``, ``x{s}_i``, ``v{s}_i`` and
     assigns ``a{s}_i``, where ``{s}`` is a stage suffix, so each loop
-    inlines it per stage instead of calling a function. The three functions
-    built from it are compiled on first use and run on Python floats and
-    ``math`` only, doing the same float operations in the same order as a
-    per-coordinate loop around a law callable would.
+    inlines it per stage instead of calling a function; a state-dependent
+    mass is solved by the straight-line elimination inside the law, whose
+    work locals (``m_r_c``, ``r_r``) are shared by the stages. The three
+    functions built from it are compiled on first use and run on Python
+    floats and ``math`` only, doing the same float operations in the same
+    order as a per-coordinate loop around a law callable would; RKF45's
+    first stage takes the knot's law value instead of evaluating the law
+    again at the same point.
     """
 
     def __init__(self, n: int, law: str):
@@ -260,7 +297,7 @@ class _Kernel:
                 lines.append(line)
         namespace = {
             "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
-            "_solve_pivoting": _solve_pivoting,
+            "_singular_mass": _singular_mass,
         }
         exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
         return namespace["kernel"]
@@ -286,12 +323,12 @@ class _Kernel:
         ``(ts, xs, vs, accels, truncated)``: the accepted knots and their
         states and accelerations as flat row-major lists. ``accels`` is
         empty when the law fails at the initial state."""
-        stages = "".join(
+        stages = _RKF45_STAGE0 + "".join(
             _RKF45_STAGE.format(
                 s=s, c=_RKF_C[s], a_vk=_dot(_RKF_A[s], "vk{}_{{i}}"),
                 a_ak=_dot(_RKF_A[s], "ak{}_{{i}}"),
             )
-            for s in range(6)
+            for s in range(1, 6)
         )
         abs_x, abs_v = self._join("abs(x_{i})", ", "), self._join("abs(v_{i})", ", ")
         if self.n > 1:
@@ -354,10 +391,13 @@ def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
 def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> ExplicitODE:
     """Solve M a = c pointwise for the accelerations.
 
-    (M, c) come from ``mass_and_force``; the solve uses partial pivoting and
-    reports the offending state when a pivot falls below PIVOT_THRESHOLD. A
-    constant mass matrix is inverted once. The resulting law is emitted as
-    source for the system's generated kernel.
+    (M, c) come from ``mass_and_force``. The solve is Gaussian elimination
+    with partial pivoting, emitted as straight-line source for this n
+    (``_elimination``); it reports the offending state when a pivot falls
+    below PIVOT_THRESHOLD. A constant mass matrix is inverted once by the
+    same elimination, a state-dependent one is solved inline at every law
+    evaluation. The resulting law is emitted as source for the system's
+    generated kernel.
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
@@ -366,40 +406,24 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
         return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
 
     forces = [source(force_sym[i]) for i in range(n)]
-    law = [f"c{{s}}_{i} = {forces[i]}" for i in range(n)]
+    law = [f"r_{i} = {forces[i]}" for i in range(n)]
     if constant:
         M0 = [
             [compile_expr(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
             for i in range(n)
         ]
+        # the columns of M0^-1, solved against the unit vectors
+        solve = _solver(n)
+        cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
+        inverse = [[cols[j][i] for j in range(n)] for i in range(n)]
         if n == 1:
-            pivot = M0[0][0]
-            if abs(pivot) < PIVOT_THRESHOLD:
-                raise SingularMassError(
-                    f"mass matrix singular (pivot {pivot:.3e} below threshold)"
-                )
-            law = [f"a{{s}}_0 = ({forces[0]})*{1.0 / pivot!r}"]
+            law = [f"a{{s}}_0 = ({forces[0]})*{inverse[0][0]!r}"]
         else:
-            # prefactor by solving against unit vectors
-            inv_cols = []
-            for j in range(n):
-                e = [0.0] * n
-                e[j] = 1.0
-                inv_cols.append(_solve_pivoting(M0, e, PIVOT_THRESHOLD))
-            inv_rows = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-            law += [f"a{{s}}_{i} = {_dot(inv_rows[i], 'c{{s}}_{}')}" for i in range(n)]
+            law += [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
     else:
-        rows = ", ".join(
-            "[" + ", ".join(source(mass_sym[i][j]) for j in range(n)) + "]" for i in range(n)
-        )
-
-        def names(kind: str) -> str:
-            return "".join(f"{kind}{{s}}_{i}, " for i in range(n))
-
-        law.append(
-            f"{names('a')}= _solve_pivoting([{rows}], [{names('c')}], {PIVOT_THRESHOLD!r}, "
-            f"(t{{s}}, ({names('x')}), ({names('v')})))"
-        )
+        law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
+        xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
+        law += _elimination(n, f"(t{{s}}, ({xs}), ({vs}))")
     kernel = _Kernel(n, "\n".join(law))
     return ExplicitODE(n=n, rhs=kernel.rhs, kernel=kernel)
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,54 @@ class TestParseExpr:
             assert 1 <= err.value.col <= len(lines[err.value.line - 1]) + 1
         # '1..2' is a number, the range operator and a number
         assert [(t.value, t.col) for t in tokenize("1..2")] == [(1, 1), ("..", 2), (2, 4), (None, 5)]
+
+
+class TestNumberLiterals:
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            ("2", 2),
+            ("2.50", Fraction(5, 2)),
+            ("1e2", 100),
+            ("1e-2", Fraction(1, 100)),
+            ("3/4", Fraction(3, 4)),
+            ("-6/3", -2),
+            ("0.0", 0),
+            ("2.0e-1", Fraction(1, 5)),
+            ("12.5e1", 125),
+        ],
+    )
+    def test_int_when_integral_else_fraction(self, literal, value):
+        spec = parse_system(f'system "s" {{ coordinate x; parameter k = {literal} }}')
+        got = spec.params["k"]
+        assert got == value
+        assert type(got) is (int if value.denominator == 1 else Fraction)
+
+    def test_integer_literals_make_no_fraction(self):
+        text = (
+            'system "ints" { parameter m = 2; parameter k = 3; coordinate x; coordinate y\n'
+            "  signal f = polynomial(1, -2, 0)\n"
+            "  force x: -k*x + 4*(y - x)^2/2 + sig(f); momentum x: m*x' + y'\n"
+            "  force y: -y^3 - 10*y'; momentum y: m*y'\n"
+            "  init x = 1, y = -2, x' = 0, y' = 3; time 0 .. 10 step 1 }"
+        )
+        callers = []
+        raw = Fraction.__dict__["__new__"]
+        original = raw.__func__
+
+        def counting(cls, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_filename)
+            return original(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            assert Fraction(1, 3) and len(callers) == 1  # the counter is live
+            callers.clear()
+            spec = parse_system(text)
+        finally:
+            Fraction.__new__ = raw
+        assert spec.params == {"m": 2, "k": 3} and spec.time == (0.0, 10.0, 1.0)
+        assert [c for c in callers if c.endswith("dsl.py")] == []
 
 
 class TestFormatExpr:
@@ -501,6 +550,13 @@ class TestInputBounds:
             parse_system(text)
         assert info.value.message == f"time grid of more than {MAX_TIME_STEPS} steps"
         assert (info.value.line, info.value.col) == (3, len("  time 0 .. 1 step ") + 1)
+
+    def test_time_grid_of_huge_integers_fails_at_step(self):
+        # exact integers: the step count is never a float division
+        text = 'system "s" { coordinate x; time 0 .. 1e400 step 1 }'
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert info.value.message == f"time grid of more than {MAX_TIME_STEPS} steps"
 
     def test_step_below_float_resolution_fails_at_step(self, capsys, tmp_path):
         # near 1e16 floats are 2 apart: a step of 1 would repeat sample times

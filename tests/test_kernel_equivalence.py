@@ -5,7 +5,9 @@ verbatim: a law callable per system (three closure variants around
 ``compile_expr``), the list-per-coordinate RK4 and RKF45 loops that call
 it, the per-sample Hermite resampling, the per-sample acceleration loop and
 the per-element CSV writer. Every trajectory, acceleration table and CSV
-file the kernel produces must match it bit for bit.
+file the kernel produces must match it bit for bit. The reference's list
+``_solve_pivoting`` also checks the kernel's emitted elimination directly,
+on seeded matrices with ties, near-singular pivots, infinities and NaN.
 
 The reference sums with builtin ``sum()``. Up to Python 3.11 that adds
 left to right from 0, which the kernel reproduces; from 3.12 on it
@@ -14,6 +16,7 @@ skipped there.
 """
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -22,6 +25,7 @@ import pytest
 from jetmech.dsl import parse_system, preset, PRESETS
 from jetmech.dynamics import (
     PIVOT_THRESHOLD,
+    _solver,
     accelerations_on,
     assemble_explicit,
     energy_audit,
@@ -398,12 +402,52 @@ system "forced" {
 }
 """
 
+# M = [[m, c, 0], [k + x^2, m, c], [0, c, m]]: column 0 pivots on row 1 while
+# |x| > sqrt(m - k) and on row 0 after the damping has brought x below it
+PIVOT_SWAP_3 = """\
+system "pivotswap3" {
+  parameter m = 1
+  parameter c = 1/4
+  parameter k = 1/2
+  parameter kc = 2/5
+  coordinate x
+  coordinate y
+  coordinate z
+  force x: -x - x'/8 - x^3/5 + kc*(y - x)
+  momentum x: m*x' + c*y'
+  force y: -y - y'/8 + kc*(x - y) + kc*(z - y)
+  momentum y: (k + x^2)*x' + m*y' + c*z'
+  force z: -z - z'/8 + kc*(y - z)
+  momentum z: c*y' + m*z'
+  init x = 1, y = -1/2, z = 1/4, x' = 0, y' = 0, z' = 0
+  time 0 .. 3 step 1e-3
+}
+"""
+
+# every time and initial state is written as a negative zero
+SIGNED_ZERO = """\
+system "signedzero" {
+  parameter m = 2
+  coordinate x
+  coordinate y
+  signal f = sinusoid(2/5, 7/5, 1/3)
+  force x: -x - x'/10 + sig(f) + t*y/50
+  momentum x: m*x'
+  force y: -y + x^2/4
+  momentum y: (m + x^2)*y'
+  init x = -0, y = -0.0, x' = -0e3, y' = -0/7
+  time -0.0 .. 2 step 1e-3
+}
+"""
+
 GENERATED = {
     "coupled2": COUPLED_CONSTANT_2,
     "coupled3": COUPLED_CONSTANT_3,
     "statemass2": STATE_MASS_2,
     "statemass3": STATE_MASS_3,
     "forced": FORCED,
+    "pivotswap3": PIVOT_SWAP_3,
+    "signedzero": SIGNED_ZERO,
 }
 
 
@@ -500,3 +544,73 @@ def test_accelerations_on_state_mass_bitwise():
     traj = integrate(ode, *system.init, system.time[:2], system.time[2], "rkf45")
     reference = reference_accelerations_on(traj, _reference_rhs(system))
     assert _same(accelerations_on(traj, ode), reference)
+
+
+def _entry(rng, specials):
+    """A matrix or right-side entry; ties, near-threshold values and, when
+    ``specials``, infinities and NaN are all common."""
+    kind = rng.randrange(10 if specials else 8)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return rng.choice((1e-13, -1e-13))
+    if kind in (2, 3):
+        return rng.choice((1.5, -1.5, 3.0, -3.0))
+    if kind == 8:
+        return rng.choice((math.inf, -math.inf))
+    if kind == 9:
+        return math.nan
+    return rng.uniform(-4.0, 4.0)
+
+
+def _outcome(solve, M, b):
+    """The solution by ``repr`` (bitwise for floats, NaN as 'nan') or the
+    singular-mass message."""
+    try:
+        return [repr(a) for a in solve(M, b)]
+    except SingularMassError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_emitted_elimination_matches_reference(n):
+    rng = random.Random(f"elimination:{n}")
+    solve = _solver(n)
+    singular = swapped = 0
+    for _ in range(3000):
+        specials = rng.random() < 0.25
+        M = [[_entry(rng, specials) for _ in range(n)] for _ in range(n)]
+        b = [_entry(rng, specials) for _ in range(n)]
+        reference = _outcome(
+            lambda M, b: _solve_pivoting(M, b, PIVOT_THRESHOLD, "constant mass matrix"), M, b
+        )
+        assert _outcome(solve, M, b) == reference, (M, b)
+        singular += isinstance(reference, str)
+        swapped += max(range(n), key=lambda r: abs(M[r][0])) != 0
+    # both outcomes and, for n > 1, first-column swaps are common
+    assert 30 < singular < 2900
+    assert n == 1 or swapped > 300
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_pivot_row_changes_mid_run(method):
+    system = parse_system(PIVOT_SWAP_3)
+    params = system.param_values()
+    mass, _, constant = mass_and_force(dual_spencer(system.phi))
+    assert not constant and not mass[1][0].is_zero and not mass[0][1].is_zero
+    traj = integrate(_ode(system), *system.init, system.time[:2], system.time[2], method)
+    assert not traj.truncated
+    m00, m10 = (
+        np.broadcast_to(compile_expr(e, params, vectorized=True)(traj.taus, traj.xs.T, traj.vs.T),
+                        traj.taus.shape)
+        for e in (mass[0][0], mass[1][0])
+    )
+    row1 = np.abs(m10) > np.abs(m00)
+    assert row1[0] and not row1[-1]  # the pivot row swaps, then stops swapping
+
+
+def test_negative_zero_literals_reach_the_kernel_as_zero():
+    system = parse_system(SIGNED_ZERO)
+    values = [*system.init[0], *system.init[1], system.time[0]]
+    assert values == [0.0] * 5
+    assert all(math.copysign(1.0, value) == 1.0 for value in values)
