@@ -25,6 +25,12 @@ parse error at its literal. A parameter, signal argument or coefficient
 beyond it still derives and decomposes; ``simulate`` and ``verify`` stop
 with exit 2 and one ``error:`` line that names the parameter or gives the
 value in scientific notation.
+
+``main(argv)`` may be called many times in one process, as the benchmark
+and the tests do. The argparse tree is built on the first call and reused
+on every later one (``build_parser`` is cached); the ``cmd_*`` handler is
+looked up by subcommand name in this module's globals on every call, so a
+handler rebound after the first call takes effect on the next.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from .dsl import (
     ParseError,
@@ -284,7 +291,10 @@ def tolerance(text: str) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call. It holds no handler: ``main`` dispatches on ``command``."""
     parser = argparse.ArgumentParser(
         prog="jetmech",
         description=(
@@ -298,12 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help=".mech file or preset name")
     p.add_argument("--mode", choices=("canonical", "declared"), default="canonical")
     p.add_argument("--json", help="write a JSON report here")
-    p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("derive", help="print the equations of motion")
     p.add_argument("target", help=".mech file or preset name")
     p.add_argument("--json", help="write a JSON report here")
-    p.set_defaults(handler=cmd_derive)
 
     p = sub.add_parser("simulate", help="integrate and export a trajectory CSV")
     p.add_argument("target", help=".mech file or preset name")
@@ -312,13 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="compare against the newton oracle")
     p.add_argument("--tol", type=tolerance, default=ORACLE_TOL, help="oracle divergence tolerance")
     p.add_argument("--method", choices=("rk4", "rkf45"), default=None)
-    p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("target", nargs="?", default=None, help=".mech file or preset name")
     p.add_argument("--builtin-suite", action="store_true", help="run suites on shipped presets")
     p.add_argument("--json", help="write a JSON report here")
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -337,7 +343,7 @@ def main(argv=None) -> int:
             if path:
                 with open(path, "w"):
                     pass
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

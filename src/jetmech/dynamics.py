@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -101,10 +101,11 @@ def _elimination(n: int, state: str) -> list:
     return lines
 
 
+@cache
 def _solver(n: int):
     """``solve(M, b) -> list``: the emitted elimination compiled as a
     function of an n x n list ``M`` and a right side ``b``; a vanishing pivot
-    is reported for a constant matrix."""
+    is reported for a constant matrix. Compiled once per ``n``."""
     body = [f"m_{r}_{c} = M[{r}][{c}]" for r in range(n) for c in range(n)]
     body += [f"r_{r} = b[{r}]" for r in range(n)]
     body += _elimination(n, "None")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
@@ -710,6 +711,11 @@ def expr_source(
     return " + ".join(pieces) if pieces else "0.0"
 
 
+# Most compiled functions compile_expr keeps, one per distinct generated
+# source and flavour; one `verify --builtin-suite` job asks for a few dozen.
+COMPILE_CACHE_SIZE = 1024
+
+
 def compile_expr(
     e: Expr, params: Mapping[str, float], vectorized: bool = False
 ) -> Callable:
@@ -718,12 +724,18 @@ def compile_expr(
     ``x``, ``v``, ``a`` are indexable by coordinate. The scalar flavour uses
     math.sin/cos; the vectorized flavour uses numpy and accepts arrays for
     every slot. Raises UnboundSymbolError for parameters missing from
-    ``params``.
+    ``params``. Each distinct source is compiled once per flavour (up to
+    COMPILE_CACHE_SIZE of them), so equal inputs return the same function.
     """
-    src = f"def _compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
+    return _compile(expr_source(e, params), vectorized)
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compile(body: str, vectorized: bool) -> Callable:
     if vectorized:
         namespace = {"sin": np.sin, "cos": np.cos}
     else:
         namespace = {"sin": math.sin, "cos": math.cos}
+    src = f"def _compiled(t, x, v, a=None):\n    return {body}\n"
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_compiled"]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -230,6 +231,22 @@ class TestSimulate:
         assert code == 3
         assert "singular" in out
 
+    def test_singular_constant_mass_message(self, capsys, tmp_path):
+        path = tmp_path / "m.mech"
+        path.write_text(
+            'system "nomass" { parameter k = 1; coordinate x; force x: -k*x;\n'
+            "init x = 1; time 0 .. 1 step 0.01 }"
+        )
+        # the second run inverts with the solver the first one compiled
+        for _ in range(2):
+            assert main(["simulate", str(path), "--out", str(tmp_path / "t.csv")]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == (
+                "numeric failure: mass matrix singular (pivot 0.000e+00 below threshold) "
+                "at constant mass matrix\n"
+            )
+            assert captured.err == ""
+
     def test_singular_state_reported_in_plain_floats(self, capsys, tmp_path):
         path = tmp_path / "s.mech"
         path.write_text(
@@ -425,6 +442,60 @@ class TestExitTable:
         )
         assert printed.splitlines()[-1].startswith(prefix)
         assert other == ""
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and leave the test with no parser built in this process."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestSharedParser:
+    """main() builds its parser on the first call and reuses it."""
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert run(capsys, "derive", "harmonic")[0] == 0
+            assert built == ["jetmech"] + [
+                f"jetmech {name}" for name in ("decompose", "derive", "simulate", "verify")
+            ]
+
+    def test_handler_rebound_after_a_call_is_used(self, capsys, monkeypatch):
+        assert run(capsys, "derive", "harmonic")[0] == 0
+        targets = []
+
+        def planted(args):
+            targets.append(args.target)
+            return cli.EXIT_VERIFICATION
+
+        monkeypatch.setattr(cli, "cmd_derive", planted)
+        assert run(capsys, "derive", "duffing") == (cli.EXIT_VERIFICATION, "")
+        assert targets == ["duffing"]
+
+    def test_usage_error_and_help_leave_no_trace(self, capsys):
+        assert main(["simulate", "harmonic"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --out" in captured.err
+        assert main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: jetmech ")
+        assert main(["derive", "harmonic"]) == cli.EXIT_OK
+        after = capsys.readouterr()
+        cli.build_parser.cache_clear()
+        assert main(["derive", "harmonic"]) == cli.EXIT_OK
+        assert after == capsys.readouterr()
+        assert after.out.startswith("k*x + m*x'' = 0\n")
 
 
 class TestFloatRange:

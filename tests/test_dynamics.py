@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jetmech import dynamics
 from jetmech.dynamics import (
     Trajectory,
     VariationField,
@@ -80,6 +81,21 @@ class TestAssembleExplicit:
         a = ode.rhs(0.0, [1.0, 0.5], [0.2, -0.3])
         assert abs(a[0] - 0.5 * (-1.0)) < 1e-15
         assert abs(a[1] - 0.5 * (-1.0 + 0.3)) < 1e-15
+
+    def test_constant_masses_of_one_size_share_a_solver(self):
+        x0, x1 = Expr.var(coord(0)), Expr.var(coord(1))
+        v0, v1 = Expr.var(vel(0)), Expr.var(vel(1))
+        eom = dual_spencer(VerticalOneForm((-x0, -x0 - v1), (M * v0, M * v0 + M * v1)))
+        dynamics._solver.cache_clear()
+        first = assemble_explicit(eom, {"m": 2.0})
+        second = assemble_explicit(eom, {"m": 3.0})
+        info = dynamics._solver.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert dynamics._solver(2) is dynamics._solver(2)
+        # the shared solver inverted each matrix on its own
+        a = [ode.rhs(0.0, [1.0, 0.5], [0.2, -0.3]) for ode in (first, second)]
+        assert a[0] == pytest.approx([-1.0 / 2.0, (-1.0 + 0.3) / 2.0 + 1.0 / 2.0], abs=1e-15)
+        assert a[1] == pytest.approx([-1.0 / 3.0, (-1.0 + 0.3) / 3.0 + 1.0 / 3.0], abs=1e-15)
 
     def test_state_dependent_mass(self):
         # momentum m v (1 + x^2): M = m (1 + x^2), c = F - 2 m x v^2

@@ -522,6 +522,34 @@ class TestCompile:
         with pytest.raises(UnboundSymbolError):
             compile_expr(var(K) * var(X), {})
 
+    def test_equal_inputs_share_one_function(self):
+        f = sinusoid_signal("f", 1, 2, 0)
+        built_twice = [var(K) * var(X) * var(signal_symbol(f)) + var(V) for _ in range(2)]
+        assert built_twice[0] is not built_twice[1]
+        for vectorized in (False, True):
+            fns = [compile_expr(e, {"k": 1.5}, vectorized) for e in built_twice]
+            assert fns[0] is fns[1]
+
+    def test_flavours_compile_apart(self):
+        import numpy as np
+
+        e = var(X) * var(signal_symbol(sinusoid_signal("f", 1, 2, 0)))
+        scalar, vector = compile_expr(e, {}), compile_expr(e, {}, vectorized=True)
+        assert scalar is not vector
+        assert scalar.__globals__["sin"] is math.sin
+        assert vector.__globals__["sin"] is np.sin
+
+    def test_different_params_compile_apart(self):
+        e = var(K) * var(X)
+        one, two = compile_expr(e, {"k": 1.0}), compile_expr(e, {"k": 2.0})
+        assert one is not two
+        assert (one(0.0, [3.0], [0.0]), two(0.0, [3.0], [0.0])) == (3.0, 6.0)
+
+    def test_cache_is_bounded(self):
+        from jetmech import symexpr
+
+        assert symexpr._compile.cache_info().maxsize == symexpr.COMPILE_CACHE_SIZE
+
 
 # ---------------------------------------------------------------------------
 # coefficients: an int when integral, a Fraction otherwise
