@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
         return EXIT_NUMERIC
 
     if args.oracle:
-        oracle_report = oracle_compare(system, method)
+        oracle_report = oracle_compare(system, method, traj)
         print(f"max divergence {oracle_report.max_divergence:.6e}")
         if oracle_report.max_divergence > args.tol:
             print(

@@ -711,8 +711,9 @@ def expr_source(
     return " + ".join(pieces) if pieces else "0.0"
 
 
-# Most compiled functions compile_expr keeps, one per distinct generated
-# source and flavour; one `verify --builtin-suite` job asks for a few dozen.
+# Most compiled functions compile_expr keeps, one per distinct expression,
+# parameter literals and flavour; one `verify --builtin-suite` job asks for a
+# few dozen.
 COMPILE_CACHE_SIZE = 1024
 
 
@@ -724,14 +725,19 @@ def compile_expr(
     ``x``, ``v``, ``a`` are indexable by coordinate. The scalar flavour uses
     math.sin/cos; the vectorized flavour uses numpy and accepts arrays for
     every slot. Raises UnboundSymbolError for parameters missing from
-    ``params``. Each distinct source is compiled once per flavour (up to
-    COMPILE_CACHE_SIZE of them), so equal inputs return the same function.
+    ``params``. Each distinct expression, parameter literals and flavour is
+    compiled once (up to COMPILE_CACHE_SIZE of them), so equal inputs return
+    the same function without generating its source again.
     """
-    return _compile(expr_source(e, params), vectorized)
+    # keyed by each value's emitted literal, not by ==: -0.0 and 0.0 are
+    # equal but emit different source
+    literals = frozenset((name, repr(float(value))) for name, value in params.items())
+    return _compile(e, literals, vectorized)
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(body: str, vectorized: bool) -> Callable:
+def _compile(e: Expr, literals: frozenset, vectorized: bool) -> Callable:
+    body = expr_source(e, {name: float(literal) for name, literal in literals})
     if vectorized:
         namespace = {"sin": np.sin, "cos": np.cos}
     else:

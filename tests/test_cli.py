@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from jetmech import cli, spencer
+from jetmech import cli, dynamics, spencer
 from jetmech.cli import main
-from jetmech.dsl import format_expr, parse_system
+from jetmech.dsl import PRESETS, format_expr, parse_system
 from jetmech.formcalc import format_one_form
 from jetmech.symexpr import MAX_TERM_PRODUCT, ZERO, Expr, coord
 from jetmech.verify import DEFAULT_SEED, check_split_invariance
@@ -345,6 +345,50 @@ class TestVerify:
         code, out = run(capsys, "verify", "--builtin-suite")
         assert code == 0
         assert "seed=777" in out
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """The method of every ``dynamics.integrate`` call, made through cli's
+    name for it or dynamics' own."""
+    calls = []
+    real = dynamics.integrate
+
+    def counted(ode, x0, v0, interval, h, method="rk4"):
+        calls.append(method)
+        return real(ode, x0, v0, interval, h, method)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    monkeypatch.setattr(cli, "integrate", counted)
+    return calls
+
+
+class TestOracleIntegrations:
+    """An oracle whose generated law is the derived one is not integrated."""
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_simulate_integrates_once(self, capsys, tmp_path, integrations, name, method):
+        out_csv = str(tmp_path / "p.csv")
+        code, out = run(capsys, "simulate", name, "--out", out_csv, "--oracle", "--method", method)
+        assert code == 0
+        assert "max divergence 0.000000e+00" in out
+        assert integrations == [method]
+
+    def test_corrupted_oracle_is_integrated(self, capsys, tmp_path, integrations):
+        path = tmp_path / "corrupt.mech"
+        path.write_text(CORRUPTED_ORACLE)
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "c.csv"), "--oracle")
+        assert code == 1
+        assert "exceeds tol" in out
+        assert integrations == ["rk4", "rk4"]
+
+    def test_verify_oracle_check_integrates_once(self, capsys, integrations):
+        code, out = run(capsys, "verify", "damped_ho")
+        assert code == 0
+        assert re.search(r"\[PASS\] oracle-equivalence +max divergence 0\.000e\+00", out)
+        # the suites integrate through verify's own name, which is not counted
+        assert integrations == ["rk4"]
 
 
 class TestUsage:

@@ -21,6 +21,7 @@ from jetmech.dynamics import (
     transversality_term,
     write_trajectory_csv,
 )
+from jetmech.dsl import PRESETS, parse_system, preset
 from jetmech.errors import AuditUnsupportedError, MechError, SingularMassError
 from jetmech.formcalc import Decomposition, VerticalOneForm, decompose
 from jetmech.spencer import EquationsOfMotion, dual_spencer, spencer_residual
@@ -499,6 +500,55 @@ class TestOracle:
     def test_oracle_residuals(self):
         eom = newton_oracle_eom((-K * X,), 1)
         assert eom.residuals == (-K * X - M * Expr.var(acc(0)),)
+
+
+class TestOracleShortcut:
+    """``oracle_compare`` skips integrating an oracle whose generated law is
+    the derived trajectory's, on the premise pinned here: the same law on
+    the same inputs gives a bitwise identical trajectory."""
+
+    @staticmethod
+    def laws(system):
+        params = system.param_values()
+        return (
+            assemble_explicit(dual_spencer(system.phi), params),
+            assemble_explicit(newton_oracle_eom(system.oracle_forces, system.n), params),
+        )
+
+    @staticmethod
+    def run(ode, system, method):
+        a, b, h = system.time
+        return integrate(ode, *system.init, (a, b), h, method)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_same_law_text_gives_the_same_trajectory(self, name, method):
+        system = preset(name)
+        derived_ode, oracle_ode = self.laws(system)
+        assert oracle_ode.kernel.law == derived_ode.kernel.law
+        derived = self.run(derived_ode, system, method)
+        oracle = self.run(oracle_ode, system, method)
+        assert np.array_equal(oracle.xs, derived.xs)
+        assert np.array_equal(oracle.vs, derived.vs)
+        assert oracle_compare(system, method, derived).max_divergence == 0.0
+
+    def test_a_tiny_extra_oracle_term_is_integrated(self, monkeypatch):
+        oracle = "oracle x: -k*x - b*x' + sig(f)"
+        assert oracle in PRESETS["damped_ho"]
+        system = parse_system(
+            PRESETS["damped_ho"].replace(oracle, oracle + " + 1/1000000000*x")
+        )
+        derived_ode, oracle_ode = self.laws(system)
+        assert oracle_ode.kernel.law != derived_ode.kernel.law
+        derived = self.run(derived_ode, system, "rk4")
+        calls = []
+        real = dynamics.integrate
+        monkeypatch.setattr(
+            dynamics, "integrate", lambda ode, *args: calls.append(ode) or real(ode, *args)
+        )
+        report = oracle_compare(system, "rk4", derived)
+        assert [ode.kernel.law for ode in calls] == [oracle_ode.kernel.law]
+        assert report.max_divergence > 0
 
 
 class TestCsv:

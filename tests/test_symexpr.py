@@ -545,6 +545,33 @@ class TestCompile:
         assert one is not two
         assert (one(0.0, [3.0], [0.0]), two(0.0, [3.0], [0.0])) == (3.0, 6.0)
 
+    def test_equal_inputs_generate_source_once(self, monkeypatch):
+        from jetmech import symexpr
+
+        calls = []
+        real = symexpr.expr_source
+        monkeypatch.setattr(
+            symexpr, "expr_source", lambda e, params: calls.append(e) or real(e, params)
+        )
+        # a coefficient no other test compiles, so the first request misses
+        built_twice = [var(K) * var(X) ** 3 + Fraction(7919, 7907) for _ in range(2)]
+        for vectorized in (False, True):
+            calls.clear()
+            first = compile_expr(built_twice[0], {"k": 1.25, "m": 2.0}, vectorized)
+            again = compile_expr(built_twice[1], {"m": 2.0, "k": 1.25}, vectorized)
+            assert first is again
+            assert len(calls) == 1
+        with pytest.raises(UnboundSymbolError):
+            compile_expr(built_twice[0], {"m": 2.0})
+
+    def test_signed_zero_params_compile_apart(self):
+        # -0.0 == 0.0, but each emits its own literal and gives its own sign
+        e = var(K) * var(X)
+        plus, minus = compile_expr(e, {"k": 0.0}), compile_expr(e, {"k": -0.0})
+        assert plus is not minus
+        assert math.copysign(1.0, plus(0.0, [1.0], [0.0])) == 1.0
+        assert math.copysign(1.0, minus(0.0, [1.0], [0.0])) == -1.0
+
     def test_cache_is_bounded(self):
         from jetmech import symexpr
 
