@@ -28,7 +28,6 @@ from .symexpr import (
     acc,
     compile_expr,
     coord,
-    evaluate,
     param,
     partial,
     polynomial_signal,

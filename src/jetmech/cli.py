@@ -16,8 +16,10 @@ finite number >= 0; anything else is a usage error.
 Input bounds, each a documented constant: expressions nest at most
 ``dsl.MAX_NESTING`` levels, numeric literals carry a decimal exponent of at
 most ``dsl.MAX_EXPONENT`` in magnitude, a time grid has at most
-``dsl.MAX_TIME_STEPS`` steps, and one product of expressions forms at most
-``symexpr.MAX_TERM_PRODUCT`` term products.
+``dsl.MAX_TIME_STEPS`` steps, one product of expressions forms at most
+``symexpr.MAX_TERM_PRODUCT`` term products, and ``simulate`` and ``verify``
+solve a state-dependent mass matrix of at most
+``dynamics.MAX_STATE_MASS_COORDINATES`` coordinates.
 
 Values stay exact rationals until a command needs them as floats. An
 ``init`` or ``time`` value beyond the float range (about 1.8e308) is a

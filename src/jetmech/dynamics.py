@@ -45,6 +45,12 @@ RKF45_ATOL = 1e-10
 RKF45_RTOL = 1e-9
 RKF45_MAX_STEP = 0.02
 
+# Most coordinates of a system whose mass matrix depends on the state. Its
+# elimination is emitted as straight-line source that grows as n^3 and is
+# inlined 12 times across the kernels; the bound is checked before any
+# source is emitted.
+MAX_STATE_MASS_COORDINATES = 16
+
 # ---------------------------------------------------------------------------
 # the mass solve: Gaussian elimination emitted as straight-line source
 # ---------------------------------------------------------------------------
@@ -398,10 +404,16 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     below PIVOT_THRESHOLD. A constant mass matrix is inverted once by the
     same elimination, a state-dependent one is solved inline at every law
     evaluation. The resulting law is emitted as source for the system's
-    generated kernel.
+    generated kernel. A state-dependent mass of more than
+    MAX_STATE_MASS_COORDINATES coordinates raises MechError first.
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
+    if not constant and n > MAX_STATE_MASS_COORDINATES:
+        raise MechError(
+            f"system too large: a state-dependent mass matrix of {n} coordinates "
+            f"exceeds MAX_STATE_MASS_COORDINATES = {MAX_STATE_MASS_COORDINATES}"
+        )
 
     def source(e: Expr) -> str:
         return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
@@ -761,6 +773,15 @@ class VariationField:
             vanishes_at_b=vanishes_at_b,
         )
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """(delta^i, d(delta^i)/dt) compiled for each symbolic component,
+        once per field."""
+        return tuple(
+            tuple(compile_expr(f, {}, vectorized=True) for f in (e, partial(e, TAU)))
+            for e in self.exprs
+        )
+
     def sample_on(self, taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(delta, delta_dot) arrays of shape (N, n) on the given grid."""
         N = len(taus)
@@ -769,9 +790,7 @@ class VariationField:
             dcols = []
             zeros = np.zeros_like(taus)
             dummy = (zeros,) * 8
-            for e in self.exprs:
-                fn = compile_expr(e, {}, vectorized=True)
-                dfn = compile_expr(partial(e, TAU), {}, vectorized=True)
+            for fn, dfn in self._compiled:
                 cols.append(np.broadcast_to(np.asarray(fn(taus, dummy, dummy), float), taus.shape))
                 dcols.append(np.broadcast_to(np.asarray(dfn(taus, dummy, dummy), float), taus.shape))
             delta = np.column_stack(cols)

@@ -47,7 +47,11 @@ def _check_acceleration_free(e: Expr, what: str):
 
 @dataclass(frozen=True)
 class VerticalOneForm:
-    """F_i dx^i + Pi_i dv^i with no dt component and acceleration-free parts."""
+    """F_i dx^i + Pi_i dv^i with no dt component and acceleration-free parts.
+
+    Construction checks both; the sum, difference and negation of valid
+    forms of one ``n`` are valid by construction and skip the check.
+    """
 
     F: tuple[Expr, ...]
     Pi: tuple[Expr, ...]
@@ -60,6 +64,15 @@ class VerticalOneForm:
             _check_acceleration_free(e, "one-form components")
             if e.max_coordinate_index() >= n:
                 raise ValueError("component references a coordinate index >= n")
+
+    @classmethod
+    def _valid(cls, F: tuple[Expr, ...], Pi: tuple[Expr, ...]) -> "VerticalOneForm":
+        """The form (F, Pi), built without the check; the components must
+        already satisfy it."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "F", F)
+        object.__setattr__(form, "Pi", Pi)
+        return form
 
     @property
     def n(self) -> int:
@@ -76,13 +89,13 @@ class VerticalOneForm:
     def __add__(self, other: "VerticalOneForm") -> "VerticalOneForm":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return VerticalOneForm(
+        return VerticalOneForm._valid(
             tuple(a + b for a, b in zip(self.F, other.F)),
             tuple(a + b for a, b in zip(self.Pi, other.Pi)),
         )
 
     def __neg__(self) -> "VerticalOneForm":
-        return VerticalOneForm(tuple(-e for e in self.F), tuple(-e for e in self.Pi))
+        return VerticalOneForm._valid(tuple(-e for e in self.F), tuple(-e for e in self.Pi))
 
     def __sub__(self, other: "VerticalOneForm") -> "VerticalOneForm":
         return self + (-other)

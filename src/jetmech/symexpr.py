@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
@@ -95,12 +95,6 @@ class PolynomialSignal:
             coeffs = tuple(c * k for k, c in enumerate(coeffs) if k >= 1)
         return coeffs
 
-    def value_at(self, t: float, order: int = 0) -> float:
-        acc = 0.0
-        for c in reversed(self.derivative_coeffs(order)):
-            acc = acc * t + float(c)
-        return acc
-
 
 @dataclass(frozen=True)
 class SinusoidSignal:
@@ -140,11 +134,6 @@ class SinusoidSignal:
         if phase_quarter >= 2:
             amp = -amp
         return amp, phase_quarter % 2 == 1
-
-    def value_at(self, t: float, order: int = 0) -> float:
-        amp, use_cos = self.derivative_parts(order)
-        angle = float(self.omega) * t + float(self.phase)
-        return float(amp) * (math.cos(angle) if use_cos else math.sin(angle))
 
 
 ForcingSignal = Union[PolynomialSignal, SinusoidSignal]
@@ -244,19 +233,27 @@ def coord_name(i: int, coords: tuple[str, ...] = ()) -> str:
 
 TAU = Symbol(SymbolKind.TIME)
 
+# The jet coordinates and parameters are built once per index or name; the
+# algebra asks for the same few symbols many times over. Parameter names come
+# from system files, so that cache is bounded.
 
+
+@cache
 def coord(i: int) -> Symbol:
     return Symbol(SymbolKind.COORD, index=i)
 
 
+@cache
 def vel(i: int) -> Symbol:
     return Symbol(SymbolKind.VEL, index=i)
 
 
+@cache
 def acc(i: int) -> Symbol:
     return Symbol(SymbolKind.ACC, index=i)
 
 
+@lru_cache(maxsize=1024)
 def param(name: str) -> Symbol:
     return Symbol(SymbolKind.PARAM, name=name)
 
@@ -311,15 +308,24 @@ class Expr:
     Immutable; arithmetic re-canonicalizes, so structural equality is
     semantic equality. Instances are hashable and safe to share between
     threads.
+
+    The symbol set and the hash are computed on first use and kept. A
+    pickle or copy carries the terms alone: str and signal hashes differ
+    between processes, so a kept hash must not travel.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_symbols", "_hash")
 
     def __init__(self, _terms: tuple[tuple[Monomial, Rational], ...] = ()):
         # internal: _terms must already be canonical (sorted monomials, no
         # zero coefficient, an int for every integral one); use the
         # factories below
         self._terms = _terms
+        self._symbols = None
+        self._hash = None
+
+    def __reduce__(self):
+        return Expr, (self._terms,)
 
     # -- construction ------------------------------------------------------
 
@@ -356,8 +362,13 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def symbols(self) -> set[Symbol]:
-        return {sym for mono, _ in self._terms for sym, _ in mono}
+    def symbols(self) -> frozenset[Symbol]:
+        syms = self._symbols
+        if syms is None:
+            syms = self._symbols = frozenset(
+                sym for mono, _ in self._terms for sym, _ in mono
+            )
+        return syms
 
     def contains_kind(self, kind: SymbolKind) -> bool:
         return any(sym.kind == kind for sym in self.symbols())
@@ -485,7 +496,10 @@ class Expr:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._terms)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._terms)
+        return h
 
     def __repr__(self):
         return f"Expr({format_expr(self)})"
@@ -538,7 +552,7 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# differentiation, substitution, evaluation
+# differentiation and substitution
 # ---------------------------------------------------------------------------
 
 
@@ -564,18 +578,23 @@ def partial(e: Expr, s: Symbol) -> Expr:
     symbols (each order-k signal symbol contributes its order-(k+1)
     companion); differentiating with respect to a signal symbol itself is
     undefined, since signals are functions of time, not independent
-    variables.
+    variables. The result is ZERO, with no term visited, when ``e`` holds
+    neither ``s`` nor, for time, any signal.
     """
     if s.kind == SymbolKind.SIGNAL:
         raise DifferentiationError(
             f"cannot differentiate with respect to signal '{s.signal.name}'"
         )
-    result = _power_rule(e, s)
+    syms = e.symbols()
+    sig_syms = ()
     if s.kind == SymbolKind.TIME:
-        sig_syms = {sym for sym in e.symbols() if sym.kind == SymbolKind.SIGNAL}
-        for sym in sig_syms:
-            bumped = signal_symbol(sym.signal, sym.order + 1)
-            result = result + _power_rule(e, sym) * Expr.var(bumped)
+        sig_syms = [sym for sym in syms if sym.kind == SymbolKind.SIGNAL]
+    if s not in syms and not sig_syms:
+        return ZERO
+    result = _power_rule(e, s)
+    for sym in sig_syms:
+        bumped = signal_symbol(sym.signal, sym.order + 1)
+        result = result + _power_rule(e, sym) * Expr.var(bumped)
     return result
 
 
@@ -598,30 +617,6 @@ def substitute(e: Expr, binding: Mapping[Symbol, Union[Expr, Rational, Symbol]])
             term = term * values.get(sym, Expr.var(sym)) ** exp
         out = out + term
     return out
-
-
-def evaluate(e: Expr, binding: Mapping[Symbol, float]) -> float:
-    """Numeric evaluation; every non-signal symbol must be bound.
-
-    Signal symbols are computed from their closed form at the bound time.
-    """
-    total = 0.0
-    for mono, c in e.terms:
-        val = float(c)
-        for sym, exp in mono:
-            if sym in binding:
-                base = float(binding[sym])
-            elif sym.kind == SymbolKind.SIGNAL:
-                if TAU not in binding:
-                    raise UnboundSymbolError(
-                        f"evaluating signal '{sym.signal.name}' requires t"
-                    )
-                base = sym.signal.value_at(float(binding[TAU]), sym.order)
-            else:
-                raise UnboundSymbolError(f"unbound symbol {sym.display()}")
-            val *= base**exp
-        total += val
-    return total
 
 
 # ---------------------------------------------------------------------------

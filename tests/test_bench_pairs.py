@@ -52,6 +52,23 @@ def test_summary_of_canned_runs():
     assert tool.healthy(pairs)
 
 
+def test_bound_lines_flag_a_metric_worse_beyond_its_bound():
+    tool = load_tool()
+    parent = [(0.90, 10.0), (0.92, 11.0), (0.95, 10.0), (0.91, 12.0)]
+    change = [(1.20, 8.0), (1.10, 7.5), (1.16, 8.5), (1.30, 7.0)]
+    pairs = [(tool.parse_result(canned_stdout(*p)), tool.parse_result(canned_stdout(*c)))
+             for p, c in zip(parent, change)]
+    # wall_s: medians 0.915 -> 1.18, +29.0% against a bound of 25%;
+    # rate: higher is better, 10.5 -> 7.75 is -26.2%, inside a bound of 30%
+    lines = tool.bound_lines(pairs, [("wall_s", "lower", 0.25), ("rate", "higher", 0.3)])
+    assert lines[1].split() == ["wall_s", "+29.0%", "bound", "25%", "WORSE", "BEYOND", "BOUND"]
+    assert lines[2].split() == ["rate", "-26.2%", "bound", "30%"]
+    # the same rate drop is worse beyond a 25% bound; a rise never is
+    lines = tool.bound_lines(pairs, [("rate", "higher", 0.25), ("rate", "lower", 0.25)])
+    assert lines[1].endswith("WORSE BEYOND BOUND")
+    assert not lines[2].endswith("WORSE BEYOND BOUND")
+
+
 def test_failed_operations_are_reported():
     tool = load_tool()
     pairs = [(json.loads(result_line(0.9, 1.0)), json.loads(result_line(0.8, 1.0, failed=2)))]

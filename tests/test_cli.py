@@ -605,6 +605,39 @@ class TestLongExpressions:
         assert captured.err.startswith("error: expression too large: ")
         assert f"MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}" in captured.err
 
+    @staticmethod
+    def state_mass_system(n: int) -> str:
+        # a full mass matrix (2 + q_i^2) on the diagonal, 1/(10+j) elsewhere
+        qs = [f"q{i}" for i in range(n)]
+        lines = [f'system "chain{n}" {{'] + [f"  coordinate {q}" for q in qs]
+        for q in qs:
+            momentum = f"(2 + {q}^2)*{q}'" + "".join(
+                f" + {p}'/{10 + j}" for j, p in enumerate(qs) if p != q
+            )
+            lines += [f"  force {q}: -{q}", f"  momentum {q}: {momentum}"]
+        lines += ["  init " + ", ".join(f"{q} = 1/10" for q in qs),
+                  "  time 0 .. 1/10 step 1/100", "}"]
+        return "\n".join(lines) + "\n"
+
+    def test_state_dependent_mass_past_the_cap_exits_2(self, capsys, tmp_path):
+        cap = dynamics.MAX_STATE_MASS_COORDINATES
+        path = tmp_path / "chain.mech"
+        path.write_text(self.state_mass_system(cap + 1))
+        start = time.perf_counter()
+        code = main(["simulate", str(path), "--out", str(tmp_path / "chain.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: system too large: a state-dependent mass matrix of {cap + 1} "
+            f"coordinates exceeds MAX_STATE_MASS_COORDINATES = {cap}\n"
+        )
+        # at the cap the law is emitted; its loops are compiled only when run
+        system = parse_system(self.state_mass_system(cap))
+        ode = dynamics.assemble_explicit(spencer.dual_spencer(system.phi), system.param_values())
+        assert ode.n == cap
+
     @pytest.mark.parametrize("too_large_first", [True, False])
     def test_first_error_in_a_clause_is_reported(self, capsys, tmp_path, too_large_first):
         # a product too large to expand and an undeclared name in one clause:

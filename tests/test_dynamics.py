@@ -428,6 +428,27 @@ class TestVariation:
         ta, _ = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert ta == 0.0
 
+    def test_a_symbolic_field_compiles_once(self, monkeypatch):
+        # each component and its time derivative are compiled on the first
+        # sample_on; every later call on the same field reuses them
+        compiled = []
+        original = dynamics.compile_expr
+
+        def counting(e, *args, **kwargs):
+            compiled.append(e)
+            return original(e, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "compile_expr", counting)
+        t = Expr.var(TAU)
+        variation = VariationField.from_exprs(t * t / 10)
+        delta, ddot = variation.sample_on(self.traj.taus, self.traj.h)
+        assert compiled == [t * t / 10, t / 5]
+        again = variation.sample_on(self.traj.taus, self.traj.h)
+        first_variation(self.traj, self.phi, variation, self.params, "pre")
+        assert compiled[2:] == [self.phi.F[0], self.phi.Pi[0]]  # phi's, not the field's
+        assert np.array_equal(again[0], delta) and np.array_equal(again[1], ddot)
+        assert np.allclose(ddot[:, 0], self.traj.taus / 5, rtol=1e-15, atol=0)
+
     def test_sampled_variation_is_rows_never_transposed(self):
         taus = self.traj.taus
         column = VariationField.from_samples(np.sin(taus))  # 1-D: one coordinate

@@ -305,6 +305,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             VerticalOneForm((Expr.var(coord(1)),), (ZERO,))
 
+    def test_arithmetic_results_are_not_rechecked(self, monkeypatch):
+        # the sum, difference and negation of valid forms of one n are
+        # valid by construction; only public construction runs the check
+        rng = random.Random(5)
+        a, b = random_vertical_form(rng, 3), random_vertical_form(rng, 3)
+        checked = []
+        original = VerticalOneForm.__post_init__
+
+        def counting(self):
+            checked.append(self)
+            original(self)
+
+        monkeypatch.setattr(VerticalOneForm, "__post_init__", counting)
+        results = [a + b, a - b, -a]
+        assert checked == []
+        expected = [
+            ([x + y for x, y in zip(a.F, b.F)], [x + y for x, y in zip(a.Pi, b.Pi)]),
+            ([x - y for x, y in zip(a.F, b.F)], [x - y for x, y in zip(a.Pi, b.Pi)]),
+            ([-x for x in a.F], [-x for x in a.Pi]),
+        ]
+        for got, (F, Pi) in zip(results, expected):
+            built = VerticalOneForm(tuple(F), tuple(Pi))
+            assert got == built and hash(got) == hash(built)
+        assert len(checked) == 3
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a + VerticalOneForm.zero(2)
+
     def test_format_one_form(self):
         phi = VerticalOneForm((-B * V,), (M * V,))
         assert format_one_form(phi) == "(-b*x') dx + (m*x') dx'"

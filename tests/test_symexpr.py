@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jetmech
+from jetmech import symexpr
 from jetmech.errors import (
     AdmissibilityError,
     DifferentiationError,
@@ -29,7 +31,6 @@ from jetmech.symexpr import (
     acc,
     compile_expr,
     coord,
-    evaluate,
     format_expr,
     param,
     partial,
@@ -40,6 +41,7 @@ from jetmech.symexpr import (
     substitute,
     vel,
 )
+from reference_eval import evaluate
 
 X, V, A = coord(0), vel(0), acc(0)
 K, M, B, C = param("k"), param("m"), param("b"), param("c")
@@ -733,6 +735,113 @@ class TestSignalHash:
             return proc.stdout
 
         run(load, 2, run(dump, 1))
+
+
+# ---------------------------------------------------------------------------
+# an expression keeps its symbols and hash, and a pickle carries neither
+# ---------------------------------------------------------------------------
+
+
+def kept_expr():
+    w = polynomial_signal("w", 1, Fraction(-1, 2))
+    return var(K) * var(X) ** 2 + Fraction(1, 3) * var(TAU) * var(signal_symbol(w, 1))
+
+
+class TestKeptSymbolsAndHash:
+    def test_symbols_are_built_once(self):
+        e = kept_expr()
+        syms = e.symbols()
+        assert isinstance(syms, frozenset) and e.symbols() is syms
+        assert {s.kind for s in syms} == {
+            SymbolKind.PARAM, SymbolKind.COORD, SymbolKind.TIME, SymbolKind.SIGNAL
+        }
+        assert hash(e) == hash(kept_expr()) == hash(e.terms)
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        calls = []
+        original = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        e = kept_expr()
+        first = hash(e)
+        assert calls == [Fraction(1, 3)]  # the one Fraction coefficient
+        assert hash(e) == first and {e: 1}[e] == 1
+        assert len(calls) == 1
+
+    def test_jet_symbols_and_parameters_are_shared(self):
+        assert coord(2) is coord(2) and vel(2) is vel(2) and acc(2) is acc(2)
+        assert param("k") is param("k") is K
+
+    def test_pickle_carries_neither_hash_nor_symbols(self):
+        used = kept_expr()
+        hash(used), used.symbols()
+        assert pickle.dumps(used) == pickle.dumps(kept_expr())
+        hash(ZERO), ZERO.symbols()
+        assert pickle.dumps(ZERO) == pickle.dumps(Expr())
+        for e in (used, ZERO):
+            for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+                assert clone == e and hash(clone) == hash(e) and clone.symbols() == e.symbols()
+
+    def test_pickled_expr_is_a_dict_key_under_another_hash_seed(self):
+        # a kept hash would travel in the pickle and disagree with the str
+        # and signal hashes of the loading process
+        src = str(Path(jetmech.__file__).resolve().parent.parent)
+        build = (
+            "import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from jetmech.symexpr import TAU, Expr, coord, param, polynomial_signal, signal_symbol\n"
+            "w = polynomial_signal('w', 1, Fraction(-1, 2))\n"
+            "e = (Expr.var(param('k')) * Expr.var(coord(0)) ** 2\n"
+            "     + Fraction(1, 3) * Expr.var(TAU) * Expr.var(signal_symbol(w, 1)))\n"
+        )
+        dump = build + (
+            "table = {e: 'dumped'}\n"
+            "assert e.symbols() and table[e] == 'dumped'\n"
+            "sys.stdout.buffer.write(pickle.dumps(e))\n"
+        )
+        load = build + (
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "table = {e: 'local'}\n"
+            "assert table[loaded] == 'local'\n"
+            "table[loaded] = 'loaded'\n"
+            "assert table == {e: 'loaded'} and hash(loaded) == hash(e)\n"
+            "assert loaded.symbols() == e.symbols()\n"
+        )
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], input=data, env=env, capture_output=True
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        run(load, 12345, run(dump, 0))
+
+    def test_partial_by_an_absent_symbol_visits_no_term(self, monkeypatch):
+        visited = []
+        original = symexpr._power_rule
+
+        def counting(e, s):
+            visited.append(s)
+            return original(e, s)
+
+        monkeypatch.setattr(symexpr, "_power_rule", counting)
+        e = var(K) * var(X) ** 2 + var(V)
+        assert partial(e, A) is ZERO and partial(e, coord(1)) is ZERO
+        assert partial(e, TAU) is ZERO and partial(e, C) is ZERO
+        assert visited == []
+        # with no t but a signal, the time derivative still applies the chain rule
+        w = polynomial_signal("w", 0, 1)
+        driven = var(X) * var(signal_symbol(w))
+        assert partial(driven, TAU) == var(X) * var(signal_symbol(w, 1))
+        assert visited
+        with pytest.raises(DifferentiationError):
+            partial(ZERO, signal_symbol(w))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ refreshed and shows up as slower imports (``setup_s``).
 The summary gives, for each end-to-end metric of this checkout's
 BENCHMARK.json, each side's median and quartiles over the pairs, in how
 many pairs the change was better, and whether the medians differ by more
-than the parent's interquartile range. perfbench/ is only run, never
-changed. Exits 1 if a run fails, is not correct or has failed operations.
+than the parent's interquartile range. A last block gives each metric's
+change median relative to the parent median and flags a metric that got
+worse by more than its ``bound`` in BENCHMARK.json. perfbench/ is only
+run, never changed. Exits 1 if a run fails, is not correct or has failed
+operations.
 """
 
 from __future__ import annotations
@@ -105,6 +108,21 @@ def summarize(pairs: list, metrics: list) -> list:
     return lines
 
 
+def bound_lines(pairs: list, bounds: list) -> list:
+    """One line per metric of ``bounds``, a list of (name, better, bound):
+    the change's median relative to the parent's, flagged when it is worse
+    by more than ``bound``, the fraction BENCHMARK.json allows."""
+    lines = ["change median relative to the parent median, against each bound"]
+    for name, better, bound in bounds:
+        old, new = (statistics.median(r["metrics"][name]["value"] for r in side)
+                    for side in zip(*pairs))
+        rel = new / old - 1  # every end-to-end metric is a positive measure
+        worse = rel > bound if better == "lower" else -rel > bound
+        lines.append(f"{name:<18}{rel:>+9.1%}  bound {bound:.0%}"
+                     + ("  WORSE BEYOND BOUND" if worse else ""))
+    return lines
+
+
 def healthy(pairs: list) -> bool:
     return all(r["correct"] and r["failed"] == 0 for pair in pairs for r in pair)
 
@@ -136,6 +154,8 @@ def main(argv=None) -> int:
                       lambda line: print(line, flush=True))
     print(f"{args.workload} seed {args.seed}, --seconds {args.seconds:g}")
     print("\n".join(summarize(pairs, metrics)))
+    bounds = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    print("\n".join(bound_lines(pairs, bounds)))
     return 0 if healthy(pairs) else 1
 
 
