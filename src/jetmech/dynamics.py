@@ -430,7 +430,9 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
         cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
         inverse = [[cols[j][i] for j in range(n)] for i in range(n)]
         if n == 1:
-            law = [f"a{{s}}_0 = ({forces[0]})*{inverse[0][0]!r}"]
+            # a unit mass leaves out the exact *1.0
+            scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
+            law = [f"a{{s}}_0 = ({forces[0]}){scale}"]
         else:
             law += [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
     else:
@@ -863,15 +865,27 @@ def first_variation(
 # ---------------------------------------------------------------------------
 
 
+# rows in one block of write_trajectory_csv
+_CSV_BLOCK_ROWS = 512
+
+
 def write_trajectory_csv(traj: Trajectory, path, report: BalanceReport | None = None):
-    """One row per sample, 17 significant digits, deterministic."""
+    """One row per sample, 17 significant digits, deterministic.
+
+    The rows are formatted a block at a time: one ``%`` applies the row
+    format, repeated once per row, to the block's values as one flat tuple,
+    and the block is written at once.
+    """
     n = traj.n
     header = ["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
     columns = [traj.taus[:, None], traj.xs, traj.vs]
     if report is not None:
         header += ["E", "P", "rho"]
         columns += [report.E[:, None], report.P[:, None], report.rho[:, None]]
-    row = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [row % tuple(values) for values in np.hstack(columns).tolist()]
+    table = np.hstack(columns)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            values = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(values)) % tuple(values.ravel().tolist()))

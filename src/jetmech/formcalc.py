@@ -175,12 +175,16 @@ def d0(e: Expr, n: int | None = None) -> VerticalOneForm:
     """Vertical part of the exterior derivative of a function on the 1-jet space.
 
     The dt component is not formed: it never contributes to dynamics, and
-    every use of d0 works on the vertical quotient.
+    every use of d0 works on the vertical quotient. When ``e`` holds no
+    coordinate index >= ``n``, neither do its partials, so the result is
+    built without the one-form check; otherwise the check raises.
     """
     _check_acceleration_free(e, "d0 input")
+    top = e.max_coordinate_index()
     if n is None:
-        n = max(e.max_coordinate_index() + 1, 1)
-    return VerticalOneForm(
+        n = max(top + 1, 1)
+    build = VerticalOneForm._valid if top < n else VerticalOneForm
+    return build(
         tuple(partial(e, coord(i)) for i in range(n)),
         tuple(partial(e, vel(i)) for i in range(n)),
     )

@@ -682,10 +682,19 @@ def expr_source(
     templates that name coordinate ``i`` of each kind. Signals call ``sin``
     and ``cos``, which the caller's namespace supplies. Raises
     UnboundSymbolError for parameters missing from ``params``.
+
+    A term leaves out the factors that change nothing: a coefficient whose
+    literal is ``1.0``, one of ``-1.0`` (a unary minus on the first factor
+    left instead) and a parameter whose literal is ``1.0``. Multiplying by
+    1.0 is exact and by -1.0 is the exact negation, so the value is the
+    unfolded product's bit for bit, up to the sign of a NaN. A literal base
+    that begins with ``-`` is parenthesized, so ``(-2.0)**2`` squares the
+    negative number.
     """
     pieces = []
     for mono, c in e.terms:
-        factors = [_float_lit(c)]
+        coefficient = _float_lit(c)
+        factors = []
         for sym, exp in mono:
             if sym.kind == SymbolKind.TIME:
                 base = t
@@ -699,9 +708,17 @@ def expr_source(
                 if sym.name not in params:
                     raise UnboundSymbolError(f"parameter '{sym.name}' has no value")
                 base = repr(float(params[sym.name]))
+                if base == "1.0":
+                    continue
             else:
                 base = _signal_code(sym, t)
+            if base.startswith("-"):
+                base = f"({base})"
             factors.append(base if exp == 1 else f"{base}**{exp}")
+        if not factors or coefficient not in ("1.0", "-1.0"):
+            factors.insert(0, coefficient)
+        elif coefficient == "-1.0":
+            factors[0] = "-" + factors[0]
         pieces.append("*".join(factors))
     return " + ".join(pieces) if pieces else "0.0"
 

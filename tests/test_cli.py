@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -277,6 +279,44 @@ class TestSimulate:
         assert "truncated" in out
         assert out_csv.exists()
         assert len(out_csv.read_text().splitlines()) > 10
+
+    def test_negative_parameter_squared(self, capsys, tmp_path):
+        # (-2)^2 = 4 is the stiffness: x(t) = cos 2t
+        path = tmp_path / "neg.mech"
+        path.write_text(
+            'system "negk" { parameter k = -2; coordinate x; force x: -k^2*x;\n'
+            "momentum x: x'; init x = 1, x' = 0; time 0 .. 1 step 1/10 }"
+        )
+        out_csv = tmp_path / "neg.csv"
+        code, _ = run(capsys, "simulate", str(path), "--out", str(out_csv))
+        assert code == 0
+        tau, x, _ = map(float, out_csv.read_text().splitlines()[-1].split(","))
+        assert tau == 1.0
+        assert abs(x - math.cos(2.0)) < 1e-4
+
+
+class TestOutputDigests:
+    """The CSV bytes of two preset runs, pinned by sha256. CI checks the same
+    digests on the installed console script."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("damped_ho", "--audit", "--oracle"),
+                "3988e920cae5cfd1ac23cda5d0b295c952f7834b04906d1a6221a33d489cf91a",
+            ),
+            (
+                ("duffing", "--method", "rkf45"),
+                "1927633ee09867900c49fa5e75a39cd4f4539196055fae2792e4f6db381cdb77",
+            ),
+        ],
+    )
+    def test_csv_digest(self, capsys, tmp_path, argv, digest):
+        out_csv = tmp_path / "out.csv"
+        code, _ = run(capsys, "simulate", argv[0], "--out", str(out_csv), *argv[1:])
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
 
 class TestVerify:

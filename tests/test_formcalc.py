@@ -60,6 +60,35 @@ class TestD0:
         with pytest.raises(ValueError):
             d0(Expr.var(acc(0)))
 
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The one-forms that run the public constructor's check."""
+        seen = []
+        check = VerticalOneForm.__post_init__
+        monkeypatch.setattr(
+            VerticalOneForm, "__post_init__", lambda form: seen.append(form) or check(form)
+        )
+        return seen
+
+    def test_indices_below_n_skip_the_check(self, checks):
+        Y = Expr.var(coord(1))
+        e = K * X**2 * Y + M * V * Expr.var(vel(1))
+        for n in (None, 2, 3):
+            out = d0(e, n)
+            assert checks == []
+            assert out.n == (n or 2)
+            assert out == VerticalOneForm(out.F, out.Pi)
+            checks.clear()
+
+    def test_index_at_or_above_n_is_checked(self, checks):
+        X2 = Expr.var(coord(2))
+        with pytest.raises(ValueError, match="coordinate index >= n"):
+            d0(X * X2, n=2)
+        # the partials of x2 alone by x0 and x1 vanish, so the form is valid
+        out = d0(X2, n=2)
+        assert all(e.is_zero for e in (*out.F, *out.Pi))
+        assert len(checks) == 2
+
 
 class TestD1:
     def test_damped_driven_remainder(self):

@@ -15,6 +15,7 @@ compensates rounding, so the reference itself changes and the module is
 skipped there.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -24,7 +25,10 @@ import pytest
 
 from jetmech.dsl import parse_system, preset, PRESETS
 from jetmech.dynamics import (
+    _CSV_BLOCK_ROWS,
     PIVOT_THRESHOLD,
+    BalanceReport,
+    Trajectory,
     _solver,
     accelerations_on,
     assemble_explicit,
@@ -440,6 +444,33 @@ system "signedzero" {
 }
 """
 
+# the identity mass: the law is 0.0 + 1.0 * r_0 + 0.0 * r_1 per coordinate
+UNIT_MASS_2 = """\
+system "unitmass2" {
+  parameter k = 1
+  coordinate x
+  coordinate y
+  force x: -k*x
+  momentum x: x'
+  force y: -y
+  momentum y: y'
+  init x = 1, y = 0, x' = 0, y' = 1
+  time 0 .. 1 step 1e-2
+}
+"""
+
+# x' squared blows up at t = 1, so the trajectory is truncated
+BLOW_UP = """\
+system "blowup" {
+  parameter m = 1
+  coordinate x
+  force x: x'^2
+  momentum x: m*x'
+  init x = 0, x' = 1
+  time 0 .. 2 step 1e-3
+}
+"""
+
 GENERATED = {
     "coupled2": COUPLED_CONSTANT_2,
     "coupled3": COUPLED_CONSTANT_3,
@@ -614,3 +645,55 @@ def test_negative_zero_literals_reach_the_kernel_as_zero():
     values = [*system.init[0], *system.init[1], system.time[0]]
     assert values == [0.0] * 5
     assert all(math.copysign(1.0, value) == 1.0 for value in values)
+
+
+def test_unit_mass_keeps_every_term_of_the_inverse():
+    # 0.0 + turns a -0.0 sum into 0.0; 0.0 * inf makes the other row NaN
+    system = parse_system(UNIT_MASS_2)
+    ode, ref = _ode(system), _reference_rhs(system)
+    assert "(0.0 + 1.0 * r_0 + 0.0 * r_1)" in ode.kernel.law
+    values = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)
+    for x in itertools.product(values, repeat=2):
+        got, expected = ode.rhs(0.0, list(x), [0.0, 0.0]), ref(0.0, list(x), [0.0, 0.0])
+        assert [repr(a) for a in got] == [repr(a) for a in expected], x
+
+
+def _hand_trajectory(rows):
+    """A two-coordinate trajectory of ``rows`` samples whose states mix
+    ordinary values with signed zeros, subnormals, extremes, infinities and
+    NaN."""
+    rng = np.random.default_rng(rows)
+    specials = np.array([0.0, -0.0, 5e-324, -1e308, math.inf, -math.inf, math.nan])
+    xs, vs = rng.normal(size=(2, rows, 2)) * 10.0 ** rng.integers(-20, 20, size=(2, rows, 2))
+    for values in (xs, vs):
+        mask = rng.random(values.shape) < 0.1
+        values[mask] = rng.choice(specials, size=mask.sum())
+    return Trajectory(np.arange(rows) * 0.125 - 1.0, xs, vs, 0.125)
+
+
+@pytest.mark.parametrize("audited", [False, True])
+@pytest.mark.parametrize(
+    "rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1]
+)
+def test_csv_block_edges(rows, audited, tmp_path):
+    traj = _hand_trajectory(rows)
+    report = None
+    if audited:
+        E, P, rho = np.random.default_rng(rows).normal(size=(3, rows))
+        report = BalanceReport(E, P, rho, 0.0, 0.0)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, new, report)
+    reference_csv(traj, ref, report)
+    assert new.read_bytes() == ref.read_bytes()
+    assert len(new.read_bytes().splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_truncated_trajectory_csv(method, tmp_path):
+    system = parse_system(BLOW_UP)
+    traj = integrate(_ode(system), *system.init, system.time[:2], system.time[2], method)
+    assert traj.truncated and len(traj.taus) > _CSV_BLOCK_ROWS
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, new)
+    reference_csv(traj, ref)
+    assert new.read_bytes() == ref.read_bytes()

@@ -574,6 +574,21 @@ class TestCompile:
         assert math.copysign(1.0, plus(0.0, [1.0], [0.0])) == 1.0
         assert math.copysign(1.0, minus(0.0, [1.0], [0.0])) == -1.0
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_negative_parameter_powers_match_evaluate(self, vectorized):
+        # a negative literal base is parenthesized: (-2.0)**2 is 4.0, not -(2.0**2)
+        import numpy as np
+
+        e = var(K) ** 2 * var(X) - var(K) ** 3 + var(K) * var(V) ** 2 + var(K) ** 4
+        for k in (-2.0, -0.5, -0.0, -1e16, 1.5):
+            fn = compile_expr(e, {"k": k}, vectorized)
+            for x, v in ((1.0, 0.5), (-3.0, 2.0)):
+                slots = (np.array([x]), np.array([v])) if vectorized else ([x], [v])
+                got = float(np.ravel(fn(0.0, *slots))[0])
+                assert got == evaluate(e, {X: x, V: v, K: k})
+        square = compile_expr(var(K) ** 2, {"k": -0.0}, vectorized)
+        assert math.copysign(1.0, float(square(0.0, [], []))) == 1.0
+
     def test_cache_is_bounded(self):
         from jetmech import symexpr
 
