@@ -130,10 +130,15 @@ def _solver(n: int):
 def _dot(coeffs, names: str) -> str:
     """Source of ``sum(c * k for c, k in ...)`` as builtin sum() computes it
     (left to right from the int 0), with every term kept: a zero
-    coefficient still turns an infinite ``k`` into NaN."""
+    coefficient still turns an infinite ``k`` into NaN. A coefficient of
+    exactly 1.0 is left out, as multiplying by it is exact."""
     if not coeffs:
         return "0"
-    return "(0.0" + "".join(f" + {c!r} * {names.format(r)}" for r, c in enumerate(coeffs)) + ")"
+    terms = (
+        names.format(r) if c == 1.0 else f"{c!r} * {names.format(r)}"
+        for r, c in enumerate(coeffs)
+    )
+    return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
 
 
 # Function templates. A line holding {i} repeats once per coordinate; a line
@@ -455,7 +460,9 @@ class Trajectory:
     ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n); a grid that
     is not uniform and increasing, or whose step is not ``h``, raises
     ValueError. ``law`` is the ExplicitODE that ``integrate`` ran to make
-    it; it is None on a trajectory built by hand.
+    it; it is None on a trajectory built by hand. What is computed from the
+    samples (``accels``, and each expression evaluated on them) is kept on
+    the trajectory, so its samples must not be written after first use.
     """
 
     taus: np.ndarray
@@ -492,6 +499,12 @@ class Trajectory:
         if self.law is None:
             raise MechError("a trajectory built without a law has no accelerations")
         return accelerations_on(self, self.law)
+
+    @cached_property
+    def _evaluated(self) -> dict:
+        """The read-only samples ``_eval_on_trajectory`` computed on this
+        trajectory, keyed by the compiled function of each expression."""
+        return {}
 
 
 def _hermite_resample(taus, knot_ts, kx, kv, ka, n, span):
@@ -596,11 +609,19 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
 
 
 def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
-    """``e`` at every sample; reads ``traj.accels`` only if ``e`` has accelerations."""
+    """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
+    if ``e`` has accelerations. The array is kept on ``traj``, so each
+    expression and set of parameter literals is evaluated once per
+    trajectory."""
     fn = compile_expr(e, params, vectorized=True)
-    a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
-    out = fn(traj.taus, traj.xs.T, traj.vs.T, a_rows)
-    return np.broadcast_to(np.asarray(out, dtype=float), traj.taus.shape).copy()
+    out = traj._evaluated.get(fn)
+    if out is None:
+        a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
+        values = fn(traj.taus, traj.xs.T, traj.vs.T, a_rows)
+        out = np.broadcast_to(np.asarray(values, dtype=float), traj.taus.shape).copy()
+        out.flags.writeable = False
+        traj._evaluated[fn] = out
+    return out
 
 
 def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
@@ -629,6 +650,11 @@ def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotio
     return EquationsOfMotion(residuals)
 
 
+def _same_law(one: ExplicitODE, other: ExplicitODE) -> bool:
+    """Whether two laws have the same generated source."""
+    return (one.n, one.kernel.law) == (other.n, other.kernel.law)
+
+
 def oracle_compare(
     system, method: str = "rk4", derived: Trajectory | None = None
 ) -> OracleReport:
@@ -638,10 +664,14 @@ def oracle_compare(
 
     ``derived`` is the derived law's trajectory from the system's ``init``
     over its ``time`` clause with ``method``, when the caller has already
-    integrated it; otherwise it is integrated here. The oracle law is always
-    assembled, but integrated only when its generated law differs from the
-    derived trajectory's: the same law on the same inputs gives a bitwise
-    identical trajectory, so the divergence is then exactly 0.
+    integrated it; otherwise it is integrated here. Both laws are always
+    assembled, but the oracle is integrated only when its generated law
+    differs from the derived one: the same law on the same inputs gives a
+    bitwise identical trajectory, so the divergence is then exactly 0.
+    Without ``derived``, two laws of the same source are not integrated at
+    all. The oracle's mass is diag(m), so such a law has a constant mass and
+    can only truncate, on both sides alike, and the parser guarantees the
+    finite ``init`` and valid ``time`` that ``integrate`` would check.
 
     ``system`` is a parsed SystemSpec (duck-typed: phi, oracle_forces,
     param_values(), init, time fields are used).
@@ -665,9 +695,10 @@ def oracle_compare(
         newton_oracle_eom(system.oracle_forces, system.n), params
     )
     if derived is None:
+        if _same_law(derived_ode, oracle_ode):
+            return OracleReport(0.0)
         derived = integrate(derived_ode, x0, v0, (a, b), h, method)
-    law = derived.law
-    if law is not None and (law.n, law.kernel.law) == (oracle_ode.n, oracle_ode.kernel.law):
+    if derived.law is not None and _same_law(derived.law, oracle_ode):
         oracle = derived  # what integrating the oracle would give, bit for bit
     else:
         oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
@@ -784,30 +815,61 @@ class VariationField:
             for e in self.exprs
         )
 
+    @cached_property
+    def _sampled(self) -> list:
+        """[(grid key, (delta, delta_dot))]: the read-only samples
+        ``sample_on`` computed for a symbolic field, one entry per grid."""
+        return []
+
     def sample_on(self, taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """(delta, delta_dot) arrays of shape (N, n) on the given grid."""
-        N = len(taus)
-        if self.exprs is not None:
-            cols = []
-            dcols = []
-            zeros = np.zeros_like(taus)
-            dummy = (zeros,) * 8
-            for fn, dfn in self._compiled:
-                cols.append(np.broadcast_to(np.asarray(fn(taus, dummy, dummy), float), taus.shape))
-                dcols.append(np.broadcast_to(np.asarray(dfn(taus, dummy, dummy), float), taus.shape))
-            delta = np.column_stack(cols)
-            ddot = np.column_stack(dcols)
-        else:
+        """(delta, delta_dot) arrays of shape (N, n) on the given grid.
+
+        A symbolic field samples each grid once and keeps the read-only pair:
+        a grid of the same dtype, shape and bytes, with the same ``h``, gets
+        the same two arrays back.
+        """
+        if self.exprs is None:
+            N = len(taus)
             delta = as_samples(self.samples, N)
             if self.dot_samples is not None:
                 ddot = as_samples(self.dot_samples, N, delta.shape[1])
             else:
                 ddot = diff_order2(delta, h)
+            self._check_ends(delta)
+            return delta, ddot
+        grid = np.asarray(taus)
+        key = (grid.dtype.str, grid.shape, grid.tobytes(), h)
+        for kept, pair in self._sampled:
+            if kept == key:
+                return pair
+        cols = []
+        dcols = []
+        zeros = np.zeros_like(taus)
+        dummy = (zeros,) * 8
+        for fn, dfn in self._compiled:
+            cols.append(np.broadcast_to(np.asarray(fn(taus, dummy, dummy), float), taus.shape))
+            dcols.append(np.broadcast_to(np.asarray(dfn(taus, dummy, dummy), float), taus.shape))
+        delta = np.column_stack(cols)
+        ddot = np.column_stack(dcols)
+        self._check_ends(delta)
+        delta.flags.writeable = ddot.flags.writeable = False
+        self._sampled.append((key, (delta, ddot)))
+        return delta, ddot
+
+    def _check_ends(self, delta: np.ndarray):
         if self.vanishes_at_a and np.abs(delta[0]).max() > 1e-12:
             raise ValueError("variation flagged as vanishing at a does not")
         if self.vanishes_at_b and np.abs(delta[-1]).max() > 1e-12:
             raise ValueError("variation flagged as vanishing at b does not")
-        return delta, ddot
+
+
+def _residuals(phi: VerticalOneForm) -> tuple[Expr, ...]:
+    """``dual_spencer(phi).residuals``, derived on first use and kept on
+    ``phi``, as a cached property would be."""
+    kept = vars(phi)
+    if "_residuals" not in kept:
+        kept["_residuals"] = dual_spencer(phi).residuals
+    return kept["_residuals"]
 
 
 def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
@@ -851,7 +913,7 @@ def first_variation(
         return simpson_uniform(integrand, traj.h)
     if form != "post":
         raise ValueError("form must be 'pre' or 'post'")
-    residuals = dual_spencer(phi).residuals
+    residuals = _residuals(phi)
     integrand = np.zeros_like(traj.taus)
     for i in range(traj.n):
         integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]

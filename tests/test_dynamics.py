@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from jetmech import dynamics
 from jetmech.dynamics import (
     Trajectory,
     VariationField,
+    _eval_on_trajectory,
     accelerations_on,
     assemble_explicit,
     energy_audit,
@@ -37,6 +39,7 @@ from jetmech.symexpr import (
     sinusoid_signal,
     vel,
 )
+from jetmech.verify import _fixed_boundary_variation
 
 X, V = Expr.var(coord(0)), Expr.var(vel(0))
 K, M, B = Expr.var(param("k")), Expr.var(param("m")), Expr.var(param("b"))
@@ -467,6 +470,81 @@ class TestVariation:
             bad.sample_on(self.traj.taus, self.traj.h)
 
 
+class TestKeptSamples:
+    """Each expression is evaluated once per trajectory, and a symbolic
+    variation sampled once per grid; what is kept is handed out read-only."""
+
+    def setup_method(self):
+        self.params = {"k": 1.0, "m": 1.0, "b": 0.1}
+        self.phi = ho_phi(damping=True)
+        ode = assemble_explicit(dual_spencer(self.phi), self.params)
+        self.traj = integrate(ode, [1.0], [0.0], (0.0, 1.0), 1e-2)
+
+    def test_an_expression_is_evaluated_once_per_trajectory(self):
+        residual = dual_spencer(self.phi).residuals[0]  # reads the accelerations
+        kept = _eval_on_trajectory(residual, self.traj, self.params)
+        fn = compile_expr(residual, self.params, vectorized=True)
+        fresh = fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, self.traj.accels.T)
+        assert _eval_on_trajectory(residual, self.traj, self.params) is kept
+        assert kept.dtype == fresh.dtype and kept.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+        assert _eval_on_trajectory(residual, self.traj, self.params).tobytes() == fresh.tobytes()
+        # other parameter literals are another compiled function
+        other = _eval_on_trajectory(residual, self.traj, dict(self.params, k=2.0))
+        assert other is not kept and not np.array_equal(other, kept)
+
+    def test_a_grid_is_sampled_once_per_field(self):
+        t = Expr.var(TAU)
+        variation = VariationField.from_exprs(t * (Expr.const(1) - t))
+        taus, h = self.traj.taus, self.traj.h
+        delta, ddot = variation.sample_on(taus, h)
+        again = variation.sample_on(taus.copy(), h)
+        assert again[0] is delta and again[1] is ddot
+        with pytest.raises(ValueError):
+            delta[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ddot[0, 0] = 1.0
+        shifted = taus.copy()
+        shifted[3] = np.nextafter(shifted[3], math.inf)
+        for grid, step in ((shifted, h), (taus, np.nextafter(h, math.inf))):
+            other = variation.sample_on(grid, step)
+            assert other[0] is not delta and other[1] is not ddot
+            fresh = VariationField.from_exprs(*variation.exprs).sample_on(grid, step)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(other, fresh))
+        assert len(variation._sampled) == 3
+
+    def test_post_derives_the_residuals_once_per_form(self, monkeypatch):
+        derived = []
+        real = dynamics.dual_spencer
+        monkeypatch.setattr(dynamics, "dual_spencer", lambda phi: derived.append(phi) or real(phi))
+        variation = VariationField.from_exprs(Expr.var(TAU))
+        values = [
+            first_variation(self.traj, self.phi, variation, self.params, "post") for _ in range(3)
+        ]
+        assert derived == [self.phi] and values[0] == values[1] == values[2]
+
+    def test_first_variation_values_are_unchanged(self):
+        # the verify suite's setup; the digest was recorded before any sample
+        # was kept, when every call evaluated everything afresh
+        system = preset("damped_ho")
+        params = system.param_values()
+        eom = dual_spencer(system.phi)
+        trajs = [
+            integrate(assemble_explicit(eom, p), *system.init, (0.0, 10.0), 1e-3)
+            for p in (params, dict(params, k=params["k"] * 1.1))
+        ]
+        values = []
+        for case_seed in range(30_007, 30_011):
+            variation = _fixed_boundary_variation(random.Random(case_seed), 0.0, 10.0)
+            for form in ("pre", "post"):
+                for traj in trajs:
+                    values.append(first_variation(traj, system.phi, variation, params, form))
+            assert len(variation._sampled) == 1  # both trajectories share one grid
+        digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+        assert digest == "5cb452c038a529ff362ea6050e702747c587f7745fa321beef24bb3a68b85ec6"
+
+
 class _MiniSystem:
     """Duck-typed stand-in for a parsed system in oracle tests."""
 
@@ -523,10 +601,37 @@ class TestOracle:
         assert eom.residuals == (-K * X - M * Expr.var(acc(0)),)
 
 
+@pytest.fixture
+def integrated(monkeypatch):
+    """The law of every ``dynamics.integrate`` call, in call order."""
+    calls = []
+    real = dynamics.integrate
+    monkeypatch.setattr(
+        dynamics, "integrate", lambda ode, *args: calls.append(ode.kernel.law) or real(ode, *args)
+    )
+    return calls
+
+
+# an oracle force beside a state-dependent momentum: the oracle's own mass is m
+STATE_MASS_ORACLE = """\
+system "statemass" {
+  parameter m = 1
+  parameter k = 1
+  coordinate x
+  force x: -k*x
+  momentum x: (m + x^2)*x'
+  oracle x: -k*x
+  init x = 1, x' = 0
+  time 0 .. 1 step 1e-2
+}
+"""
+
+
 class TestOracleShortcut:
     """``oracle_compare`` skips integrating an oracle whose generated law is
     the derived trajectory's, on the premise pinned here: the same law on
-    the same inputs gives a bitwise identical trajectory."""
+    the same inputs gives a bitwise identical trajectory. Without a derived
+    trajectory, a law of one source is not integrated at all."""
 
     @staticmethod
     def laws(system):
@@ -553,23 +658,41 @@ class TestOracleShortcut:
         assert np.array_equal(oracle.vs, derived.vs)
         assert oracle_compare(system, method, derived).max_divergence == 0.0
 
-    def test_a_tiny_extra_oracle_term_is_integrated(self, monkeypatch):
+    @staticmethod
+    def tiny_extra_term():
         oracle = "oracle x: -k*x - b*x' + sig(f)"
         assert oracle in PRESETS["damped_ho"]
-        system = parse_system(
-            PRESETS["damped_ho"].replace(oracle, oracle + " + 1/1000000000*x")
-        )
+        return parse_system(PRESETS["damped_ho"].replace(oracle, oracle + " + 1/1000000000*x"))
+
+    def test_a_tiny_extra_oracle_term_is_integrated(self, integrated):
+        system = self.tiny_extra_term()
         derived_ode, oracle_ode = self.laws(system)
         assert oracle_ode.kernel.law != derived_ode.kernel.law
-        derived = self.run(derived_ode, system, "rk4")
-        calls = []
-        real = dynamics.integrate
-        monkeypatch.setattr(
-            dynamics, "integrate", lambda ode, *args: calls.append(ode) or real(ode, *args)
-        )
+        derived = self.run(derived_ode, system, "rk4")  # not through dynamics' name
         report = oracle_compare(system, "rk4", derived)
-        assert [ode.kernel.law for ode in calls] == [oracle_ode.kernel.law]
+        assert integrated == [oracle_ode.kernel.law]
         assert report.max_divergence > 0
+
+    def test_a_tiny_extra_oracle_term_integrates_both_laws(self, integrated):
+        system = self.tiny_extra_term()
+        derived_ode, oracle_ode = self.laws(system)
+        report = oracle_compare(system)
+        assert integrated == [derived_ode.kernel.law, oracle_ode.kernel.law]
+        assert 0 < report.max_divergence < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_one_source_is_not_integrated(self, name, integrated):
+        assert oracle_compare(preset(name)).max_divergence == 0.0
+        assert integrated == []
+
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), "statemass"])
+    def test_an_oracle_law_has_a_constant_mass(self, name):
+        # so a derived law of the same source cannot meet a singular mass mid-run
+        system = preset(name) if name in PRESETS else parse_system(STATE_MASS_ORACLE)
+        assert mass_and_force(newton_oracle_eom(system.oracle_forces, system.n))[2]
+        derived_ode, oracle_ode = self.laws(system)
+        assert "_singular_mass" not in oracle_ode.kernel.law
+        assert ("_singular_mass" in derived_ode.kernel.law) == (name == "statemass")
 
 
 class TestCsv:

@@ -24,8 +24,12 @@ import numpy as np
 import pytest
 
 from jetmech.dsl import parse_system, preset, PRESETS
+from jetmech import dynamics
 from jetmech.dynamics import (
     _CSV_BLOCK_ROWS,
+    _RKF_A,
+    _RKF_B4,
+    _RKF_ERR,
     PIVOT_THRESHOLD,
     BalanceReport,
     Trajectory,
@@ -444,7 +448,7 @@ system "signedzero" {
 }
 """
 
-# the identity mass: the law is 0.0 + 1.0 * r_0 + 0.0 * r_1 per coordinate
+# the identity mass: the law is 0.0 + r_0 + 0.0 * r_1 per coordinate
 UNIT_MASS_2 = """\
 system "unitmass2" {
   parameter k = 1
@@ -647,15 +651,50 @@ def test_negative_zero_literals_reach_the_kernel_as_zero():
     assert all(math.copysign(1.0, value) == 1.0 for value in values)
 
 
+def _unit_mass_mismatches(ode, ref):
+    """The positions, over signed zeros, infinities and NaN, at which the
+    unit-mass law and the reference differ in any bit that repr shows."""
+    values = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)
+    return [
+        x for x in itertools.product(values, repeat=2)
+        if [repr(a) for a in ode.rhs(0.0, list(x), [0.0, 0.0])]
+        != [repr(a) for a in ref(0.0, list(x), [0.0, 0.0])]
+    ]
+
+
 def test_unit_mass_keeps_every_term_of_the_inverse():
     # 0.0 + turns a -0.0 sum into 0.0; 0.0 * inf makes the other row NaN
     system = parse_system(UNIT_MASS_2)
     ode, ref = _ode(system), _reference_rhs(system)
-    assert "(0.0 + 1.0 * r_0 + 0.0 * r_1)" in ode.kernel.law
-    values = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)
-    for x in itertools.product(values, repeat=2):
-        got, expected = ode.rhs(0.0, list(x), [0.0, 0.0]), ref(0.0, list(x), [0.0, 0.0])
-        assert [repr(a) for a in got] == [repr(a) for a in expected], x
+    assert "(0.0 + r_0 + 0.0 * r_1)" in ode.kernel.law
+    assert _unit_mass_mismatches(ode, ref) == []
+
+
+def test_unit_mass_law_leaves_out_only_the_unit_factors():
+    assert _ode(parse_system(UNIT_MASS_2)).kernel.law == (
+        "r_0 = -x{s}_0\n"
+        "r_1 = -x{s}_1\n"
+        "a{s}_0 = (0.0 + r_0 + 0.0 * r_1)\n"
+        "a{s}_1 = (0.0 + 0.0 * r_0 + r_1)"
+    )
+    # no RKF45 coefficient is 1.0, so its emitted stages keep every factor
+    assert all(c != 1.0 for row in (*_RKF_A, _RKF_B4, _RKF_ERR) for c in row)
+
+
+def test_unit_mass_law_without_its_zero_terms_differs(monkeypatch):
+    # a _dot that also dropped the 0.0 * terms would lose the NaN of 0.0 * inf
+    def mutant(coeffs, names):
+        terms = [
+            names.format(r) if c == 1.0 else f"{c!r} * {names.format(r)}"
+            for r, c in enumerate(coeffs) if c != 0.0
+        ]
+        return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
+
+    monkeypatch.setattr(dynamics, "_dot", mutant)
+    system = parse_system(UNIT_MASS_2)
+    ode, ref = _ode(system), _reference_rhs(system)
+    assert "(0.0 + r_0)" in ode.kernel.law
+    assert (math.inf, 0.0) in _unit_mass_mismatches(ode, ref)
 
 
 def _hand_trajectory(rows):
