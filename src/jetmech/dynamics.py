@@ -44,6 +44,12 @@ PIVOT_THRESHOLD = 1e-12
 RKF45_ATOL = 1e-10
 RKF45_RTOL = 1e-9
 RKF45_MAX_STEP = 0.02
+# Most steps, accepted or rejected, that one RKF45 integration attempts; a
+# run that has not reached the end of its interval by then is truncated, as
+# one whose step underflows is. An accepted knot keeps 1 + 3n floats, an RK4
+# step 2n, so at half of dsl.MAX_TIME_STEPS the knots never outgrow the
+# longest RK4 run; the benchmark jobs and the tests attempt at most ~30,000.
+RKF45_MAX_ATTEMPTS = 500_000
 
 # Most coordinates of a system whose mass matrix depends on the state. Its
 # elimination is emitted as straight-line source that grows as n^3 and is
@@ -221,7 +227,7 @@ _RKF45_STAGE = """\
 """
 
 _RKF45 = """\
-def kernel(x, v, a_t, b_t, atol, rtol, max_step):
+def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
     x_{i} = x[{i}]
     v_{i} = v[{i}]
     t = a_t
@@ -237,7 +243,9 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step):
     dt = min(max_step, (b_t - a_t) / 10.0)
     min_step = 1e-14 * (b_t - a_t)
     t_stop = b_t - 1e-15 * (b_t - a_t)
-    while t < t_stop:
+    for _ in range(max_attempts):
+        if not t < t_stop:
+            break
         dt = min(dt, b_t - t)
         try:
 {stages}
@@ -266,7 +274,7 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step):
         dt = min(max_step, dt * min(5.0, max(0.2, 0.9 * ratio)))
         if dt < min_step:
             return ts, xs, vs, accels, True
-    return ts, xs, vs, accels, False
+    return ts, xs, vs, accels, t < t_stop
 """
 
 
@@ -331,10 +339,12 @@ class _Kernel:
 
     @cached_property
     def rkf45(self):
-        """``rkf45(x0, v0, a_t, b_t, atol, rtol, max_step)`` returns
-        ``(ts, xs, vs, accels, truncated)``: the accepted knots and their
-        states and accelerations as flat row-major lists. ``accels`` is
-        empty when the law fails at the initial state."""
+        """``rkf45(x0, v0, a_t, b_t, atol, rtol, max_step, max_attempts)``
+        returns ``(ts, xs, vs, accels, truncated)``: the accepted knots and
+        their states and accelerations as flat row-major lists. ``accels``
+        is empty when the law fails at the initial state. A run that has not
+        reached ``b_t`` after ``max_attempts`` steps, accepted or rejected,
+        is truncated."""
         stages = _RKF45_STAGE0 + "".join(
             _RKF45_STAGE.format(
                 s=s, c=_RKF_C[s], a_vk=_dot(_RKF_A[s], "vk{}_{{i}}"),
@@ -549,9 +559,9 @@ def integrate(
 
     rk4 is the fixed-step workhorse (global order 4). rkf45 runs adaptively
     under the RKF45_* tolerances and is resampled onto the uniform grid by
-    cubic Hermite interpolation. Non-finite states, and float overflow
-    inside the law, truncate the trajectory and set the flag instead of
-    raising.
+    cubic Hermite interpolation. Non-finite states, float overflow inside
+    the law, and an RKF45 run past RKF45_MAX_ATTEMPTS steps truncate the
+    trajectory and set the flag instead of raising.
     """
     a_t, b_t = float(interval[0]), float(interval[1])
     if not b_t > a_t:
@@ -577,7 +587,7 @@ def integrate(
         raise ValueError(f"unknown integrator '{method}'")
 
     knot_ts, kx, kv, ka, truncated = ode.kernel.rkf45(
-        x0, v0, a_t, b_t, RKF45_ATOL, RKF45_RTOL, RKF45_MAX_STEP
+        x0, v0, a_t, b_t, RKF45_ATOL, RKF45_RTOL, RKF45_MAX_STEP, RKF45_MAX_ATTEMPTS
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
     m = len(xs)
@@ -613,7 +623,7 @@ def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
     if ``e`` has accelerations. The array is kept on ``traj``, so each
     expression and set of parameter literals is evaluated once per
     trajectory."""
-    fn = compile_expr(e, params, vectorized=True)
+    fn = compile_expr(e, params)
     out = traj._evaluated.get(fn)
     if out is None:
         a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
@@ -664,14 +674,15 @@ def oracle_compare(
 
     ``derived`` is the derived law's trajectory from the system's ``init``
     over its ``time`` clause with ``method``, when the caller has already
-    integrated it; otherwise it is integrated here. Both laws are always
-    assembled, but the oracle is integrated only when its generated law
-    differs from the derived one: the same law on the same inputs gives a
-    bitwise identical trajectory, so the divergence is then exactly 0.
-    Without ``derived``, two laws of the same source are not integrated at
-    all. The oracle's mass is diag(m), so such a law has a constant mass and
-    can only truncate, on both sides alike, and the parser guarantees the
-    finite ``init`` and valid ``time`` that ``integrate`` would check.
+    integrated it. The derived law is its ``law``, or is assembled here.
+    When the oracle's generated law is the same source, nothing is
+    integrated and the divergence is exactly 0: the same law on the same
+    inputs gives a bitwise identical trajectory. The oracle's mass is
+    diag(m), so such a law has a constant mass and can only truncate, on
+    both sides alike, and the parser guarantees the finite ``init`` and
+    valid ``time`` that ``integrate`` would check. Otherwise what is
+    missing is integrated: the oracle, and the derived law when no
+    ``derived`` is given.
 
     ``system`` is a parsed SystemSpec (duck-typed: phi, oracle_forces,
     param_values(), init, time fields are used).
@@ -691,17 +702,16 @@ def oracle_compare(
     # failure is reported before a failure mid-run
     if derived is None:
         derived_ode = assemble_explicit(dual_spencer(system.phi), params)
+    else:
+        derived_ode = derived.law
     oracle_ode = assemble_explicit(
         newton_oracle_eom(system.oracle_forces, system.n), params
     )
+    if derived_ode is not None and _same_law(derived_ode, oracle_ode):
+        return OracleReport(0.0)
     if derived is None:
-        if _same_law(derived_ode, oracle_ode):
-            return OracleReport(0.0)
         derived = integrate(derived_ode, x0, v0, (a, b), h, method)
-    if derived.law is not None and _same_law(derived.law, oracle_ode):
-        oracle = derived  # what integrating the oracle would give, bit for bit
-    else:
-        oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
+    oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
     m = min(len(derived.taus), len(oracle.taus))
     div = np.abs(derived.xs[:m] - oracle.xs[:m]).sum(axis=1) + np.abs(
         derived.vs[:m] - oracle.vs[:m]
@@ -716,7 +726,11 @@ def oracle_compare(
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Sampled energy ledger: E, power input P, residual rho = dE/dt - P."""
+    """Sampled energy ledger: E, power input P, residual rho = dE/dt - P.
+
+    A value beyond the float range stays in the ledger as inf or nan, so
+    computing it, here and in ``energy_audit``, raises no numpy warning.
+    """
 
     E: np.ndarray
     P: np.ndarray
@@ -725,11 +739,13 @@ class BalanceReport:
     rms_residual: float
 
     @property
+    @np.errstate(all="ignore")
     def relative_drift(self) -> float:
         base = max(abs(float(self.E[0])), 1e-300)
         return float(np.abs(self.E - self.E[0]).max() / base)
 
 
+@np.errstate(all="ignore")
 def energy_audit(traj: Trajectory, dec: Decomposition, params) -> BalanceReport:
     """Check dE/dt = P along a trajectory.
 
@@ -768,7 +784,8 @@ def energy_audit(traj: Trajectory, dec: Decomposition, params) -> BalanceReport:
 
 @dataclass(frozen=True)
 class VariationField:
-    """Variation delta-x along a trajectory: symbolic in t, or sampled.
+    """Variation delta-x along a trajectory: symbolic in t (``exprs``), or
+    sampled (``samples``, optionally ``dot_samples``).
 
     Symbolic components may contain time and signal symbols only; sampled
     fields carry their own derivative samples (differenced at second order
@@ -792,28 +809,6 @@ class VariationField:
                         raise ValueError(
                             "symbolic variations may only involve time and signals"
                         )
-
-    @classmethod
-    def from_exprs(cls, *exprs: Expr, vanishes_at_a=False, vanishes_at_b=False):
-        return cls(exprs=tuple(exprs), vanishes_at_a=vanishes_at_a, vanishes_at_b=vanishes_at_b)
-
-    @classmethod
-    def from_samples(cls, samples, dot_samples=None, vanishes_at_a=False, vanishes_at_b=False):
-        return cls(
-            samples=samples,
-            dot_samples=dot_samples,
-            vanishes_at_a=vanishes_at_a,
-            vanishes_at_b=vanishes_at_b,
-        )
-
-    @cached_property
-    def _compiled(self) -> tuple:
-        """(delta^i, d(delta^i)/dt) compiled for each symbolic component,
-        once per field."""
-        return tuple(
-            tuple(compile_expr(f, {}, vectorized=True) for f in (e, partial(e, TAU)))
-            for e in self.exprs
-        )
 
     @cached_property
     def _sampled(self) -> list:
@@ -846,7 +841,8 @@ class VariationField:
         dcols = []
         zeros = np.zeros_like(taus)
         dummy = (zeros,) * 8
-        for fn, dfn in self._compiled:
+        for e in self.exprs:
+            fn, dfn = compile_expr(e, {}), compile_expr(partial(e, TAU), {})
             cols.append(np.broadcast_to(np.asarray(fn(taus, dummy, dummy), float), taus.shape))
             dcols.append(np.broadcast_to(np.asarray(dfn(taus, dummy, dummy), float), taus.shape))
         delta = np.column_stack(cols)

@@ -2,9 +2,9 @@
 
 Provides the exterior derivative of functions (its vertical part) and of
 vertical one-forms, the interior product with the radius field, the
-homotopy (Poincare contraction) operator, and the exact/anti-exact
-decomposition of a dynamical one-form into d(Lagrangian) plus a
-homotopy-annulled remainder.
+homotopy (Poincare contraction) operator, which integrates that interior
+product along the fiber ray, and the exact/anti-exact decomposition of a
+dynamical one-form into d(Lagrangian) plus a homotopy-annulled remainder.
 
 Decomposition works modulo dt components (the vertical quotient): the dt
 part of an exact differential never contributes to dynamics, so one-forms
@@ -148,10 +148,6 @@ class TwoForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def fiber_block_is_zero(self) -> bool:
-        """True when every dx^dx, dx^dv, dv^dv coefficient vanishes."""
-        return all(b1 == TAU for (b1, _), _ in self.coeffs)
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -230,14 +226,15 @@ def homotopy(omega: VerticalOneForm) -> Expr:
 
     Integrates the components along the fiber ray (s*x, s*v) against the
     unscaled radius: H(omega) = sum_i [int_0^1 F_i(t, s x, s v) ds] x^i +
-    [int_0^1 Pi_i(t, s x, s v) ds] v^i. The result vanishes at the fiber
-    origin x = v = 0. Sinusoid signals are refused (admissibility contract).
+    [int_0^1 Pi_i(t, s x, s v) ds] v^i. That is the radius contraction
+    ``interior_radius(omega)`` integrated along the ray with weight -1: a
+    term of fiber degree d in a component has degree d + 1 in the
+    contraction and gets the factor 1/(d + 1). The result vanishes at the
+    fiber origin x = v = 0. Sinusoid signals are refused (admissibility
+    contract).
     """
     _require_admissible(omega)
-    out = ZERO
-    for b, e in omega.components():
-        out = out + scaling_integral(e) * Expr.var(b)
-    return out
+    return scaling_integral(interior_radius(omega), weight=-1)
 
 
 def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:

@@ -18,7 +18,6 @@ not.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import cache, lru_cache
 from dataclasses import dataclass, field
@@ -723,37 +722,33 @@ def expr_source(
     return " + ".join(pieces) if pieces else "0.0"
 
 
-# Most compiled functions compile_expr keeps, one per distinct expression,
-# parameter literals and flavour; one `verify --builtin-suite` job asks for a
-# few dozen.
+# Most compiled functions compile_expr keeps, one per distinct expression
+# and parameter literals; one `verify --builtin-suite` job asks for a few
+# dozen.
 COMPILE_CACHE_SIZE = 1024
 
 
-def compile_expr(
-    e: Expr, params: Mapping[str, float], vectorized: bool = False
-) -> Callable:
+def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     """Compile to ``f(t, x, v, a=None)`` with parameters bound as constants.
 
-    ``x``, ``v``, ``a`` are indexable by coordinate. The scalar flavour uses
-    math.sin/cos; the vectorized flavour uses numpy and accepts arrays for
-    every slot. Raises UnboundSymbolError for parameters missing from
-    ``params``. Each distinct expression, parameter literals and flavour is
-    compiled once (up to COMPILE_CACHE_SIZE of them), so equal inputs return
-    the same function without generating its source again.
+    ``x``, ``v``, ``a`` are indexable by coordinate, and every slot accepts
+    numpy arrays; sin/cos are numpy's. An expression of parameters and
+    constants only, such as a constant mass entry, calls neither, so it
+    evaluates to a Python float. Raises UnboundSymbolError for parameters
+    missing from ``params``. Each distinct expression and parameter
+    literals is compiled once (up to COMPILE_CACHE_SIZE of them), so equal
+    inputs return the same function without generating its source again.
     """
     # keyed by each value's emitted literal, not by ==: -0.0 and 0.0 are
     # equal but emit different source
     literals = frozenset((name, repr(float(value))) for name, value in params.items())
-    return _compile(e, literals, vectorized)
+    return _compile(e, literals)
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(e: Expr, literals: frozenset, vectorized: bool) -> Callable:
+def _compile(e: Expr, literals: frozenset) -> Callable:
     body = expr_source(e, {name: float(literal) for name, literal in literals})
-    if vectorized:
-        namespace = {"sin": np.sin, "cos": np.cos}
-    else:
-        namespace = {"sin": math.sin, "cos": math.cos}
-    src = f"def _compiled(t, x, v, a=None):\n    return {body}\n"
+    namespace = {"sin": np.sin, "cos": np.cos}
+    src = f"def compiled(t, x, v, a=None):\n    return {body}\n"
     exec(src, namespace)  # noqa: S102 - source is generated locally
-    return namespace["_compiled"]
+    return namespace["compiled"]

@@ -218,7 +218,7 @@ def _fixed_boundary_variation(rng: random.Random, a: float, b: float) -> Variati
     poly = ZERO
     for k in range(3):
         poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))) * t**k
-    return VariationField.from_exprs(env * poly, vanishes_at_a=True, vanishes_at_b=True)
+    return VariationField(exprs=(env * poly,), vanishes_at_a=True, vanishes_at_b=True)
 
 
 def check_first_variation(seed: int) -> CheckResult:

@@ -186,8 +186,8 @@ def test_criterion_8_first_variation_extremality():
         poly = ZERO
         for k in range(3):
             poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))) * t**k
-        variation = VariationField.from_exprs(
-            t * (Expr.const(10) - t) * poly, vanishes_at_a=True, vanishes_at_b=True
+        variation = VariationField(
+            exprs=(t * (Expr.const(10) - t) * poly,), vanishes_at_a=True, vanishes_at_b=True
         )
         delta, _ = variation.sample_on(solution.taus, solution.h)
         norm = float(np.abs(delta).max())

@@ -280,6 +280,42 @@ class TestSimulate:
         assert out_csv.exists()
         assert len(out_csv.read_text().splitlines()) > 10
 
+    def test_rkf45_ends_on_its_attempt_cap(self, capsys, tmp_path):
+        # the step shrinks to resolve a sinusoid of angular frequency 1e300;
+        # uncapped, the run accepts 365,086 knots, after more attempts than
+        # RKF45_MAX_ATTEMPTS allows
+        path = tmp_path / "fast.mech"
+        path.write_text(
+            'system "fast" { coordinate x; signal f = sinusoid(1, 1e300, 0);\n'
+            "force x: sig(f); momentum x: x'; init x = 0, x' = 0;\n"
+            "time 0 .. 1/100 step 1/1000 }"
+        )
+        out_csv = tmp_path / "fast.csv"
+        assert main(["simulate", str(path), "--out", str(out_csv), "--method", "rkf45"]) == 3
+        captured = capsys.readouterr()
+        assert "partial CSV written" in captured.out and captured.err == ""
+        assert 1 < len(out_csv.read_text().splitlines()) - 1 < 11
+
+    @pytest.mark.parametrize(
+        "force, init, code",
+        [
+            # the state overflows: the audit sees inf, the run is truncated
+            ("-t^400*x", "x = 1, x' = 0", 3),
+            # E = x'^2/2 is inf at every sample, its drift nan
+            ("-x", "x = 1, x' = 1e200", 0),
+        ],
+    )
+    def test_audit_beyond_the_float_range_warns_nothing(self, capsys, tmp_path, force, init, code):
+        path = tmp_path / "a.mech"
+        path.write_text(
+            f'system "a" {{ coordinate x; force x: {force}; momentum x: x\';\n'
+            f"init {init}; time 0 .. 10 step 1/10 }}"
+        )
+        assert main(["simulate", str(path), "--out", str(tmp_path / "a.csv"), "--audit"]) == code
+        captured = capsys.readouterr()
+        assert "energy audit: max |rho| = nan, rms = nan" in captured.out
+        assert captured.err == ""
+
     def test_negative_parameter_squared(self, capsys, tmp_path):
         # (-2)^2 = 4 is the stiffness: x(t) = cos 2t
         path = tmp_path / "neg.mech"

@@ -8,6 +8,7 @@ import pytest
 
 from jetmech import dynamics
 from jetmech.dynamics import (
+    OracleReport,
     Trajectory,
     VariationField,
     _eval_on_trajectory,
@@ -197,6 +198,35 @@ class TestIntegrate:
         assert len(traj.taus) == samples
         assert np.isfinite(traj.xs).all() and np.isfinite(traj.vs).all()
 
+    def test_rkf45_attempt_cap_truncates(self, monkeypatch):
+        # 2,000 time units need far more than 1,000 attempts at
+        # RKF45_MAX_STEP = 0.02; the cap only cuts the run short
+        runs = []
+        for cap in (1000, 2000):
+            monkeypatch.setattr(dynamics, "RKF45_MAX_ATTEMPTS", cap)
+            runs.append(integrate(ho_ode(), [1.0], [0.0], (0.0, 2000.0), 1.0, "rkf45"))
+        short, longer = runs
+        assert short.truncated and longer.truncated
+        assert 1 < len(short.taus) < len(longer.taus) < 2001
+        m = len(short.taus)
+        assert np.array_equal(short.xs, longer.xs[:m]) and np.array_equal(short.vs, longer.vs[:m])
+
+    def test_rkf45_run_ending_on_its_last_attempt_is_whole(self, monkeypatch):
+        def run(cap):
+            monkeypatch.setattr(dynamics, "RKF45_MAX_ATTEMPTS", cap)
+            return integrate(ho_ode(), [1.0], [0.0], (0.0, 1.0), 1e-2, "rkf45")
+
+        whole = run(dynamics.RKF45_MAX_ATTEMPTS)
+        low, high = 1, 10_000  # the fewest attempts that finish lie in (low, high]
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if not run(mid).truncated else (mid, high)
+        cut = run(low)
+        assert cut.truncated and len(cut.taus) < 101
+        exact = run(high)
+        assert not exact.truncated and len(exact.taus) == 101
+        assert np.array_equal(exact.xs, whole.xs) and np.array_equal(exact.vs, whole.vs)
+
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_overflow_in_law_truncates(self, method):
         # x^400 leaves the float range as a raised OverflowError, not inf
@@ -330,7 +360,7 @@ class TestVariation:
         w = math.pi / (b - a)
         delta = np.sin(w * (self.traj.taus - a))
         ddot = w * np.cos(w * (self.traj.taus - a))
-        return VariationField.from_samples(delta, ddot, vanishes_at_a=True)
+        return VariationField(samples=delta, dot_samples=ddot, vanishes_at_a=True)
 
     def test_vanishes_on_solutions(self):
         variation = self.sine_variation()
@@ -339,8 +369,8 @@ class TestVariation:
         assert abs(value) <= 1e-5 * norm
 
     def test_zero_variation_gives_zero(self):
-        variation = VariationField.from_samples(
-            np.zeros_like(self.traj.taus), np.zeros_like(self.traj.taus)
+        variation = VariationField(
+            samples=np.zeros_like(self.traj.taus), dot_samples=np.zeros_like(self.traj.taus)
         )
         assert first_variation(self.traj, self.phi, variation, self.params, "pre") == 0.0
 
@@ -368,7 +398,7 @@ class TestVariation:
             poly = ZERO
             for k in range(3):
                 poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, 2)) * t**k
-            variation = VariationField.from_exprs(t * (Expr.const(10) - t) * poly / 25)
+            variation = VariationField(exprs=(t * (Expr.const(10) - t) * poly / 25,))
             for traj in (self.traj, perturbed):
                 pre = first_variation(traj, self.phi, variation, self.params, "pre")
                 post = first_variation(traj, self.phi, variation, self.params, "post")
@@ -381,11 +411,11 @@ class TestVariation:
         ode = assemble_explicit(dual_spencer(self.phi), self.params)
         accels = accelerations_on(self.traj, ode)
         assert np.array_equal(self.traj.accels, accels)
-        variation = VariationField.from_exprs(Expr.var(TAU) / 10)
+        variation = VariationField(exprs=(Expr.var(TAU) / 10,))
         delta, _ = variation.sample_on(self.traj.taus, self.traj.h)
         integrand = np.zeros_like(self.traj.taus)
         for i, r in enumerate(dual_spencer(self.phi).residuals):
-            fn = compile_expr(r, self.params, vectorized=True)
+            fn = compile_expr(r, self.params)
             integrand += fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, accels.T) * delta[:, i]
         post = first_variation(self.traj, self.phi, variation, self.params, "post")
         ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
@@ -394,7 +424,7 @@ class TestVariation:
     def test_hand_built_trajectory_has_no_accelerations(self):
         taus = np.linspace(0.0, 1.0, 11)
         traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
-        variation = VariationField.from_exprs(Expr.var(TAU))
+        variation = VariationField(exprs=(Expr.var(TAU),))
         # the pre form never needs them
         assert abs(first_variation(traj, ho_phi(), variation, HO_PARAMS, "pre") - 1.0) < 1e-12
         with pytest.raises(MechError, match="without a law"):
@@ -402,7 +432,7 @@ class TestVariation:
 
     def test_post_without_boundary_plus_theta(self):
         t = Expr.var(TAU)
-        variation = VariationField.from_exprs(t / 10)
+        variation = VariationField(exprs=(t / 10,))
         pre = first_variation(self.traj, self.phi, variation, self.params, "pre")
         ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
         post_nb = first_variation(self.traj, self.phi, variation, self.params, "post") - (tb - ta)
@@ -420,20 +450,20 @@ class TestVariation:
         xs = np.zeros((11, 1))
         vs = np.full((11, 1), 0.5)
         traj = Trajectory(taus, xs, vs, 0.1)
-        variation = VariationField.from_exprs(Expr.const(1))
+        variation = VariationField(exprs=(Expr.const(1),))
         ta, tb = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert abs(tb - 0.5) < 1e-15
 
     def test_transversality_zero_at_a_for_ramp(self):
         taus = np.linspace(0.0, 1.0, 11)
         traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
-        variation = VariationField.from_exprs(Expr.var(TAU))
+        variation = VariationField(exprs=(Expr.var(TAU),))
         ta, _ = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert ta == 0.0
 
     def test_a_symbolic_field_compiles_once(self, monkeypatch):
-        # each component and its time derivative are compiled on the first
-        # sample_on; every later call on the same field reuses them
+        # each component and its time derivative are compiled when a grid is
+        # first sampled; a later call on the same grid reuses the samples
         compiled = []
         original = dynamics.compile_expr
 
@@ -443,7 +473,7 @@ class TestVariation:
 
         monkeypatch.setattr(dynamics, "compile_expr", counting)
         t = Expr.var(TAU)
-        variation = VariationField.from_exprs(t * t / 10)
+        variation = VariationField(exprs=(t * t / 10,))
         delta, ddot = variation.sample_on(self.traj.taus, self.traj.h)
         assert compiled == [t * t / 10, t / 5]
         again = variation.sample_on(self.traj.taus, self.traj.h)
@@ -454,16 +484,16 @@ class TestVariation:
 
     def test_sampled_variation_is_rows_never_transposed(self):
         taus = self.traj.taus
-        column = VariationField.from_samples(np.sin(taus))  # 1-D: one coordinate
+        column = VariationField(samples=np.sin(taus))  # 1-D: one coordinate
         delta, ddot = column.sample_on(taus, self.traj.h)
         assert delta.shape == ddot.shape == (len(taus), 1)
-        row = VariationField.from_samples(np.sin(taus).reshape(1, -1))
+        row = VariationField(samples=np.sin(taus).reshape(1, -1))
         with pytest.raises(ValueError):
             row.sample_on(taus, self.traj.h)
 
     def test_flagged_variation_validated(self):
-        bad = VariationField.from_samples(
-            np.ones_like(self.traj.taus), np.zeros_like(self.traj.taus),
+        bad = VariationField(
+            samples=np.ones_like(self.traj.taus), dot_samples=np.zeros_like(self.traj.taus),
             vanishes_at_a=True,
         )
         with pytest.raises(ValueError):
@@ -483,7 +513,7 @@ class TestKeptSamples:
     def test_an_expression_is_evaluated_once_per_trajectory(self):
         residual = dual_spencer(self.phi).residuals[0]  # reads the accelerations
         kept = _eval_on_trajectory(residual, self.traj, self.params)
-        fn = compile_expr(residual, self.params, vectorized=True)
+        fn = compile_expr(residual, self.params)
         fresh = fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, self.traj.accels.T)
         assert _eval_on_trajectory(residual, self.traj, self.params) is kept
         assert kept.dtype == fresh.dtype and kept.tobytes() == fresh.tobytes()
@@ -496,7 +526,7 @@ class TestKeptSamples:
 
     def test_a_grid_is_sampled_once_per_field(self):
         t = Expr.var(TAU)
-        variation = VariationField.from_exprs(t * (Expr.const(1) - t))
+        variation = VariationField(exprs=(t * (Expr.const(1) - t),))
         taus, h = self.traj.taus, self.traj.h
         delta, ddot = variation.sample_on(taus, h)
         again = variation.sample_on(taus.copy(), h)
@@ -510,7 +540,7 @@ class TestKeptSamples:
         for grid, step in ((shifted, h), (taus, np.nextafter(h, math.inf))):
             other = variation.sample_on(grid, step)
             assert other[0] is not delta and other[1] is not ddot
-            fresh = VariationField.from_exprs(*variation.exprs).sample_on(grid, step)
+            fresh = VariationField(exprs=variation.exprs).sample_on(grid, step)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(other, fresh))
         assert len(variation._sampled) == 3
 
@@ -518,7 +548,7 @@ class TestKeptSamples:
         derived = []
         real = dynamics.dual_spencer
         monkeypatch.setattr(dynamics, "dual_spencer", lambda phi: derived.append(phi) or real(phi))
-        variation = VariationField.from_exprs(Expr.var(TAU))
+        variation = VariationField(exprs=(Expr.var(TAU),))
         values = [
             first_variation(self.traj, self.phi, variation, self.params, "post") for _ in range(3)
         ]
@@ -628,10 +658,10 @@ system "statemass" {
 
 
 class TestOracleShortcut:
-    """``oracle_compare`` skips integrating an oracle whose generated law is
-    the derived trajectory's, on the premise pinned here: the same law on
-    the same inputs gives a bitwise identical trajectory. Without a derived
-    trajectory, a law of one source is not integrated at all."""
+    """``oracle_compare`` integrates nothing when the oracle's generated law
+    is the derived one, given as the derived trajectory's law or assembled,
+    on the premise pinned here: the same law on the same inputs gives a
+    bitwise identical trajectory."""
 
     @staticmethod
     def laws(system):
@@ -679,6 +709,21 @@ class TestOracleShortcut:
         report = oracle_compare(system)
         assert integrated == [derived_ode.kernel.law, oracle_ode.kernel.law]
         assert 0 < report.max_divergence < 1e-6
+
+    def test_a_derived_of_the_same_law_integrates_nothing(self, integrated):
+        system = preset("damped_ho")
+        derived = self.run(self.laws(system)[0], system, "rk4")
+        assert oracle_compare(system, "rk4", derived) == OracleReport(0.0)
+        assert integrated == []
+
+    def test_a_hand_built_derived_integrates_the_oracle_once(self, integrated):
+        system = preset("damped_ho")
+        derived_ode, oracle_ode = self.laws(system)
+        run = self.run(derived_ode, system, "rk4")
+        hand_built = Trajectory(run.taus, run.xs, run.vs, run.h)
+        assert hand_built.law is None
+        assert oracle_compare(system, "rk4", hand_built) == OracleReport(0.0)
+        assert integrated == [oracle_ode.kernel.law]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_one_source_is_not_integrated(self, name, integrated):

@@ -6,8 +6,10 @@ reference below is the generator as it was before that folding, kept
 verbatim but for one fix it shares with the current one: a literal base
 that begins with ``-`` is parenthesized. Seeded random expressions, compiled
 from both, must give the same value bit for bit (by ``repr``, so a NaN of
-either sign is ``nan``) in both flavours, at signed zeros, subnormals, the
-float extremes, infinities and NaN, and must raise the same errors. The
+either sign is ``nan``) at signed zeros, subnormals, the float extremes,
+infinities and NaN, and must raise the same errors: on arrays through
+``compile_expr``, whose sin/cos are numpy's, and on Python floats through
+``math``'s, as the generated kernels evaluate the same source. The
 ``+ 0.0`` of a sinusoid's phase and of a polynomial's zero coefficient stay:
 they turn ``-0.0`` into ``0.0``, which the signed-zero inputs would show.
 """
@@ -93,14 +95,20 @@ def reference_expr_source(e, params, t="t", x="x[{}]", v="v[{}]", a="a[{}]") -> 
     return " + ".join(pieces) if pieces else "0.0"
 
 
-def reference_compile(e, params, vectorized):
+def compile_source(body: str, vectorized: bool):
+    """``f(t, x, v, a=None)`` returning ``body``, with numpy's sin/cos when
+    ``vectorized`` and ``math``'s otherwise."""
     if vectorized:
         namespace = {"sin": np.sin, "cos": np.cos}
     else:
         namespace = {"sin": math.sin, "cos": math.cos}
-    src = f"def _compiled(t, x, v, a=None):\n    return {reference_expr_source(e, params)}\n"
+    src = f"def _compiled(t, x, v, a=None):\n    return {body}\n"
     exec(src, namespace)  # noqa: S102 - generated locally
     return namespace["_compiled"]
+
+
+def reference_compile(e, params, vectorized):
+    return compile_source(reference_expr_source(e, params), vectorized)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +175,11 @@ def test_folded_source_is_bitwise_the_reference():
     for _ in range(200):
         e = random_expr(rng)
         points = random_points(rng, 40)
-        scalar, reference = compile_expr(e, PARAMS), reference_compile(e, PARAMS, False)
+        scalar = compile_source(expr_source(e, PARAMS), False)
+        reference = reference_compile(e, PARAMS, False)
         for point in points:
             assert scalar_outcome(scalar, point) == scalar_outcome(reference, point), (e, point)
-        vector = compile_expr(e, PARAMS, vectorized=True)
+        vector = compile_expr(e, PARAMS)
         expected = vectorized_outcome(reference_compile(e, PARAMS, True), points)
         assert vectorized_outcome(vector, points) == expected, e
         folded += "1.0*" in reference_expr_source(e, PARAMS)

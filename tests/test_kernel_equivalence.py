@@ -2,9 +2,10 @@
 
 The reference below is the original pure-Python numeric path, kept
 verbatim: a law callable per system (three closure variants around
-``compile_expr``), the list-per-coordinate RK4 and RKF45 loops that call
-it, the per-sample Hermite resampling, the per-sample acceleration loop and
-the per-element CSV writer. Every trajectory, acceleration table and CSV
+``math_compile``, which evaluates ``expr_source`` on Python floats with
+``math``'s sin/cos, as the kernel does), the list-per-coordinate RK4 and
+RKF45 loops that call it, the per-sample Hermite resampling, the
+per-sample acceleration loop and the per-element CSV writer. Every trajectory, acceleration table and CSV
 file the kernel produces must match it bit for bit. The reference's list
 ``_solve_pivoting`` also checks the kernel's emitted elimination directly,
 on seeded matrices with ties, near-singular pivots, infinities and NaN.
@@ -15,6 +16,7 @@ compensates rounding, so the reference itself changes and the module is
 skipped there.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -43,7 +45,7 @@ from jetmech.dynamics import (
 )
 from jetmech.errors import SingularMassError
 from jetmech.spencer import dual_spencer
-from jetmech.symexpr import compile_expr
+from jetmech.symexpr import compile_expr, expr_source
 
 pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 12),
@@ -86,15 +88,24 @@ def _solve_pivoting(A: list, b: list, threshold: float, state_desc: str) -> list
     return out
 
 
+def math_compile(e, params):
+    """``e`` as ``f(t, x, v, a=None)`` on Python floats, with ``math``'s
+    sin/cos."""
+    namespace = {"sin": math.sin, "cos": math.cos}
+    src = f"def _compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
+    exec(src, namespace)  # noqa: S102 - generated locally
+    return namespace["_compiled"]
+
+
 def reference_rhs(eom, params):
     """The law as a callable, assembled as the three original closures."""
     n, pivot_threshold = eom.n, PIVOT_THRESHOLD
     mass_sym, force_sym, constant = mass_and_force(eom)
-    force_fns = [compile_expr(force_sym[i], params) for i in range(n)]
+    force_fns = [math_compile(force_sym[i], params) for i in range(n)]
 
     if constant:
         M0 = [
-            [compile_expr(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
+            [math_compile(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
             for i in range(n)
         ]
         if n == 1:
@@ -128,7 +139,7 @@ def reference_rhs(eom, params):
 
     else:
         mass_fns = [
-            [compile_expr(mass_sym[i][j], params) for j in range(n)] for i in range(n)
+            [math_compile(mass_sym[i][j], params) for j in range(n)] for i in range(n)
         ]
 
         def rhs(t, x, v):
@@ -505,6 +516,23 @@ def _same(a, b):
 
 AUDITED = ("harmonic", "damped_ho")  # the presets that declare their split
 
+# sha256 of each system's emitted law source: a constant mass entry is
+# evaluated by compile_expr before it is inverted, so these pin its value
+# bit for bit
+LAW_SHA256 = {
+    "damped_ho": "9338f6878f47c3df5d308206f658a08b02acc3a1abc619845f6fd64521da5149",
+    "duffing": "3c78ba6608a4b5cd0f7ff9d94d5816a853cc619c67244e3f0980612330781a56",
+    "harmonic": "61232a1314e72573423955904bd74da4a9524c634764e174b5efc417f27c3a47",
+    "vanderpol": "f847882771c991b30b404f7b85802e8e39ee4b39a1e6e238037449a2c14c9f7a",
+    "coupled2": "60bef9889a906d1ea3043a53c7dcc372e050cc83612ee0e5bd509621ed4c9f9b",
+    "coupled3": "cc464e4817b57291dad519dc7ad4b97d307c308f868ce38aaa1c7b9a8aac9ae8",
+    "forced": "d5b9c82bdc67bb6ee44dc2643cd066e073fed68e1d8ad2ffb6adbd11eacae7c1",
+    "pivotswap3": "8076e421d4127c0bcaddbbc227da2a68f978129615e47f37ee2061aa9ecc35bb",
+    "signedzero": "6d6221f68dfd9386c1e0882c6ac55ff30f2842ffc3a188ed69963e11fe3e94ae",
+    "statemass2": "64b7b29c5651d0433abea9bf33cd82dd0727cb68640461f51bc01ba954a1e27c",
+    "statemass3": "8d5d89c9b69dca17b4adc84456f0d453c72eb4067ae2f3ed273946a6edb831bb",
+}
+
 
 # ---------------------------------------------------------------------------
 # tests
@@ -521,6 +549,12 @@ def test_generated_systems_cover_every_law_form():
     for k in ("coupled2", "coupled3"):
         mass, _, _ = masses[k]
         assert not mass[0][1].is_zero
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(GENERATED))
+def test_law_source_is_pinned(name):
+    law = _ode(_system(name)).kernel.law
+    assert hashlib.sha256(law.encode()).hexdigest() == LAW_SHA256[name], law
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
@@ -636,7 +670,7 @@ def test_pivot_row_changes_mid_run(method):
     traj = integrate(_ode(system), *system.init, system.time[:2], system.time[2], method)
     assert not traj.truncated
     m00, m10 = (
-        np.broadcast_to(compile_expr(e, params, vectorized=True)(traj.taus, traj.xs.T, traj.vs.T),
+        np.broadcast_to(compile_expr(e, params)(traj.taus, traj.xs.T, traj.vs.T),
                         traj.taus.shape)
         for e in (mass[0][0], mass[1][0])
     )

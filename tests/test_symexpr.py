@@ -506,19 +506,18 @@ class TestCompile:
             binding = {TAU: t, X: x, V: v, A: a, K: 1.7}
             assert abs(fn(t, [x], [v], [a]) - evaluate(e, binding)) < 1e-12
 
-    def test_vectorized_matches_scalar(self):
+    def test_arrays_match_reference_eval(self):
         import numpy as np
 
         f = sinusoid_signal("f", 1, 2, 0)
         e = var(X) * var(signal_symbol(f)) + var(V) ** 2
-        scalar = compile_expr(e, {})
-        vector = compile_expr(e, {}, vectorized=True)
+        fn = compile_expr(e, {})
         ts = np.linspace(0, 1, 7)
         xs = np.linspace(-1, 1, 7)
         vs = np.linspace(2, 3, 7)
-        got = np.asarray(vector(ts, xs.reshape(1, -1), vs.reshape(1, -1))).ravel()
+        got = np.asarray(fn(ts, xs.reshape(1, -1), vs.reshape(1, -1))).ravel()
         for i in range(7):
-            assert abs(got[i] - scalar(ts[i], [xs[i]], [vs[i]])) < 1e-14
+            assert abs(got[i] - evaluate(e, {TAU: ts[i], X: xs[i], V: vs[i]})) < 1e-14
 
     def test_missing_parameter_raises(self):
         with pytest.raises(UnboundSymbolError):
@@ -528,18 +527,15 @@ class TestCompile:
         f = sinusoid_signal("f", 1, 2, 0)
         built_twice = [var(K) * var(X) * var(signal_symbol(f)) + var(V) for _ in range(2)]
         assert built_twice[0] is not built_twice[1]
-        for vectorized in (False, True):
-            fns = [compile_expr(e, {"k": 1.5}, vectorized) for e in built_twice]
-            assert fns[0] is fns[1]
+        fns = [compile_expr(e, {"k": 1.5}) for e in built_twice]
+        assert fns[0] is fns[1]
 
-    def test_flavours_compile_apart(self):
+    def test_signals_compile_to_numpy(self):
         import numpy as np
 
         e = var(X) * var(signal_symbol(sinusoid_signal("f", 1, 2, 0)))
-        scalar, vector = compile_expr(e, {}), compile_expr(e, {}, vectorized=True)
-        assert scalar is not vector
-        assert scalar.__globals__["sin"] is math.sin
-        assert vector.__globals__["sin"] is np.sin
+        fn = compile_expr(e, {})
+        assert fn.__globals__["sin"] is np.sin and fn.__globals__["cos"] is np.cos
 
     def test_different_params_compile_apart(self):
         e = var(K) * var(X)
@@ -557,12 +553,10 @@ class TestCompile:
         )
         # a coefficient no other test compiles, so the first request misses
         built_twice = [var(K) * var(X) ** 3 + Fraction(7919, 7907) for _ in range(2)]
-        for vectorized in (False, True):
-            calls.clear()
-            first = compile_expr(built_twice[0], {"k": 1.25, "m": 2.0}, vectorized)
-            again = compile_expr(built_twice[1], {"m": 2.0, "k": 1.25}, vectorized)
-            assert first is again
-            assert len(calls) == 1
+        first = compile_expr(built_twice[0], {"k": 1.25, "m": 2.0})
+        again = compile_expr(built_twice[1], {"m": 2.0, "k": 1.25})
+        assert first is again
+        assert len(calls) == 1
         with pytest.raises(UnboundSymbolError):
             compile_expr(built_twice[0], {"m": 2.0})
 
@@ -574,19 +568,20 @@ class TestCompile:
         assert math.copysign(1.0, plus(0.0, [1.0], [0.0])) == 1.0
         assert math.copysign(1.0, minus(0.0, [1.0], [0.0])) == -1.0
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_negative_parameter_powers_match_evaluate(self, vectorized):
-        # a negative literal base is parenthesized: (-2.0)**2 is 4.0, not -(2.0**2)
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_negative_parameter_powers_match_evaluate(self, arrays):
+        # a negative literal base is parenthesized: (-2.0)**2 is 4.0, not -(2.0**2);
+        # the slots hold Python floats, as for a constant mass entry, or arrays
         import numpy as np
 
         e = var(K) ** 2 * var(X) - var(K) ** 3 + var(K) * var(V) ** 2 + var(K) ** 4
         for k in (-2.0, -0.5, -0.0, -1e16, 1.5):
-            fn = compile_expr(e, {"k": k}, vectorized)
+            fn = compile_expr(e, {"k": k})
             for x, v in ((1.0, 0.5), (-3.0, 2.0)):
-                slots = (np.array([x]), np.array([v])) if vectorized else ([x], [v])
+                slots = (np.array([x]), np.array([v])) if arrays else ([x], [v])
                 got = float(np.ravel(fn(0.0, *slots))[0])
                 assert got == evaluate(e, {X: x, V: v, K: k})
-        square = compile_expr(var(K) ** 2, {"k": -0.0}, vectorized)
+        square = compile_expr(var(K) ** 2, {"k": -0.0})
         assert math.copysign(1.0, float(square(0.0, [], []))) == 1.0
 
     def test_cache_is_bounded(self):
