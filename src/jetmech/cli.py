@@ -122,9 +122,9 @@ def _report_dict(system=None, dec=None, eom=None, checks=()):
 
 
 def _write_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(traj, args.out, report)
     print(f"wrote {args.out} ({len(traj.taus)} samples)")
     if traj.truncated:
-        print("numeric failure: trajectory truncated (non-finite state); partial CSV written")
+        print(f"numeric failure: trajectory truncated ({traj.truncation}); partial CSV written")
         return EXIT_NUMERIC
 
     if args.oracle:

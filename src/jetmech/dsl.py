@@ -29,6 +29,7 @@ from .symexpr import (
     PolynomialSignal,
     SinusoidSignal,
     ZERO,
+    Symbol,
     acc,
     coord,
     format_expr,  # re-exported: the DSL's rendering of canonical expressions
@@ -343,6 +344,10 @@ def parse_expr(text: str) -> ExprNode:
 # ---------------------------------------------------------------------------
 
 
+# the leaves of the one-term path of resolve_expr
+_ATOMS = (Num, Name, TimeRef, SigRef)
+
+
 @dataclass(frozen=True)
 class ExprContext:
     """Declared names visible to an expression."""
@@ -354,64 +359,107 @@ class ExprContext:
 
 
 def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
-    """Lower an AST into a canonical Expr, with Expr's own arithmetic.
+    """Lower an AST into a canonical Expr.
 
     The left spine of a chain of binary operators is walked in one loop, so
     the recursion here follows the parser's nesting bound, not the length of
-    the expression. A run of ^ is folded into one power, (b^p)^q = b^(p*q).
-    Operands resolve and combine left to right, so of an undeclared name and
-    a product too large to expand, the first in the text is the one reported.
+    the expression. While the chain is one term, atoms (numbers, names, t,
+    signal references) joined by * with literal ^ and /, it is built
+    directly as a coefficient and a {symbol: exponent} map, which becomes
+    one term at the end (``Expr.term``). From the first operator that can
+    make more than one term (+, -, or * by a negation or a parenthesized
+    sum) on, the chain is built with Expr's own + - * / **, where a run of ^
+    is folded into one power, (b^p)^q = b^(p*q), so every product that
+    MAX_TERM_PRODUCT bounds is a product of two expressions as written.
+    Operands resolve and combine left to right, so of an undeclared name
+    and a product too large to expand, the first in the text is the one
+    reported.
     """
     spine = []
     while isinstance(node, BinOp):
         spine.append(node)
         node = node.lhs
-    out = _resolve_leaf(node, ctx)
+    links = reversed(spine)
+    if isinstance(node, Neg):
+        out = -resolve_expr(node.operand, ctx)
+    elif not isinstance(node, _ATOMS):
+        raise TypeError(f"unknown AST node {node!r}")
+    else:
+        # the one-term prefix of the chain
+        if isinstance(node, Num):
+            coeff, powers = node.value, {}
+        else:
+            coeff, powers = 1, {_symbol(node, ctx): 1}
+        for link in links:
+            if link.op == "^":
+                p = int(link.rhs.value)
+                coeff = coeff**p
+                powers = {sym: k * p for sym, k in powers.items()}
+                continue
+            if link.op == "/":
+                coeff = _ratio(coeff, link.rhs.value)
+                continue
+            if link.op == "*":
+                base, exponent = link.rhs, 1
+                while isinstance(base, BinOp) and base.op == "^":
+                    exponent *= int(base.rhs.value)
+                    base = base.lhs
+                if isinstance(base, Num):
+                    coeff = coeff * base.value**exponent
+                    continue
+                if isinstance(base, _ATOMS):
+                    sym = _symbol(base, ctx)
+                    powers[sym] = powers.get(sym, 0) + exponent
+                    continue
+            out = _binary(link, Expr.term(coeff, powers), ctx)
+            break
+        else:
+            return Expr.term(coeff, powers)
+    # the rest of the chain, from the link after the one-term prefix
     exponent = 1
-    for link in reversed(spine):
+    for link in links:
         if link.op == "^":
             exponent *= int(link.rhs.value)
             continue
         if exponent != 1:
             out, exponent = out**exponent, 1
-        if link.op == "/":
-            out = out / link.rhs.value
-        elif link.op == "*":
-            out = out * resolve_expr(link.rhs, ctx)
-        elif link.op == "+":
-            out = out + resolve_expr(link.rhs, ctx)
-        else:
-            out = out - resolve_expr(link.rhs, ctx)
+        out = _binary(link, out, ctx)
     return out if exponent == 1 else out**exponent
 
 
-def _resolve_leaf(node: ExprNode, ctx: ExprContext) -> Expr:
-    if isinstance(node, Num):
-        return Expr.const(node.value)
+def _binary(link: BinOp, lhs: Expr, ctx: ExprContext) -> Expr:
+    """``lhs`` combined with the operand of a ``/ * + -`` link."""
+    if link.op == "/":
+        return lhs / link.rhs.value
+    if link.op == "*":
+        return lhs * resolve_expr(link.rhs, ctx)
+    if link.op == "+":
+        return lhs + resolve_expr(link.rhs, ctx)
+    return lhs - resolve_expr(link.rhs, ctx)
+
+
+def _symbol(node: Name | TimeRef | SigRef, ctx: ExprContext) -> Symbol:
+    """The symbol a name, t or signal reference denotes."""
     if isinstance(node, TimeRef):
-        return Expr.var(TAU)
-    if isinstance(node, Neg):
-        return -resolve_expr(node.operand, ctx)
+        return TAU
     if isinstance(node, SigRef):
         sig = ctx.signals.get(node.name)
         if sig is None:
             raise UndeclaredSymbolError(node.line, node.col, f"undeclared signal '{node.name}'")
-        return Expr.var(signal_symbol(sig, node.order))
-    if not isinstance(node, Name):
-        raise TypeError(f"unknown AST node {node!r}")
+        return signal_symbol(sig, node.order)
     if node.name in ctx.coords:
         i = ctx.coords.index(node.name)
         if node.primes == 0:
-            return Expr.var(coord(i))
+            return coord(i)
         if node.primes == 1:
-            return Expr.var(vel(i))
+            return vel(i)
         if not ctx.allow_acceleration:
             raise ParseError(node.line, node.col, "acceleration symbols are not permitted here")
-        return Expr.var(acc(i))
+        return acc(i)
     if node.name in ctx.params:
         if node.primes:
             raise ParseError(node.line, node.col, f"parameter '{node.name}' cannot be primed")
-        return Expr.var(param(node.name))
+        return param(node.name)
     if node.name in ctx.signals:
         raise ParseError(
             node.line,

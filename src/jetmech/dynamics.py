@@ -30,8 +30,8 @@ from .symexpr import (
     compile_expr,
     coord,
     expr_source,
+    param_literals,
     partial,
-    substitute,
     vel,
 )
 
@@ -161,7 +161,8 @@ def kernel(taus, xs, vs):
 """
 
 # The integration loops catch OverflowError/ValueError from the law (float
-# range exceeded: blow-up) and truncate, as they do for a non-finite state.
+# range exceeded: blow-up) and truncate, as they do for a non-finite state;
+# a truncated run returns its reason (Trajectory.truncation), a whole one None.
 _RK4 = """\
 def kernel(taus, x, v, h):
     x1_{i} = x[{i}]
@@ -186,14 +187,14 @@ def kernel(taus, x, v, h):
             v4_{i} = v1_{i} + h * a3_{i}
             @law(4)
         except (OverflowError, ValueError):
-            return xs, vs, True
+            return xs, vs, "law overflow"
         x1_{i} = x1_{i} + h6 * (v1_{i} + 2.0 * v2_{i} + 2.0 * v3_{i} + v4_{i})
         v1_{i} = v1_{i} + h6 * (a1_{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})
         if not ({finite}):
-            return xs, vs, True
+            return xs, vs, "non-finite state"
         xs.append(x1_{i})
         vs.append(v1_{i})
-    return xs, vs, False
+    return xs, vs, None
 """
 
 # Fehlberg 4(5) tableau: 4th-order propagation, 5th-order error estimate.
@@ -238,7 +239,7 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
     try:
         @law()
     except (OverflowError, ValueError):
-        return ts, xs, vs, accels, True
+        return ts, xs, vs, accels, "law overflow"
     accels.append(a_{i})
     dt = min(max_step, (b_t - a_t) / 10.0)
     min_step = 1e-14 * (b_t - a_t)
@@ -253,19 +254,19 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
             scale = atol + rtol * max({abs_x}, {abs_v}, 1.0)
             err = max(err, abs(dt * {err_vk}), abs(dt * {err_ak}))
         except (OverflowError, ValueError):
-            return ts, xs, vs, accels, True
+            return ts, xs, vs, accels, "law overflow"
         if not isfinite(err):
-            return ts, xs, vs, accels, True
+            return ts, xs, vs, accels, "non-finite state"
         if err <= scale:
             x_{i} = x_{i} + dt * {b4_vk}
             v_{i} = v_{i} + dt * {b4_ak}
             t = t + dt
             if not ({finite}):
-                return ts, xs, vs, accels, True
+                return ts, xs, vs, accels, "non-finite state"
             try:
                 @law()
             except (OverflowError, ValueError):
-                return ts, xs, vs, accels, True
+                return ts, xs, vs, accels, "law overflow"
             ts.append(t)
             xs.append(x_{i})
             vs.append(v_{i})
@@ -273,8 +274,8 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
         ratio = (scale / err) ** 0.2 if err > 0.0 else 5.0
         dt = min(max_step, dt * min(5.0, max(0.2, 0.9 * ratio)))
         if dt < min_step:
-            return ts, xs, vs, accels, True
-    return ts, xs, vs, accels, t < t_stop
+            return ts, xs, vs, accels, "step underflow"
+    return ts, xs, vs, accels, "RKF45_MAX_ATTEMPTS reached" if t < t_stop else None
 """
 
 
@@ -330,9 +331,10 @@ class _Kernel:
 
     @cached_property
     def rk4(self):
-        """``rk4(taus, x0, v0, h) -> (xs, vs, truncated)``: one RK4 step from
+        """``rk4(taus, x0, v0, h) -> (xs, vs, truncation)``: one RK4 step from
         each time in ``taus``. ``xs``/``vs`` are flat row-major lists of the
-        accepted states, starting with (x0, v0)."""
+        accepted states, starting with (x0, v0); ``truncation`` is why the
+        run stopped early, or None."""
         return self._compile(
             _RK4, finite=self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
         )
@@ -340,11 +342,11 @@ class _Kernel:
     @cached_property
     def rkf45(self):
         """``rkf45(x0, v0, a_t, b_t, atol, rtol, max_step, max_attempts)``
-        returns ``(ts, xs, vs, accels, truncated)``: the accepted knots and
-        their states and accelerations as flat row-major lists. ``accels``
-        is empty when the law fails at the initial state. A run that has not
-        reached ``b_t`` after ``max_attempts`` steps, accepted or rejected,
-        is truncated."""
+        returns ``(ts, xs, vs, accels, truncation)``: the accepted knots and
+        their states and accelerations as flat row-major lists, and why the
+        run stopped early, or None. ``accels`` is empty when the law fails
+        at the initial state. A run that has not reached ``b_t`` after
+        ``max_attempts`` steps, accepted or rejected, is truncated."""
         stages = _RKF45_STAGE0 + "".join(
             _RKF45_STAGE.format(
                 s=s, c=_RKF_C[s], a_vk=_dot(_RKF_A[s], "vk{}_{{i}}"),
@@ -391,11 +393,12 @@ def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
     """Split affine residuals R = c - M a into (M, c) symbolically.
 
     Returns (M, c, constant): M is an n x n tuple of Expr with
-    M_ij = -dR_i/da^j, c_i is R_i with the accelerations zeroed, and
-    ``constant`` says that every entry of M involves parameters only.
+    M_ij = -dR_i/da^j, c_i is R_i with a^0 .. a^(n-1) zeroed: the terms of
+    R_i that hold none of them, taken as they are, since the other terms
+    vanish and a subset of canonical terms is canonical. ``constant`` says
+    that every entry of M involves parameters only.
     """
     n = eom.n
-    zero_acc = {acc(j): ZERO for j in range(n)}
     mass = []
     for i in range(n):
         row = []
@@ -405,7 +408,13 @@ def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
                 raise MechError("residuals are not affine in the accelerations")
             row.append(entry)
         mass.append(tuple(row))
-    force = tuple(substitute(eom.residuals[i], zero_acc) for i in range(n))
+    force = tuple(
+        Expr(tuple(
+            (mono, c) for mono, c in r.terms
+            if not any(sym.kind == SymbolKind.ACC and sym.index < n for sym, _ in mono)
+        ))
+        for r in eom.residuals
+    )
     constant = all(s.kind == SymbolKind.PARAM for row in mass for e in row for s in e.symbols())
     return tuple(mass), force, constant
 
@@ -469,7 +478,12 @@ class Trajectory:
 
     ``xs`` and ``vs`` follow the ``as_samples`` layout, (N, n); a grid that
     is not uniform and increasing, or whose step is not ``h``, raises
-    ValueError. ``law`` is the ExplicitODE that ``integrate`` ran to make
+    ValueError. ``truncation`` says why ``integrate`` stopped before the end
+    of the grid, None when it did not: "non-finite state", "law overflow"
+    (an OverflowError or ValueError raised in the law), "step underflow"
+    and "RKF45_MAX_ATTEMPTS reached" from the kernels, or "resampled grid
+    ends early" when RKF45's knots stop short of the grid with none of
+    those. ``law`` is the ExplicitODE that ``integrate`` ran to make
     it; it is None on a trajectory built by hand. What is computed from the
     samples (``accels``, and each expression evaluated on them) is kept on
     the trajectory, so its samples must not be written after first use.
@@ -479,7 +493,7 @@ class Trajectory:
     xs: np.ndarray  # (N, n)
     vs: np.ndarray  # (N, n)
     h: float
-    truncated: bool = False
+    truncation: str | None = None
     law: ExplicitODE | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -502,6 +516,10 @@ class Trajectory:
     def n(self) -> int:
         return self.xs.shape[1]
 
+    @property
+    def truncated(self) -> bool:
+        return self.truncation is not None
+
     @cached_property
     def accels(self) -> np.ndarray:
         """The (N, n) accelerations of the trajectory's own law at each
@@ -513,7 +531,7 @@ class Trajectory:
     @cached_property
     def _evaluated(self) -> dict:
         """The read-only samples ``_eval_on_trajectory`` computed on this
-        trajectory, keyed by the compiled function of each expression."""
+        trajectory, keyed by expression and parameter literals."""
         return {}
 
 
@@ -560,8 +578,9 @@ def integrate(
     rk4 is the fixed-step workhorse (global order 4). rkf45 runs adaptively
     under the RKF45_* tolerances and is resampled onto the uniform grid by
     cubic Hermite interpolation. Non-finite states, float overflow inside
-    the law, and an RKF45 run past RKF45_MAX_ATTEMPTS steps truncate the
-    trajectory and set the flag instead of raising.
+    the law, an RKF45 step underflow and an RKF45 run past
+    RKF45_MAX_ATTEMPTS steps truncate the trajectory instead of raising, and
+    its ``truncation`` names which of them it was.
     """
     a_t, b_t = float(interval[0]), float(interval[1])
     if not b_t > a_t:
@@ -578,20 +597,23 @@ def integrate(
         raise ValueError("initial condition dimension mismatch")
 
     if method == "rk4":
-        xs, vs, truncated = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
+        xs, vs, truncation = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
         m = len(xs) // n
         return Trajectory(
-            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff, truncated, ode
+            taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff,
+            truncation, ode,
         )
     if method != "rkf45":
         raise ValueError(f"unknown integrator '{method}'")
 
-    knot_ts, kx, kv, ka, truncated = ode.kernel.rkf45(
+    knot_ts, kx, kv, ka, truncation = ode.kernel.rkf45(
         x0, v0, a_t, b_t, RKF45_ATOL, RKF45_RTOL, RKF45_MAX_STEP, RKF45_MAX_ATTEMPTS
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
     m = len(xs)
-    return Trajectory(taus[:m], xs, vs, h_eff, truncated or m < len(taus), ode)
+    if truncation is None and m < len(taus):
+        truncation = "resampled grid ends early"
+    return Trajectory(taus[:m], xs, vs, h_eff, truncation, ode)
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +642,17 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
 
 def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
     """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
-    if ``e`` has accelerations. The array is kept on ``traj``, so each
-    expression and set of parameter literals is evaluated once per
-    trajectory."""
-    fn = compile_expr(e, params)
-    out = traj._evaluated.get(fn)
+    if ``e`` has accelerations. The array is kept on ``traj``, keyed as
+    ``compile_expr`` keys its functions, so each expression and set of
+    parameter literals is compiled and evaluated once per trajectory."""
+    key = (e, param_literals(params))
+    out = traj._evaluated.get(key)
     if out is None:
         a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
-        values = fn(traj.taus, traj.xs.T, traj.vs.T, a_rows)
+        values = compile_expr(e, params)(traj.taus, traj.xs.T, traj.vs.T, a_rows)
         out = np.broadcast_to(np.asarray(values, dtype=float), traj.taus.shape).copy()
         out.flags.writeable = False
-        traj._evaluated[fn] = out
+        traj._evaluated[key] = out
     return out
 
 

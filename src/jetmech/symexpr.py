@@ -349,6 +349,17 @@ class Expr:
         term = (((symbol, 1),), 1)
         return cls((term,))  # type: ignore[arg-type]
 
+    @classmethod
+    def term(cls, coefficient: Rational, powers: Mapping[Symbol, int]) -> "Expr":
+        """The one-term expression ``coefficient * prod(s**k)`` of a
+        {symbol: exponent} map: zero exponents are dropped, the factors
+        sorted once, and an integral Fraction coefficient becomes its int."""
+        q = _exact(coefficient)
+        if not q:
+            return ZERO
+        mono = tuple(sorted((sym, k) for sym, k in powers.items() if k))
+        return cls(((mono, q),))
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -460,7 +471,8 @@ class Expr:
         for m1, c1 in a:
             for m2, c2 in b:
                 mono = _mono_mul(m1, m2)
-                acc[mono] = acc.get(mono, 0) + c1 * c2
+                c = c1 * c2
+                acc[mono] = acc[mono] + c if mono in acc else c
         return Expr.from_map(acc)
 
     __rmul__ = __mul__
@@ -507,46 +519,48 @@ class Expr:
 ZERO = Expr.const(0)
 
 
-# factor order for rendering: parameters first, then signals, time, and the
-# jet coordinates, which matches conventional physics notation (k*x^2)
-_DISPLAY_RANK = {
-    SymbolKind.PARAM: 0,
-    SymbolKind.SIGNAL: 1,
-    SymbolKind.TIME: 2,
-    SymbolKind.COORD: 3,
-    SymbolKind.VEL: 4,
-    SymbolKind.ACC: 5,
-}
-
-
 def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
     """Deterministic re-parseable rendering of a canonical expression.
 
-    Factors print parameters first, then signals, time and jet coordinates;
-    rational coefficients render as p/q prefixes. Coordinates beyond the
-    given names fall back to x, y, z, x3, ...
+    Factors print parameters first, then signals, time and jet coordinates,
+    which matches conventional physics notation (k*x^2); rational
+    coefficients render as p/q prefixes. Coordinates beyond the given names
+    fall back to x, y, z, x3, ...
+
+    Canonical order is by kind: time, coordinates, velocities,
+    accelerations, then parameters and signals. The display order of a
+    monomial is that order rotated so its parameters and signals come
+    first, with no sort. Each factor's text is computed once per call.
     """
     if e.is_zero:
         return "0"
+    first = SymbolKind.PARAM
+    names: dict = {}
     parts = []
-    for i, (mono, c) in enumerate(e.terms):
-        factors = sorted(mono, key=lambda it: (_DISPLAY_RANK[it[0].kind], it[0]))
-        frags = []
-        for sym, exp in factors:
-            s = sym.display(coords)
-            frags.append(s if exp == 1 else f"{s}^{exp}")
-        body = "*".join(frags)
-        mag = abs(c)
-        if body and mag == 1:
-            frag = body
-        elif body:
-            frag = f"{mag}*{body}"
+    for mono, c in e.terms:
+        head, tail = [], []
+        for pair in mono:
+            s = names.get(pair)
+            if s is None:
+                sym, exp = pair
+                s = sym.display(coords)
+                if exp != 1:
+                    s = f"{s}^{exp}"
+                names[pair] = s
+            (head if pair[0].kind >= first else tail).append(s)
+        body = "*".join(head + tail if tail else head)
+        num, den = c.numerator, c.denominator
+        if num < 0:
+            sign = " - " if parts else "-"
+            num = -num
         else:
-            frag = str(mag)
-        if i == 0:
-            parts.append(("-" if c < 0 else "") + frag)
+            sign = " + " if parts else ""
+        if den != 1:
+            parts.append(f"{sign}{num}/{den}*{body}" if body else f"{sign}{num}/{den}")
+        elif num != 1:
+            parts.append(f"{sign}{num}*{body}" if body else f"{sign}{num}")
         else:
-            parts.append((" - " if c < 0 else " + ") + frag)
+            parts.append(sign + (body or "1"))
     return "".join(parts)
 
 
@@ -556,18 +570,24 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
 
 
 def _power_rule(e: Expr, s: Symbol) -> Expr:
-    """d/ds treating s as an independent variable (no chain rule)."""
-    acc: dict = {}
+    """d/ds treating s as an independent variable (no chain rule).
+
+    Dropping or lowering the power of s maps distinct monomials to distinct
+    monomials, so each term holding s gives one term of the result, with no
+    sum to form; only their order can change.
+    """
+    terms = []
     for mono, c in e.terms:
         for k, (sym, exp) in enumerate(mono):
             if sym == s:
                 if exp == 1:
-                    new = mono[:k] + mono[k + 1 :]
+                    terms.append((mono[:k] + mono[k + 1 :], c))
                 else:
                     new = mono[:k] + ((sym, exp - 1),) + mono[k + 1 :]
-                acc[new] = acc.get(new, 0) + c * exp
+                    terms.append((new, _canonical(c * exp)))
                 break
-    return Expr.from_map(acc)
+    terms.sort()
+    return Expr(tuple(terms))
 
 
 def partial(e: Expr, s: Symbol) -> Expr:
@@ -628,13 +648,21 @@ def scaling_integral(e: Expr, weight: int = 0) -> Expr:
     Coordinates and velocities are scaled by s; time, signals and parameters
     never are, so a term of fiber degree d picks up the factor
     1/(d+weight+1). The weight powers the homotopy operators on higher form
-    degrees.
+    degrees. Each term keeps its monomial, so the result keeps the canonical
+    order of ``e``.
     """
-    acc: dict = {}
+    terms = []
     for mono, c in e.terms:
-        d = sum(exp for sym, exp in mono if sym.kind in (SymbolKind.COORD, SymbolKind.VEL))
-        acc[mono] = acc.get(mono, 0) + Fraction(c, d + weight + 1)
-    return Expr.from_map(acc)
+        k = sum(exp for sym, exp in mono if sym.kind in (SymbolKind.COORD, SymbolKind.VEL))
+        k += weight + 1
+        if k == 1:
+            q = c
+        elif c.__class__ is int and c % k == 0:
+            q = c // k
+        else:
+            q = Fraction(c, k)
+        terms.append((mono, q))
+    return Expr(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +767,13 @@ def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     literals is compiled once (up to COMPILE_CACHE_SIZE of them), so equal
     inputs return the same function without generating its source again.
     """
-    # keyed by each value's emitted literal, not by ==: -0.0 and 0.0 are
-    # equal but emit different source
-    literals = frozenset((name, repr(float(value))) for name, value in params.items())
-    return _compile(e, literals)
+    return _compile(e, param_literals(params))
+
+
+def param_literals(params: Mapping[str, float]) -> frozenset:
+    """The parameters as compile_expr keys them: by each value's emitted
+    literal, not by ==, as -0.0 and 0.0 are equal but emit different source."""
+    return frozenset((name, repr(float(value))) for name, value in params.items())
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)

@@ -111,7 +111,8 @@ def random_expr(
         mono = tuple(sorted(powers.items()))
         num = rng.randint(-6, 6) or 1
         den = rng.randint(1, 3)
-        terms[mono] = terms.get(mono, 0) + Fraction(num, den)
+        q = num // den if num % den == 0 else Fraction(num, den)
+        terms[mono] = terms[mono] + q if mono in terms else q
     return Expr.from_map(terms)
 
 

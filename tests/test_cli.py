@@ -280,6 +280,74 @@ class TestSimulate:
         assert out_csv.exists()
         assert len(out_csv.read_text().splitlines()) > 10
 
+    @pytest.mark.parametrize(
+        "force, init, grid, method, samples, reason",
+        [
+            # x'' = -t^400 x turns stiff past t = 1 and RK4 leaves the float range
+            ("-t^400*x", "x = 1, x' = 0", "0 .. 10 step 1/10", "rk4", 15, "non-finite state"),
+            # v' = v^2 blows up at t = 1, where v**2 raises OverflowError
+            ("x'^2", "x = 0, x' = 1", "0 .. 2 step 1/1000", "rk4", 1003, "law overflow"),
+            # RKF45 shrinks its step towards the same blow-up until it underflows
+            ("x'^2", "x = 0, x' = 1", "0 .. 2 step 1/1000", "rkf45", 1000, "step underflow"),
+        ],
+    )
+    def test_truncation_names_its_reason(
+        self, capsys, tmp_path, force, init, grid, method, samples, reason
+    ):
+        path = tmp_path / "r.mech"
+        path.write_text(
+            f'system "r" {{ coordinate x; force x: {force}; momentum x: x\';\n'
+            f"init {init}; time {grid} }}"
+        )
+        out_csv = tmp_path / "r.csv"
+        code, out = run(capsys, "simulate", str(path), "--out", str(out_csv), "--method", method)
+        assert code == 3
+        assert out.splitlines() == [
+            f"wrote {out_csv} ({samples} samples)",
+            f"numeric failure: trajectory truncated ({reason}); partial CSV written",
+        ]
+        assert len(out_csv.read_text().splitlines()) == samples + 1
+
+    HARMONIC = (
+        'system "h" { coordinate x; force x: -x; momentum x: x\';\n'
+        "init x = 1, x' = 0; time 0 .. 100 step 1 }"
+    )
+
+    def test_truncation_at_the_attempt_cap_names_it(self, capsys, tmp_path, monkeypatch):
+        # every state is finite: the run only ran out of attempts
+        monkeypatch.setattr(dynamics, "RKF45_MAX_ATTEMPTS", 100)
+        path = tmp_path / "h.mech"
+        path.write_text(self.HARMONIC)
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "h.csv"),
+                        "--method", "rkf45")
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            "numeric failure: trajectory truncated (RKF45_MAX_ATTEMPTS reached); "
+            "partial CSV written"
+        )
+
+    def test_truncation_of_a_short_resampled_grid_names_it(self, capsys, tmp_path, monkeypatch):
+        # knots that end before the grid with no reason from the kernel; the
+        # kernel's own stopping rule leaves no such gap, so the resampling
+        # is cut short by hand
+        real = dynamics._hermite_resample
+
+        def short(*args):
+            xs, vs = real(*args)
+            return xs[:-1], vs[:-1]
+
+        monkeypatch.setattr(dynamics, "_hermite_resample", short)
+        path = tmp_path / "h.mech"
+        path.write_text(self.HARMONIC)
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "h.csv"),
+                        "--method", "rkf45")
+        assert code == 3
+        assert out.splitlines() == [
+            f"wrote {tmp_path / 'h.csv'} (100 samples)",
+            "numeric failure: trajectory truncated (resampled grid ends early); "
+            "partial CSV written",
+        ]
+
     def test_rkf45_ends_on_its_attempt_cap(self, capsys, tmp_path):
         # the step shrinks to resolve a sinusoid of angular frequency 1e300;
         # uncapped, the run accepts 365,086 knots, after more attempts than

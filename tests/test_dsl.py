@@ -33,6 +33,7 @@ from jetmech.errors import MechError, ReconstructionError
 from jetmech.formcalc import VerticalOneForm
 from jetmech.spencer import dual_spencer
 from jetmech.symexpr import (
+    MAX_TERM_PRODUCT,
     TAU,
     Expr,
     acc,
@@ -241,6 +242,51 @@ class TestFormatExpr:
         w = CTX.signals["w"]
         e = Expr.var(signal_symbol(w, 2)) * X - Expr.const(Fraction(3, 7))
         assert text_to_expr(format_expr(e, ("x",)), CTX) == e
+
+
+class TestOneTermPath:
+    """A product of atoms resolves straight to one term; the parser's errors
+    and bounds hold on that path as on the generic one."""
+
+    def test_undeclared_name_after_a_product_of_atoms(self):
+        head = "2*k*x^2*t*sig(w)/3*"
+        with pytest.raises(UndeclaredSymbolError) as info:
+            text_to_expr(head + "nope*q2", CTX)
+        assert info.value.message == "undeclared symbol 'nope'"
+        assert (info.value.line, info.value.col) == (1, len(head) + 1)
+        with pytest.raises(UndeclaredSymbolError) as info:
+            text_to_expr(head + "sig(g)", CTX)
+        assert info.value.message == "undeclared signal 'g'"
+
+    @pytest.mark.parametrize(
+        "text, col, message",
+        [
+            ("k*x/0", 5, "division by zero"),
+            ("k*x*y/0.0*t", 7, "division by zero"),
+            ("k*x^1.5", 5, "exponent must be a nonnegative integer"),
+            ("2*x*y^(1)", 7, "exponent must be a nonnegative integer"),
+        ],
+    )
+    def test_literal_errors(self, text, col, message):
+        with pytest.raises(ParseError) as info:
+            text_to_expr(text, CTX)
+        assert (info.value.col, info.value.message) == (col, message)
+
+    def test_ten_thousand_factor_chain_does_not_recurse(self):
+        # far beyond the default recursion limit of 1,000 frames
+        text = "*".join(["x", "2", "k", "y'^2"] * 2500)
+        e = text_to_expr(text, CTX)
+        mono = ((coord(0), 2500), (vel(1), 5000), (param("k"), 2500))
+        assert e.terms == ((mono, 2**2500),)
+
+    def test_term_product_bound_through_a_parenthesized_sum(self):
+        total = " + ".join(f"x^{i}" for i in range(300))
+        with pytest.raises(MechError) as info:
+            text_to_expr(f"2*k*t*({total})*({total})", CTX)
+        assert str(info.value) == (
+            f"expression too large: a product of 300 by 300 terms exceeds "
+            f"MAX_TERM_PRODUCT = {MAX_TERM_PRODUCT}"
+        )
 
 
 DAMPED_HO_TEXT = PRESETS["damped_ho"]

@@ -524,6 +524,29 @@ class TestKeptSamples:
         other = _eval_on_trajectory(residual, self.traj, dict(self.params, k=2.0))
         assert other is not kept and not np.array_equal(other, kept)
 
+    def test_a_kept_expression_is_not_compiled_again(self, monkeypatch):
+        compiled = []
+        original = dynamics.compile_expr
+
+        def counting(e, params):
+            compiled.append(e)
+            return original(e, params)
+
+        monkeypatch.setattr(dynamics, "compile_expr", counting)
+        residual = dual_spencer(self.phi).residuals[0]
+        kept = _eval_on_trajectory(residual, self.traj, self.params)
+        equal = dual_spencer(self.phi).residuals[0]  # equal, not the same object
+        assert equal is not residual
+        assert _eval_on_trajectory(equal, self.traj, dict(self.params)) is kept
+        assert compiled == [residual]
+
+    def test_signed_zero_parameters_are_kept_apart(self):
+        # 0.0 == -0.0, but k*x emits a different literal for each
+        assert self.traj.xs[0, 0] == 1.0
+        plus = _eval_on_trajectory(K * X, self.traj, {"k": 0.0})
+        minus = _eval_on_trajectory(K * X, self.traj, {"k": -0.0})
+        assert not np.signbit(plus[0]) and np.signbit(minus[0])
+
     def test_a_grid_is_sampled_once_per_field(self):
         t = Expr.var(TAU)
         variation = VariationField(exprs=(t * (Expr.const(1) - t),))
