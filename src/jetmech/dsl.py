@@ -23,6 +23,8 @@ from typing import Mapping, NamedTuple, Optional, Union
 from .errors import MechError
 from .formcalc import Decomposition, VerticalOneForm, accept_user_split
 from .symexpr import (
+    COEFFICIENT_BOUND_MESSAGE,
+    MAX_COEFFICIENT_BITS,
     TAU,
     Expr,
     ForcingSignal,
@@ -31,6 +33,7 @@ from .symexpr import (
     ZERO,
     Symbol,
     acc,
+    coefficient_bits,
     coord,
     format_expr,  # re-exported: the DSL's rendering of canonical expressions
     param,
@@ -222,6 +225,13 @@ MAX_NESTING = 100
 # of a double (about 1e-324 .. 1.8e308).
 MAX_EXPONENT = 400
 
+# Largest power that a run of ``^`` raises one base to. A run multiplies:
+# x^2^3 is x^6, and since ``/`` takes only a literal, x^10/2^100 is
+# (x^10/2)^100, x to the 1,000th. Raising to p multiplies a coefficient's
+# digits by up to p, so with MAX_COEFFICIENT_DIGITS this keeps every power
+# the parser forms small enough to form before it is checked.
+MAX_POWER = 1000
+
 # Most steps in a time grid ``a .. b step h``: (b - a)/h, exactly. A
 # trajectory holds steps + 1 samples, every one of them kept in memory.
 MAX_TIME_STEPS = 1_000_000
@@ -265,6 +275,7 @@ class _ExprParser:
 
     def parse(self, min_prec: int = 1) -> ExprNode:
         lhs = self.atom()
+        power = 1  # that lhs is raised to: a run of ^ and / applies to one base
         while True:
             tok = self.peek()
             prec = _PREC.get(tok.type, 0)
@@ -280,10 +291,15 @@ class _ExprParser:
                 rhs_tok = self.advance()
                 if rhs_tok.type != "NUMBER" or rhs_tok.value.denominator != 1:
                     self.fail("exponent must be a nonnegative integer", rhs_tok)
+                power *= rhs_tok.value
+                if power > MAX_POWER:
+                    self.fail(f"power beyond MAX_POWER = {MAX_POWER}", rhs_tok)
                 rhs = Num(rhs_tok.value, rhs_tok.line, rhs_tok.col)
             else:
                 # left-associative + - *; climb one level
                 rhs = self.parse(prec + 1)
+            if tok.type not in ("^", "/"):
+                power = 1
             lhs = BinOp(tok.type, lhs, rhs, tok.line, tok.col)
 
     def atom(self) -> ExprNode:
@@ -393,11 +409,11 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
         for link in links:
             if link.op == "^":
                 p = int(link.rhs.value)
-                coeff = coeff**p
+                coeff = _coefficient_power(coeff, p, link)
                 powers = {sym: k * p for sym, k in powers.items()}
                 continue
             if link.op == "/":
-                coeff = _ratio(coeff, link.rhs.value)
+                coeff = _sized(_ratio(coeff, link.rhs.value), link)
                 continue
             if link.op == "*":
                 base, exponent = link.rhs, 1
@@ -405,7 +421,8 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
                     exponent *= int(base.rhs.value)
                     base = base.lhs
                 if isinstance(base, Num):
-                    coeff = coeff * base.value**exponent
+                    value = _coefficient_power(base.value, exponent, link)
+                    coeff = _sized(coeff * value, link)
                     continue
                 if isinstance(base, _ATOMS):
                     sym = _symbol(base, ctx)
@@ -416,23 +433,53 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
         else:
             return Expr.term(coeff, powers)
     # the rest of the chain, from the link after the one-term prefix
-    exponent = 1
+    exponent, at = 1, None
     for link in links:
         if link.op == "^":
-            exponent *= int(link.rhs.value)
+            exponent, at = exponent * int(link.rhs.value), link
             continue
         if exponent != 1:
-            out, exponent = out**exponent, 1
+            out, exponent = _expr_power(out, exponent, at), 1
         out = _binary(link, out, ctx)
-    return out if exponent == 1 else out**exponent
+    return out if exponent == 1 else _expr_power(out, exponent, at)
+
+
+# A coefficient a product or power forms is checked against
+# MAX_COEFFICIENT_DIGITS once it is formed; a power whose result is surely
+# beyond it, (bits - 1) * p + 1 bits at least, is refused before.
+
+
+def _sized(c: Rational, link: BinOp) -> Rational:
+    if coefficient_bits(c) > MAX_COEFFICIENT_BITS:
+        raise ParseError(link.line, link.col, COEFFICIENT_BOUND_MESSAGE)
+    return c
+
+
+def _coefficient_power(c: Rational, p: int, link: BinOp) -> Rational:
+    if (coefficient_bits(c) - 1) * p >= MAX_COEFFICIENT_BITS:
+        raise ParseError(link.line, link.col, COEFFICIENT_BOUND_MESSAGE)
+    return _sized(c**p, link)
+
+
+def _sized_expr(e: Expr, link: BinOp) -> Expr:
+    for _, c in e.terms:
+        _sized(c, link)
+    return e
+
+
+def _expr_power(e: Expr, p: int, link: BinOp) -> Expr:
+    bits = max((coefficient_bits(c) for _, c in e.terms), default=0)
+    if (bits - 1) * p >= MAX_COEFFICIENT_BITS:
+        raise ParseError(link.line, link.col, COEFFICIENT_BOUND_MESSAGE)
+    return _sized_expr(e**p, link)
 
 
 def _binary(link: BinOp, lhs: Expr, ctx: ExprContext) -> Expr:
     """``lhs`` combined with the operand of a ``/ * + -`` link."""
     if link.op == "/":
-        return lhs / link.rhs.value
+        return _sized_expr(lhs / link.rhs.value, link)
     if link.op == "*":
-        return lhs * resolve_expr(link.rhs, ctx)
+        return _sized_expr(lhs * resolve_expr(link.rhs, ctx), link)
     if link.op == "+":
         return lhs + resolve_expr(link.rhs, ctx)
     return lhs - resolve_expr(link.rhs, ctx)

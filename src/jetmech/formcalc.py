@@ -14,6 +14,14 @@ time held fixed; this is the unique convention for which the contraction
 identity and the annulment of the remainder hold exactly on the vertical
 quotient, for arbitrary polynomial components including time-dependent
 ones.
+
+Each operator walks the terms of its input once. The exterior derivatives
+are derivations, applied by the Leibniz rule on the generators: every
+partial of a component, the time partial with the signal chain rule, comes
+from one walk (``symexpr.jet_partials``). The radius contraction and the
+two-form homotopy place each term of a component once. Terms are collected
+in one {monomial: coefficient} map per output, which is made canonical
+once, at the end.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from .symexpr import (
     ZERO,
     coord,
     format_expr,
-    partial,
+    jet_partials,
     scaling_integral,
+    times_symbol,
     vel,
 )
 
@@ -175,30 +184,37 @@ def d0(e: Expr, n: int | None = None) -> VerticalOneForm:
     coordinate index >= ``n``, neither do its partials, so the result is
     built without the one-form check; otherwise the check raises.
     """
-    _check_acceleration_free(e, "d0 input")
-    top = e.max_coordinate_index()
+    # a jet coordinate is in e iff its partial is
+    partials = jet_partials(e, with_time=False)
+    if any(s.kind == SymbolKind.ACC for s in partials):
+        raise ValueError("d0 input must not contain acceleration symbols")
+    top = max((s.index for s in partials), default=-1)
     if n is None:
         n = max(top + 1, 1)
     build = VerticalOneForm._valid if top < n else VerticalOneForm
     return build(
-        tuple(partial(e, coord(i)) for i in range(n)),
-        tuple(partial(e, vel(i)) for i in range(n)),
+        tuple(partials.get(coord(i), ZERO) for i in range(n)),
+        tuple(partials.get(vel(i), ZERO) for i in range(n)),
     )
 
 
 def d1(omega: VerticalOneForm) -> TwoForm:
     """Exterior derivative of a vertical one-form, collected antisymmetrically."""
-    basis = [TAU, *(b for b, _ in omega.components())]
     acc: dict = {}
     for target, component in omega.components():
-        for b in basis:
-            e = partial(component, b)
+        for b, part in jet_partials(component).items():
             oriented = _oriented(b, target)
-            if e.is_zero or oriented is None:
+            if oriented is None:
                 continue
             key, sign = oriented
-            acc[key] = acc.get(key, ZERO) + (e if sign == 1 else -e)
-    return TwoForm.from_dict(acc)
+            terms = acc.get(key)
+            if terms is None:
+                terms = acc[key] = {}
+            for mono, c in part.terms:
+                if sign < 0:
+                    c = -c
+                terms[mono] = terms[mono] + c if mono in terms else c
+    return TwoForm.from_dict({key: Expr.from_map(terms) for key, terms in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +224,12 @@ def d1(omega: VerticalOneForm) -> TwoForm:
 
 def interior_radius(omega: VerticalOneForm) -> Expr:
     """Contraction with the radius field: sum_i F_i x^i + Pi_i v^i."""
-    out = ZERO
+    terms: dict = {}
     for b, e in omega.components():
-        out = out + e * Expr.var(b)
-    return out
+        for mono, c in e.terms:
+            m = times_symbol(mono, b)
+            terms[m] = terms[m] + c if m in terms else c
+    return Expr.from_map(terms)
 
 
 def _require_admissible(omega: VerticalOneForm):
@@ -247,12 +265,20 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     for (b1, b2), a in eta.coeffs:
         if b1 == TAU:
             continue
-        a_int = scaling_integral(a, weight=1)
-        comps[b2] = comps.get(b2, ZERO) + a_int * Expr.var(b1)
-        comps[b1] = comps.get(b1, ZERO) - a_int * Expr.var(b2)
+        into1 = comps.get(b1)
+        if into1 is None:
+            into1 = comps[b1] = {}
+        into2 = comps.get(b2)
+        if into2 is None:
+            into2 = comps[b2] = {}
+        for mono, c in scaling_integral(a, weight=1).terms:
+            m = times_symbol(mono, b1)
+            into2[m] = into2[m] + c if m in into2 else c
+            m = times_symbol(mono, b2)
+            into1[m] = into1[m] - c if m in into1 else -c
     return VerticalOneForm(
-        tuple(comps.get(coord(i), ZERO) for i in range(n)),
-        tuple(comps.get(vel(i), ZERO) for i in range(n)),
+        tuple(Expr.from_map(comps.get(coord(i), {})) for i in range(n)),
+        tuple(Expr.from_map(comps.get(vel(i), {})) for i in range(n)),
     )
 
 

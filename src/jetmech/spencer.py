@@ -1,7 +1,9 @@
 """Dual Spencer dynamics: from a dynamical one-form to equations of motion.
 
 The total time derivative promotes 1-jet expressions to 2-jet expressions
-(acceleration symbols are the second-order fiber coordinates). The dual
+(acceleration symbols are the second-order fiber coordinates). It is a
+derivation, applied by the Leibniz rule on the generators in one walk over
+the terms of its input, and its result is made canonical once. The dual
 Spencer operator turns a vertical one-form F_i dx^i + Pi_i dv^i into the
 residuals R_i = F_i - d(Pi_i)/dt, whose joint vanishing is the dynamical
 law; it reduces to the Euler-Lagrange variational derivative when the form
@@ -18,7 +20,23 @@ import numpy as np
 
 from .errors import MechError
 from .formcalc import Decomposition, VerticalOneForm, check_reconstruction
-from .symexpr import TAU, Expr, SymbolKind, acc, coord, partial, vel
+from .symexpr import (
+    ZERO,
+    Expr,
+    SymbolKind,
+    acc,
+    coord,
+    jet_partials,
+    next_order,
+    times_symbol,
+    vel,
+)
+
+# the kinds D_t compares with, as module constants: an attribute of the enum
+# class is looked up again at each comparison
+_TIME, _COORD, _VEL, _PARAM, _SIGNAL = (
+    SymbolKind.TIME, SymbolKind.COORD, SymbolKind.VEL, SymbolKind.PARAM, SymbolKind.SIGNAL
+)
 
 
 @dataclass(frozen=True)
@@ -69,17 +87,36 @@ def as_samples(values, N: int, n: int | None = None) -> np.ndarray:
 def total_time_derivative(e: Expr) -> Expr:
     """Total derivative along sections: d/dt + v^j d/dx^j + a^j d/dv^j.
 
-    Raises ValueError when the input already contains acceleration symbols
-    (one total derivative raises jet order by exactly one).
+    The derivation that sends t to 1, x^j to v^j, v^j to a^j and each
+    signal to its next order, and parameters to 0, applied to each factor
+    by the Leibniz rule in one walk over the terms. Raises ValueError when
+    the input already contains acceleration symbols (one total derivative
+    raises jet order by exactly one).
     """
-    if e.contains_kind(SymbolKind.ACC):
-        raise ValueError("total time derivative input must be acceleration-free")
-    out = partial(e, TAU)
-    n = e.max_coordinate_index() + 1
-    for j in range(n):
-        out = out + partial(e, coord(j)) * Expr.var(vel(j))
-        out = out + partial(e, vel(j)) * Expr.var(acc(j))
-    return out
+    terms: dict = {}
+    for mono, c in e.terms:
+        for k, (sym, exp) in enumerate(mono):
+            kind = sym.kind
+            if kind == _COORD:
+                image = vel(sym.index)
+            elif kind == _VEL:
+                image = acc(sym.index)
+            elif kind == _TIME:
+                image = None
+            elif kind == _SIGNAL:
+                image = next_order(sym)
+            elif kind == _PARAM:
+                continue
+            else:
+                raise ValueError("total time derivative input must be acceleration-free")
+            if exp == 1:
+                rest, q = mono[:k] + mono[k + 1 :], c
+            else:
+                rest, q = mono[:k] + ((sym, exp - 1),) + mono[k + 1 :], c * exp
+            if image is not None:
+                rest = times_symbol(rest, image)
+            terms[rest] = terms[rest] + q if rest in terms else q
+    return Expr.from_map(terms)
 
 
 def dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
@@ -93,13 +130,15 @@ def dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
 
 def variational_derivative(lagrangian: Expr, n: int | None = None) -> tuple[Expr, ...]:
     """Euler-Lagrange components dL/dx^i - d/dt(dL/dv^i)."""
-    if lagrangian.contains_kind(SymbolKind.ACC):
+    # a jet coordinate is in the Lagrangian iff its partial is
+    partials = jet_partials(lagrangian, with_time=False)
+    if any(s.kind == SymbolKind.ACC for s in partials):
         raise ValueError("Lagrangian must be acceleration-free")
     if n is None:
-        n = max(lagrangian.max_coordinate_index() + 1, 1)
+        n = max(max((s.index for s in partials), default=-1) + 1, 1)
     return tuple(
-        partial(lagrangian, coord(i))
-        - total_time_derivative(partial(lagrangian, vel(i)))
+        partials.get(coord(i), ZERO)
+        - total_time_derivative(partials.get(vel(i), ZERO))
         for i in range(n)
     )
 

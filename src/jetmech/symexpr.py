@@ -518,6 +518,26 @@ class Expr:
 
 ZERO = Expr.const(0)
 
+# Most decimal digits in the numerator or denominator of a coefficient that
+# ``format_expr`` renders. Python refuses to turn an int of more than 4,300
+# digits into text. The parser holds what a system file writes to this bound
+# where it forms a product or a power, and the algebra after it multiplies
+# coefficients by small factors (exponents, degrees), which the margin
+# covers. It is checked as a bit length: a value of at most
+# MAX_COEFFICIENT_BITS bits has at most MAX_COEFFICIENT_DIGITS digits.
+MAX_COEFFICIENT_DIGITS = 1000
+MAX_COEFFICIENT_BITS = (10**MAX_COEFFICIENT_DIGITS).bit_length() - 1
+COEFFICIENT_BOUND_MESSAGE = (
+    f"coefficient beyond MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits"
+)
+
+
+def coefficient_bits(c: Rational) -> int:
+    """Bit length of the larger of a coefficient's numerator and denominator."""
+    if c.__class__ is int:
+        return c.bit_length()
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
 
 def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
     """Deterministic re-parseable rendering of a canonical expression.
@@ -531,6 +551,8 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
     accelerations, then parameters and signals. The display order of a
     monomial is that order rotated so its parameters and signals come
     first, with no sort. Each factor's text is computed once per call.
+
+    Raises MechError for a coefficient beyond MAX_COEFFICIENT_DIGITS.
     """
     if e.is_zero:
         return "0"
@@ -549,6 +571,8 @@ def format_expr(e: Expr, coords: tuple[str, ...] = ()) -> str:
                 names[pair] = s
             (head if pair[0].kind >= first else tail).append(s)
         body = "*".join(head + tail if tail else head)
+        if coefficient_bits(c) > MAX_COEFFICIENT_BITS:
+            raise MechError(COEFFICIENT_BOUND_MESSAGE)
         num, den = c.numerator, c.denominator
         if num < 0:
             sign = " - " if parts else "-"
@@ -615,6 +639,79 @@ def partial(e: Expr, s: Symbol) -> Expr:
         bumped = signal_symbol(sym.signal, sym.order + 1)
         result = result + _power_rule(e, sym) * Expr.var(bumped)
     return result
+
+
+def times_symbol(mono: Monomial, s: Symbol) -> Monomial:
+    """The canonical monomial ``mono * s``."""
+    for k, pair in enumerate(mono):
+        sym = pair[0]
+        if sym < s:
+            continue
+        if sym == s:
+            return mono[:k] + ((s, pair[1] + 1),) + mono[k + 1 :]
+        return mono[:k] + ((s, 1),) + mono[k:]
+    return mono + ((s, 1),)
+
+
+# Signal symbols met by a walk, and the symbols one derivative above them.
+# A signal symbol's hash hashes the signal's shape, and building a symbol
+# checks its fields, so each is built once; signals come from system files,
+# so the cache is bounded.
+
+
+@lru_cache(maxsize=1024)
+def next_order(sym: Symbol) -> Symbol:
+    """The time derivative of a signal symbol: the same signal one order up."""
+    return signal_symbol(sym.signal, sym.order + 1)
+
+
+# the kinds a walk compares with, as module constants: an attribute of the
+# enum class is looked up again at each comparison
+_TIME, _PARAM, _SIGNAL = SymbolKind.TIME, SymbolKind.PARAM, SymbolKind.SIGNAL
+
+
+def jet_partials(e: Expr, with_time: bool = True) -> dict[Symbol, Expr]:
+    """Every nonzero partial derivative of ``e``, from one walk over its
+    terms: {s: partial(e, s)} for each jet coordinate ``s`` that ``e``
+    holds, and for time unless ``with_time`` is false.
+
+    A factor ``s^k`` of a term gives ``k * s^(k-1)`` times the rest of the
+    term to the partial by ``s``; a signal factor gives it, times the signal
+    one order up, to the partial by time (the chain rule). Parameters are
+    constants. As in ``_power_rule``, the terms of a coordinate's partial
+    are distinct and only need sorting; the time partial's may meet, so
+    they are summed first.
+    """
+    lists: dict = {}
+    time: dict = {}
+    for mono, c in e.terms:
+        for k, (sym, exp) in enumerate(mono):
+            kind = sym.kind
+            if kind == _PARAM:
+                continue
+            in_time = kind == _TIME or kind == _SIGNAL
+            if in_time and not with_time:
+                continue
+            if exp == 1:
+                rest, q = mono[:k] + mono[k + 1 :], c
+            else:
+                rest, q = mono[:k] + ((sym, exp - 1),) + mono[k + 1 :], _canonical(c * exp)
+            if in_time:
+                if kind == _SIGNAL:
+                    rest = times_symbol(rest, next_order(sym))
+                time[rest] = time[rest] + q if rest in time else q
+                continue
+            terms = lists.get(sym)
+            if terms is None:
+                lists[sym] = [(rest, q)]
+            else:
+                terms.append((rest, q))
+    parts = {s: Expr(tuple(sorted(terms))) for s, terms in lists.items()}
+    if time:
+        part = Expr.from_map(time)
+        if part._terms:
+            parts[TAU] = part
+    return parts
 
 
 def substitute(e: Expr, binding: Mapping[Symbol, Union[Expr, Rational, Symbol]]) -> Expr:

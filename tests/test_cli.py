@@ -10,9 +10,9 @@ import pytest
 
 from jetmech import cli, dynamics, spencer
 from jetmech.cli import main
-from jetmech.dsl import PRESETS, format_expr, parse_system
+from jetmech.dsl import MAX_POWER, PRESETS, format_expr, parse_system
 from jetmech.formcalc import format_one_form
-from jetmech.symexpr import MAX_TERM_PRODUCT, ZERO, Expr, coord
+from jetmech.symexpr import MAX_COEFFICIENT_DIGITS, MAX_TERM_PRODUCT, ZERO, Expr, coord
 from jetmech.verify import DEFAULT_SEED, check_split_invariance
 
 DAMPED = """
@@ -713,6 +713,50 @@ class TestFloatRange:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+
+class TestExactBounds:
+    """Powers and coefficients past their named bounds end in exit 2 at once,
+    never in an internal error from turning a huge integer into text."""
+
+    HEAD = 'system "big" { parameter m = 1; coordinate x; force x: '
+    POWER = f"power beyond MAX_POWER = {MAX_POWER}"
+    COEFFICIENT = f"coefficient beyond MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits"
+
+    @pytest.mark.parametrize(
+        "command, force, at, message",
+        [
+            ("derive", "-10^5000*x", "5000", POWER),
+            ("derive", "-(10^400*x+1)^11", "^11", COEFFICIENT),
+            ("decompose", "-(10^400*x+1)^11", "^11", COEFFICIENT),
+            ("derive", "-2^1e400*x", "1e400", POWER),
+            ("derive", "-1" + "0" * 1500 + "*x", None, COEFFICIENT),
+        ],
+        ids=["literal-power", "expanded-power-derive", "expanded-power-decompose",
+             "power-beyond-bound", "rendered-coefficient"],
+    )
+    def test_exit_2_within_a_second(self, capsys, tmp_path, command, force, at, message):
+        path = tmp_path / "big.mech"
+        path.write_text(self.HEAD + force + " }")
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        if at is None:
+            # past the parser's checks, the renderer refuses it
+            expected = f"error: {message}"
+        else:
+            col = len(self.HEAD) + force.index(at) + 1
+            expected = f"parse error: line 1, col {col}: {message}"
+        assert captured.err.splitlines() == [expected]
+        assert "Traceback" not in captured.out
+
+    def test_coefficients_at_the_bound_are_printed(self, capsys, tmp_path):
+        path = tmp_path / "edge.mech"
+        path.write_text('system "edge" { parameter m = 1; coordinate x; force x: -10^999*x }')
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert f"{10**999}*x" in out
 
 
 class TestLongExpressions:

@@ -12,6 +12,7 @@ from jetmech.cli import main
 from jetmech.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER,
     MAX_TIME_STEPS,
     MIN_STEP_ULPS,
     BinOp,
@@ -33,6 +34,7 @@ from jetmech.errors import MechError, ReconstructionError
 from jetmech.formcalc import VerticalOneForm
 from jetmech.spencer import dual_spencer
 from jetmech.symexpr import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_TERM_PRODUCT,
     TAU,
     Expr,
@@ -570,6 +572,74 @@ class TestNestingBound:
 
 
 class TestInputBounds:
+    @pytest.mark.parametrize(
+        "text, power",
+        [
+            (f"x^{MAX_POWER}", MAX_POWER),
+            ("x^10^100", 1000),
+            ("x^10/2^100", 1000),  # (x^10/2)^100
+            (f"x^{MAX_POWER}*y^{MAX_POWER}", MAX_POWER),  # * ends a run of ^
+            (f"(x^{MAX_POWER})^2", 2 * MAX_POWER),  # a parenthesis ends one too
+        ],
+    )
+    def test_power_at_bound_parses(self, text, power):
+        e = text_to_expr(text, CTX)
+        assert max(exp for mono, _ in e.terms for _, exp in mono) == power
+
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            (f"x^{MAX_POWER + 1}", str(MAX_POWER + 1)),
+            ("x^10^101", "101"),
+            ("x^10/2^101", "101"),
+            ("2^1e400", "1e400"),
+            ("k*(x + 1)^2^1000", "1000"),
+        ],
+    )
+    def test_power_beyond_bound_fails_at_literal(self, text, at):
+        with pytest.raises(ParseError) as info:
+            text_to_expr(text, CTX)
+        assert info.value.message == f"power beyond MAX_POWER = {MAX_POWER}"
+        assert info.value.col == text.rindex(at) + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["10^999*x", "x*10^999", "(10^333*x)^3", "2^1000*3^200*x/7", "x/10^999"],
+    )
+    def test_coefficient_at_bound_parses(self, text):
+        e = text_to_expr(text, CTX)
+        ((_, c),) = e.terms
+        assert len(str(abs(c.numerator))) <= MAX_COEFFICIENT_DIGITS
+        assert len(str(c.denominator)) <= MAX_COEFFICIENT_DIGITS
+
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            ("10^1000*x", "^"),  # the power
+            ("x*10^1000", "*"),  # a product by a power of a literal
+            ("10^999*10*x", "*10*"),  # a product
+            ("x/10^999/100", "/100"),  # a quotient
+            ("2^1000*x/7^100", "^100"),  # the power of a quotient: (2^1000*x/7)^100
+            ("(10^500*x)^2", "^"),  # an expanded power
+            ("(10^400*x + 1)^11", "^"),  # refused before it is formed
+            ("(10^600*x)*(10^600*y)", "*("),  # an expanded product
+            ("(x/10^999 + 1)/100", "/100"),  # an expanded quotient
+        ],
+    )
+    def test_coefficient_beyond_bound_fails_at_operator(self, text, at):
+        with pytest.raises(ParseError) as info:
+            text_to_expr(text, CTX)
+        assert info.value.message == (
+            f"coefficient beyond MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits"
+        )
+        assert info.value.col == text.rindex(at) + 1
+
+    def test_renderer_refuses_what_the_parser_did_not_form(self):
+        e = text_to_expr("1" + "0" * MAX_COEFFICIENT_DIGITS + "*x", CTX)
+        with pytest.raises(MechError, match="MAX_COEFFICIENT_DIGITS"):
+            format_expr(e)
+        assert format_expr(e / 10) == "1" + "0" * (MAX_COEFFICIENT_DIGITS - 1) + "*x"
+
     @pytest.mark.parametrize("exponent", [MAX_EXPONENT, -MAX_EXPONENT])
     def test_exponent_at_bound_parses(self, exponent):
         spec = parse_system(f'system "s" {{ coordinate x; parameter k = 3e{exponent} }}')
