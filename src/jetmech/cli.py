@@ -25,8 +25,8 @@ Values stay exact rationals until a command needs them as floats. An
 ``init`` or ``time`` value beyond the float range (about 1.8e308) is a
 parse error at its literal. A parameter, signal argument or coefficient
 beyond it still derives and decomposes; ``simulate`` and ``verify`` stop
-with exit 2 and one ``error:`` line that names the parameter or gives the
-value in scientific notation.
+with exit 2 and one ``error:`` line that names the parameter, the constant
+mass matrix or its inverse, or gives the value in scientific notation.
 
 ``main(argv)`` may be called many times in one process, as the benchmark
 and the tests do. The argparse tree is built on the first call and reused
@@ -55,6 +55,7 @@ from .dynamics import (
     assemble_explicit,
     energy_audit,
     integrate,
+    invert_mass,
     mass_and_force,
     oracle_compare,
     write_trajectory_csv,
@@ -74,7 +75,7 @@ from .formcalc import (
     reconstruction_residual,
 )
 from .spencer import dual_spencer
-from .symexpr import Expr, acc
+from .symexpr import ZERO, Expr, acc
 from .verify import DEFAULT_SEED, CheckResult, check_declared_split, run_builtin_suites
 
 EXIT_OK = 0
@@ -179,13 +180,16 @@ def cmd_derive(args) -> int:
     for i, r in enumerate(normalized):
         print(f"{format_expr(r, coords)} = 0")
     mass, force, constant = mass_and_force(eom)
-    n = eom.n
-    # nonzero on the diagonal and zero off it
-    diagonal = all(mass[i][j].is_zero != (i == j) for i in range(n) for j in range(n))
-    if constant and diagonal:
-        for i in range(n):
-            lhs = format_expr(mass[i][i] * Expr.var(acc(i)), coords)
-            print(f"explicit: {lhs} = {format_expr(force[i], coords)}")
+    inverted = constant
+    if constant:
+        try:
+            invert_mass(mass, system.params)
+        except MechError:
+            inverted = False
+    if inverted:
+        for i, row in enumerate(mass):
+            lhs = sum((m * Expr.var(acc(j)) for j, m in enumerate(row)), ZERO)
+            print(f"explicit: {format_expr(lhs, coords)} = {format_expr(force[i], coords)}")
     else:
         print("warning: mass matrix singular or non-diagonal; residuals left implicit")
     if args.json:

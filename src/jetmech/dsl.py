@@ -226,8 +226,8 @@ MAX_NESTING = 100
 MAX_EXPONENT = 400
 
 # Largest power that a run of ``^`` raises one base to. A run multiplies:
-# x^2^3 is x^6, and since ``/`` takes only a literal, x^10/2^100 is
-# (x^10/2)^100, x to the 1,000th. Raising to p multiplies a coefficient's
+# x^2^3 is x^6. A run after ``/`` raises the divisor, a literal, alone:
+# x^10/2^100 is x^10 over 2^100. Raising to p multiplies a coefficient's
 # digits by up to p, so with MAX_COEFFICIENT_DIGITS this keeps every power
 # the parser forms small enough to form before it is checked.
 MAX_POWER = 1000
@@ -283,24 +283,37 @@ class _ExprParser:
                 return lhs
             self.advance()
             if tok.type == "/":
-                rhs_tok = self.expect("NUMBER", "division requires a numeric literal")
-                if rhs_tok.value == 0:
+                # the divisor is the literal raised to its own run of ^
+                rhs_tok = at = self.expect("NUMBER", "division requires a numeric literal")
+                run = 1
+                while self.peek().type == "^":
+                    at = self.advance()
+                    run = self.exponent(run)
+                divisor = _coefficient_power(rhs_tok.value, run, at)
+                if divisor == 0:
                     self.fail("division by zero", rhs_tok)
-                rhs: ExprNode = Num(rhs_tok.value, rhs_tok.line, rhs_tok.col)
+                rhs: ExprNode = Num(divisor, rhs_tok.line, rhs_tok.col)
             elif tok.type == "^":
-                rhs_tok = self.advance()
-                if rhs_tok.type != "NUMBER" or rhs_tok.value.denominator != 1:
-                    self.fail("exponent must be a nonnegative integer", rhs_tok)
-                power *= rhs_tok.value
-                if power > MAX_POWER:
-                    self.fail(f"power beyond MAX_POWER = {MAX_POWER}", rhs_tok)
+                rhs_tok = self.peek()
+                power = self.exponent(power)
                 rhs = Num(rhs_tok.value, rhs_tok.line, rhs_tok.col)
             else:
                 # left-associative + - *; climb one level
                 rhs = self.parse(prec + 1)
-            if tok.type not in ("^", "/"):
+            if tok.type != "^":
                 power = 1
             lhs = BinOp(tok.type, lhs, rhs, tok.line, tok.col)
+
+    def exponent(self, power: int) -> int:
+        """Consume the exponent literal after a ``^``; return ``power`` times
+        it, the power of the run so far, which must stay within MAX_POWER."""
+        tok = self.advance()
+        if tok.type != "NUMBER" or tok.value.denominator != 1:
+            self.fail("exponent must be a nonnegative integer", tok)
+        power *= tok.value
+        if power > MAX_POWER:
+            self.fail(f"power beyond MAX_POWER = {MAX_POWER}", tok)
+        return power
 
     def atom(self) -> ExprNode:
         tok = self.advance()
@@ -444,9 +457,10 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
     return out if exponent == 1 else _expr_power(out, exponent, at)
 
 
-# A coefficient a product or power forms is checked against
-# MAX_COEFFICIENT_DIGITS once it is formed; a power whose result is surely
-# beyond it, (bits - 1) * p + 1 bits at least, is refused before.
+# A coefficient a sum, difference, product, quotient or power forms is
+# checked against MAX_COEFFICIENT_DIGITS once it is formed; a power whose
+# result is surely beyond it, (bits - 1) * p + 1 bits at least, is refused
+# before.
 
 
 def _sized(c: Rational, link: BinOp) -> Rational:
@@ -481,8 +495,8 @@ def _binary(link: BinOp, lhs: Expr, ctx: ExprContext) -> Expr:
     if link.op == "*":
         return _sized_expr(lhs * resolve_expr(link.rhs, ctx), link)
     if link.op == "+":
-        return lhs + resolve_expr(link.rhs, ctx)
-    return lhs - resolve_expr(link.rhs, ctx)
+        return _sized_expr(lhs + resolve_expr(link.rhs, ctx), link)
+    return _sized_expr(lhs - resolve_expr(link.rhs, ctx), link)
 
 
 def _symbol(node: Name | TimeRef | SigRef, ctx: ExprContext) -> Symbol:

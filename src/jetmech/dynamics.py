@@ -118,14 +118,10 @@ def _solver(n: int):
     """``solve(M, b) -> list``: the emitted elimination compiled as a
     function of an n x n list ``M`` and a right side ``b``; a vanishing pivot
     is reported for a constant matrix. Compiled once per ``n``."""
-    body = [f"m_{r}_{c} = M[{r}][{c}]" for r in range(n) for c in range(n)]
-    body += [f"r_{r} = b[{r}]" for r in range(n)]
-    body += _elimination(n, "None")
-    body.append("return [" + ", ".join(f"a{{s}}_{r}" for r in range(n)) + "]")
-    namespace = {"_singular_mass": _singular_mass}
-    source = "def solve(M, b):\n" + "".join(f"    {line}\n" for line in body).format(s="")
-    exec(source, namespace)  # noqa: S102 - generated locally
-    return namespace["solve"]
+    law = [f"m_{r}_{c} = M[{r}][{c}]" for r in range(n) for c in range(n)]
+    law += [f"r_{r} = b[{r}]" for r in range(n)] + _elimination(n, "None")
+    answer = ", ".join(f"a_{r}" for r in range(n))
+    return _define(f"def kernel(M, b):\n    @law()\n    return [{answer}]\n", n, "\n".join(law))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,31 @@ def _dot(coeffs, names: str) -> str:
     return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
 
 
-# Function templates. A line holding {i} repeats once per coordinate; a line
-# @law(S) becomes the system's law at stage suffix S.
+def _define(template: str, n: int, law: str, **fields):
+    """The function ``kernel`` that ``template`` defines, its ``fields``
+    filled in. A line holding {i} repeats once per coordinate, for ``n`` of
+    them; a line @law(S) becomes ``law`` at stage suffix S. Every generated
+    function runs in one namespace: ``math``'s sin, cos and isfinite and the
+    singular-mass report."""
+    lines = []
+    for line in template.format(i="{i}", **fields).splitlines():
+        body = line.lstrip()
+        if body.startswith("@law("):
+            indent = line[: len(line) - len(body)]
+            lines += [indent + stmt for stmt in law.format(s=body[5:-1]).splitlines()]
+        elif "{i}" in line:
+            lines += [line.format(i=i) for i in range(n)]
+        else:
+            lines.append(line)
+    namespace = {
+        "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
+        "_singular_mass": _singular_mass,
+    }
+    exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
+    return namespace["kernel"]
+
+
+# Function templates for _define.
 _SAMPLE = """\
 def kernel(taus, xs, vs):
     out = []
@@ -279,55 +298,40 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
 """
 
 
-class _Kernel:
-    """One system's explicit law a = M^-1 c as generated source.
+@dataclass(frozen=True)
+class ExplicitODE:
+    """One system's explicit law x' = v, a = M^-1 c, as generated source.
 
-    ``law`` is emitted once. It reads ``t{s}``, ``x{s}_i``, ``v{s}_i`` and
-    assigns ``a{s}_i``, where ``{s}`` is a stage suffix, so each loop
-    inlines it per stage instead of calling a function; a state-dependent
-    mass is solved by the straight-line elimination inside the law, whose
-    work locals (``m_r_c``, ``r_r``) are shared by the stages. The three
-    functions built from it are compiled on first use and run on Python
-    floats and ``math`` only, doing the same float operations in the same
-    order as a per-coordinate loop around a law callable would; RKF45's
+    ``law`` is emitted once by ``assemble_explicit``. It reads ``t{s}``,
+    ``x{s}_i``, ``v{s}_i`` and assigns ``a{s}_i``, where ``{s}`` is a stage
+    suffix, so each loop inlines it per stage instead of calling a function;
+    a state-dependent mass is solved by the straight-line elimination inside
+    the law, whose work locals (``m_r_c``, ``r_r``) are shared by the stages.
+    The three loops built from it are compiled on first use and run on
+    Python floats and ``math`` only, doing the same float operations in the
+    same order as a per-coordinate loop around a law callable would; RKF45's
     first stage takes the knot's law value instead of evaluating the law
-    again at the same point.
+    again at the same point. Two laws are equal, and hash equal, when their
+    ``n`` and ``law`` are. ``rhs`` evaluates the law at one state and returns
+    a list; it defaults to ``sample`` on one row, and the loops never call it.
     """
 
-    def __init__(self, n: int, law: str):
-        self.n = n
-        self.law = law
+    n: int
+    law: str
+    rhs: Callable | None = field(default=None, compare=False, repr=False)
 
-    def rhs(self, t, x, v) -> list:
-        """The accelerations at one state, as a list: ``sample`` on one row."""
-        return self.sample((t,), (x,), (v,))
+    def __post_init__(self):
+        if self.rhs is None:
+            object.__setattr__(self, "rhs", lambda t, x, v: self.sample((t,), (x,), (v,)))
 
     def _join(self, item: str, sep: str) -> str:
         return sep.join(item.format(i=i) for i in range(self.n))
-
-    def _compile(self, template: str, **fields):
-        lines = []
-        for line in template.format(i="{i}", **fields).splitlines():
-            body = line.lstrip()
-            if body.startswith("@law("):
-                indent = line[: len(line) - len(body)]
-                lines += [indent + stmt for stmt in self.law.format(s=body[5:-1]).splitlines()]
-            elif "{i}" in line:
-                lines += [line.format(i=i) for i in range(self.n)]
-            else:
-                lines.append(line)
-        namespace = {
-            "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
-            "_singular_mass": _singular_mass,
-        }
-        exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
-        return namespace["kernel"]
 
     @cached_property
     def sample(self):
         """``sample(taus, xs, vs) -> accels``: the law at each (t, x, v)
         row, as one flat row-major list."""
-        return self._compile(_SAMPLE)
+        return _define(_SAMPLE, self.n, self.law)
 
     @cached_property
     def rk4(self):
@@ -335,9 +339,8 @@ class _Kernel:
         each time in ``taus``. ``xs``/``vs`` are flat row-major lists of the
         accepted states, starting with (x0, v0); ``truncation`` is why the
         run stopped early, or None."""
-        return self._compile(
-            _RK4, finite=self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
-        )
+        finite = self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
+        return _define(_RK4, self.n, self.law, finite=finite)
 
     @cached_property
     def rkf45(self):
@@ -357,15 +360,10 @@ class _Kernel:
         abs_x, abs_v = self._join("abs(x_{i})", ", "), self._join("abs(v_{i})", ", ")
         if self.n > 1:
             abs_x, abs_v = f"max({abs_x})", f"max({abs_v})"
-        return self._compile(
-            _RKF45,
-            stages=stages.rstrip("\n"),
-            abs_x=abs_x,
-            abs_v=abs_v,
-            err_vk=_dot(_RKF_ERR, "vk{}_{{i}}"),
-            err_ak=_dot(_RKF_ERR, "ak{}_{{i}}"),
-            b4_vk=_dot(_RKF_B4, "vk{}_{{i}}"),
-            b4_ak=_dot(_RKF_B4, "ak{}_{{i}}"),
+        return _define(
+            _RKF45, self.n, self.law, stages=stages.rstrip("\n"), abs_x=abs_x, abs_v=abs_v,
+            err_vk=_dot(_RKF_ERR, "vk{}_{{i}}"), err_ak=_dot(_RKF_ERR, "ak{}_{{i}}"),
+            b4_vk=_dot(_RKF_B4, "vk{}_{{i}}"), b4_ak=_dot(_RKF_B4, "ak{}_{{i}}"),
             finite=self._join("isfinite(x_{i}) and isfinite(v_{i})", " and "),
         )
 
@@ -373,20 +371,6 @@ class _Kernel:
 # ---------------------------------------------------------------------------
 # explicit ODE assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExplicitODE:
-    """First-order system x' = v, v' = a(t, x, v) from affine residuals.
-
-    ``kernel`` holds the generated law and the loops built from it; the
-    integrators run those loops and never call ``rhs``, which evaluates the
-    law at one state and returns a list.
-    """
-
-    n: int
-    rhs: Callable[[float, Sequence[float], Sequence[float]], list]
-    kernel: _Kernel = field(repr=False, compare=False)
 
 
 def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
@@ -419,16 +403,42 @@ def mass_and_force(eom: EquationsOfMotion) -> tuple[tuple, tuple, bool]:
     return tuple(mass), force, constant
 
 
+def invert_mass(mass: tuple, params: Mapping) -> list:
+    """The inverse of a constant mass matrix (``mass_and_force``'s M), as
+    rows of floats.
+
+    Each entry is evaluated once by ``compile_expr`` and the columns of the
+    inverse are solved against the unit vectors by the emitted elimination.
+    ``params`` may hold exact values; only those M uses are converted. Raises
+    MechError for an entry of M or of its inverse beyond the float range,
+    and SingularMassError for a pivot below PIVOT_THRESHOLD.
+    """
+    n = len(mass)
+    names = {s.name for row in mass for e in row for s in e.symbols()}
+    used = {name: params[name] for name in names & params.keys()}
+    try:  # a float power, or a parameter's float(), may overflow
+        M0 = [[compile_expr(e, used)(0.0, (), ()) for e in row] for row in mass]
+    except OverflowError:
+        M0 = [[math.inf]]
+    if not all(math.isfinite(m) for row in M0 for m in row):
+        raise MechError("a mass matrix entry is beyond the float range")
+    solve = _solver(n)
+    cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
+    if not all(math.isfinite(a) for col in cols for a in col):
+        raise MechError("the inverse mass matrix is beyond the float range")
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> ExplicitODE:
     """Solve M a = c pointwise for the accelerations.
 
     (M, c) come from ``mass_and_force``. The solve is Gaussian elimination
     with partial pivoting, emitted as straight-line source for this n
     (``_elimination``); it reports the offending state when a pivot falls
-    below PIVOT_THRESHOLD. A constant mass matrix is inverted once by the
-    same elimination, a state-dependent one is solved inline at every law
+    below PIVOT_THRESHOLD. A constant mass matrix is inverted once
+    (``invert_mass``), a state-dependent one is solved inline at every law
     evaluation. The resulting law is emitted as source for the system's
-    generated kernel. A state-dependent mass of more than
+    ExplicitODE. A state-dependent mass of more than
     MAX_STATE_MASS_COORDINATES coordinates raises MechError first.
     """
     n = eom.n
@@ -445,14 +455,7 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     forces = [source(force_sym[i]) for i in range(n)]
     law = [f"r_{i} = {forces[i]}" for i in range(n)]
     if constant:
-        M0 = [
-            [compile_expr(mass_sym[i][j], params)(0.0, (), ()) for j in range(n)]
-            for i in range(n)
-        ]
-        # the columns of M0^-1, solved against the unit vectors
-        solve = _solver(n)
-        cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
-        inverse = [[cols[j][i] for j in range(n)] for i in range(n)]
+        inverse = invert_mass(mass_sym, params)
         if n == 1:
             # a unit mass leaves out the exact *1.0
             scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
@@ -463,8 +466,7 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
         law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
         xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
         law += _elimination(n, f"(t{{s}}, ({xs}), ({vs}))")
-    kernel = _Kernel(n, "\n".join(law))
-    return ExplicitODE(n=n, rhs=kernel.rhs, kernel=kernel)
+    return ExplicitODE(n, "\n".join(law))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +599,7 @@ def integrate(
         raise ValueError("initial condition dimension mismatch")
 
     if method == "rk4":
-        xs, vs, truncation = ode.kernel.rk4(taus[:-1].tolist(), x0, v0, h_eff)
+        xs, vs, truncation = ode.rk4(taus[:-1].tolist(), x0, v0, h_eff)
         m = len(xs) // n
         return Trajectory(
             taus[:m], np.array(xs).reshape(m, n), np.array(vs).reshape(m, n), h_eff,
@@ -606,7 +608,7 @@ def integrate(
     if method != "rkf45":
         raise ValueError(f"unknown integrator '{method}'")
 
-    knot_ts, kx, kv, ka, truncation = ode.kernel.rkf45(
+    knot_ts, kx, kv, ka, truncation = ode.rkf45(
         x0, v0, a_t, b_t, RKF45_ATOL, RKF45_RTOL, RKF45_MAX_STEP, RKF45_MAX_ATTEMPTS
     )
     xs, vs = _hermite_resample(taus, knot_ts, kx, kv, ka, n, b_t - a_t)
@@ -658,7 +660,7 @@ def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
 
 def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
     """Accelerations recomputed from the explicit law at each sample."""
-    accels = ode.kernel.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
+    accels = ode.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
     return np.array(accels, dtype=float).reshape(traj.xs.shape)
 
 
@@ -682,11 +684,6 @@ def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotio
     return EquationsOfMotion(residuals)
 
 
-def _same_law(one: ExplicitODE, other: ExplicitODE) -> bool:
-    """Whether two laws have the same generated source."""
-    return (one.n, one.kernel.law) == (other.n, other.kernel.law)
-
-
 def oracle_compare(
     system, method: str = "rk4", derived: Trajectory | None = None
 ) -> OracleReport:
@@ -697,7 +694,7 @@ def oracle_compare(
     ``derived`` is the derived law's trajectory from the system's ``init``
     over its ``time`` clause with ``method``, when the caller has already
     integrated it. The derived law is its ``law``, or is assembled here.
-    When the oracle's generated law is the same source, nothing is
+    When the oracle's law equals the derived one, nothing is
     integrated and the divergence is exactly 0: the same law on the same
     inputs gives a bitwise identical trajectory. The oracle's mass is
     diag(m), so such a law has a constant mass and can only truncate, on
@@ -722,14 +719,13 @@ def oracle_compare(
     x0, v0 = system.init
     # both laws are assembled before either is integrated, so an assembly
     # failure is reported before a failure mid-run
-    if derived is None:
-        derived_ode = assemble_explicit(dual_spencer(system.phi), params)
-    else:
-        derived_ode = derived.law
+    derived_ode = (
+        assemble_explicit(dual_spencer(system.phi), params) if derived is None else derived.law
+    )
     oracle_ode = assemble_explicit(
         newton_oracle_eom(system.oracle_forces, system.n), params
     )
-    if derived_ode is not None and _same_law(derived_ode, oracle_ode):
+    if derived_ode == oracle_ode:
         return OracleReport(0.0)
     if derived is None:
         derived = integrate(derived_ode, x0, v0, (a, b), h, method)

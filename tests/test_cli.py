@@ -132,6 +132,88 @@ class TestDerive:
         assert "mass matrix singular" in out
 
 
+# momentum and force clauses of one or two coordinates, a unit force law
+CONSTANT_MASS = """system "mass" {{
+  {params}
+  coordinate x
+  {coords}
+  {clauses}
+  init {init}
+  time 0 .. 1 step 1/10
+}}
+"""
+
+
+def constant_mass_file(tmp_path, params, momenta, two=False):
+    coords = ("x", "y") if two else ("x",)
+    clauses = [f"momentum {c}: {p}" for c, p in zip(coords, momenta)]
+    clauses += [f"force {c}: -{c}" for c in coords]
+    path = tmp_path / "mass.mech"
+    path.write_text(CONSTANT_MASS.format(
+        params="\n  ".join(f"parameter {name} = {value}" for name, value in params.items()),
+        coords="coordinate y" if two else "",
+        clauses="\n  ".join(clauses),
+        init=", ".join([f"{c} = 1" for c in coords] + [f"{c}' = 0" for c in coords]),
+    ))
+    return path
+
+
+class TestConstantMass:
+    """``simulate`` and ``derive`` invert a constant mass the same way:
+    ``derive`` prints its explicit rows exactly when ``simulate`` can run."""
+
+    @pytest.mark.parametrize("momentum", ["m^2*x'", "m*k*x'"], ids=["overflow", "infinite"])
+    def test_an_entry_beyond_the_float_range_is_usage_error(self, capsys, tmp_path, momentum):
+        path = constant_mass_file(tmp_path, {"m": "1e200", "k": "1e200"}, [momentum])
+        start = time.perf_counter()
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o.csv")])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: a mass matrix entry is beyond the float range"
+        ]
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert "warning: mass matrix singular or non-diagonal" in out
+
+    def test_an_invertible_off_diagonal_mass_derives_explicit_rows(self, capsys, tmp_path):
+        path = constant_mass_file(tmp_path, {"m": 2}, ["m*x' + y'", "x' + m*y'"], two=True)
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("explicit:")] == [
+            "explicit: m*x'' + y'' = -x",
+            "explicit: x'' + m*y'' = -y",
+        ]
+        assert "warning" not in out
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_a_mass_simulate_refuses_warns(self, capsys, tmp_path):
+        path = constant_mass_file(tmp_path, {"m": "1e-13"}, ["m*x'"])
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        capsys.readouterr()
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "warning: mass matrix singular or non-diagonal; residuals left implicit"
+        )
+
+    def test_a_parameter_the_mass_does_not_use_may_be_huge(self, capsys, tmp_path):
+        path = constant_mass_file(tmp_path, {"m": 2, "q": "1e400"}, ["m*x'"])
+        path.write_text(path.read_text().replace("force x: -x", "force x: -q*x"))
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert "explicit: m*x'' = -q*x" in out.splitlines()
+
+    def test_a_divisor_takes_its_own_power(self, capsys, tmp_path):
+        path = constant_mass_file(tmp_path, {"k": 1}, ["x'"])
+        path.write_text(path.read_text().replace("force x: -x", "force x: -k*x/2^2"))
+        code, out = run(capsys, "derive", str(path))
+        assert code == 0
+        assert "explicit: x'' = -1/4*k*x" in out.splitlines()
+
+
 class TestDecompose:
     def test_declared_split(self, capsys):
         code, out = run(capsys, "decompose", "damped_ho", "--mode", "declared")
@@ -750,6 +832,24 @@ class TestExactBounds:
             expected = f"parse error: line 1, col {col}: {message}"
         assert captured.err.splitlines() == [expected]
         assert "Traceback" not in captured.out
+
+    def test_a_long_sum_of_fractions_stops_at_its_crossing_term(self, capsys, tmp_path):
+        # x/p^100 over the first 1,200 odd primes: each + widens the common
+        # denominator, which crosses the bound long before the last term
+        odd = range(3, 10_000, 2)
+        primes = [p for p in odd if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+        force = " + ".join(f"x/{p}^100" for p in primes[:1200])
+        path = tmp_path / "primes.mech"
+        path.write_text(self.HEAD + force + " }")
+        start = time.perf_counter()
+        assert main(["derive", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("parse error: line 1, col ") and line.endswith(self.COEFFICIENT)
+        col = int(line.split("col ")[1].split(":")[0])
+        assert (self.HEAD + force)[col - 1] == "+"
+        assert captured.out == ""
 
     def test_coefficients_at_the_bound_are_printed(self, capsys, tmp_path):
         path = tmp_path / "edge.mech"

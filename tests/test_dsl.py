@@ -265,6 +265,7 @@ class TestOneTermPath:
         [
             ("k*x/0", 5, "division by zero"),
             ("k*x*y/0.0*t", 7, "division by zero"),
+            ("x/0^2", 3, "division by zero"),
             ("k*x^1.5", 5, "exponent must be a nonnegative integer"),
             ("2*x*y^(1)", 7, "exponent must be a nonnegative integer"),
         ],
@@ -273,6 +274,21 @@ class TestOneTermPath:
         with pytest.raises(ParseError) as info:
             text_to_expr(text, CTX)
         assert (info.value.col, info.value.message) == (col, message)
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [
+            ("x/2^2", "x/4"),
+            ("3/2^2*x", "3/4*x"),
+            ("x^3/2^2", "x^3/4"),
+            ("x/2^2^3", "x/64"),  # a run multiplies, as in x^2^3 = x^6
+            ("x^10/2^100", f"x^10/{2**100}"),
+            ("k*x/2^2*y^2", "k*x*y^2/4"),
+            ("x/0^0", "x"),
+        ],
+    )
+    def test_divisor_is_the_literal_raised_to_its_run(self, text, same):
+        assert text_to_expr(text, CTX) == text_to_expr(same, CTX)
 
     def test_ten_thousand_factor_chain_does_not_recurse(self):
         # far beyond the default recursion limit of 1,000 frames
@@ -577,7 +593,7 @@ class TestInputBounds:
         [
             (f"x^{MAX_POWER}", MAX_POWER),
             ("x^10^100", 1000),
-            ("x^10/2^100", 1000),  # (x^10/2)^100
+            (f"x^{MAX_POWER}/2^{MAX_POWER}", MAX_POWER),  # the divisor has its own run
             (f"x^{MAX_POWER}*y^{MAX_POWER}", MAX_POWER),  # * ends a run of ^
             (f"(x^{MAX_POWER})^2", 2 * MAX_POWER),  # a parenthesis ends one too
         ],
@@ -591,7 +607,7 @@ class TestInputBounds:
         [
             (f"x^{MAX_POWER + 1}", str(MAX_POWER + 1)),
             ("x^10^101", "101"),
-            ("x^10/2^101", "101"),
+            ("x/2^10^101", "101"),  # the divisor's run of ^
             ("2^1e400", "1e400"),
             ("k*(x + 1)^2^1000", "1000"),
         ],
@@ -604,7 +620,10 @@ class TestInputBounds:
 
     @pytest.mark.parametrize(
         "text",
-        ["10^999*x", "x*10^999", "(10^333*x)^3", "2^1000*3^200*x/7", "x/10^999"],
+        [
+            "10^999*x", "x*10^999", "(10^333*x)^3", "2^1000*3^200*x/7", "x/10^999",
+            "2^1000*x/7^100",
+        ],
     )
     def test_coefficient_at_bound_parses(self, text):
         e = text_to_expr(text, CTX)
@@ -619,7 +638,7 @@ class TestInputBounds:
             ("x*10^1000", "*"),  # a product by a power of a literal
             ("10^999*10*x", "*10*"),  # a product
             ("x/10^999/100", "/100"),  # a quotient
-            ("2^1000*x/7^100", "^100"),  # the power of a quotient: (2^1000*x/7)^100
+            ("x/10^1000", "^"),  # a divisor: the literal raised to its run of ^
             ("(10^500*x)^2", "^"),  # an expanded power
             ("(10^400*x + 1)^11", "^"),  # refused before it is formed
             ("(10^600*x)*(10^600*y)", "*("),  # an expanded product

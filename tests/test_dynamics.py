@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from jetmech import dynamics
 from jetmech.dynamics import (
+    ExplicitODE,
     OracleReport,
     Trajectory,
     VariationField,
@@ -17,6 +19,7 @@ from jetmech.dynamics import (
     energy_audit,
     first_variation,
     integrate,
+    invert_mass,
     mass_and_force,
     newton_oracle_eom,
     oracle_compare,
@@ -660,7 +663,7 @@ def integrated(monkeypatch):
     calls = []
     real = dynamics.integrate
     monkeypatch.setattr(
-        dynamics, "integrate", lambda ode, *args: calls.append(ode.kernel.law) or real(ode, *args)
+        dynamics, "integrate", lambda ode, *args: calls.append(ode.law) or real(ode, *args)
     )
     return calls
 
@@ -704,7 +707,7 @@ class TestOracleShortcut:
     def test_same_law_text_gives_the_same_trajectory(self, name, method):
         system = preset(name)
         derived_ode, oracle_ode = self.laws(system)
-        assert oracle_ode.kernel.law == derived_ode.kernel.law
+        assert oracle_ode.law == derived_ode.law
         derived = self.run(derived_ode, system, method)
         oracle = self.run(oracle_ode, system, method)
         assert np.array_equal(oracle.xs, derived.xs)
@@ -720,17 +723,17 @@ class TestOracleShortcut:
     def test_a_tiny_extra_oracle_term_is_integrated(self, integrated):
         system = self.tiny_extra_term()
         derived_ode, oracle_ode = self.laws(system)
-        assert oracle_ode.kernel.law != derived_ode.kernel.law
+        assert oracle_ode.law != derived_ode.law
         derived = self.run(derived_ode, system, "rk4")  # not through dynamics' name
         report = oracle_compare(system, "rk4", derived)
-        assert integrated == [oracle_ode.kernel.law]
+        assert integrated == [oracle_ode.law]
         assert report.max_divergence > 0
 
     def test_a_tiny_extra_oracle_term_integrates_both_laws(self, integrated):
         system = self.tiny_extra_term()
         derived_ode, oracle_ode = self.laws(system)
         report = oracle_compare(system)
-        assert integrated == [derived_ode.kernel.law, oracle_ode.kernel.law]
+        assert integrated == [derived_ode.law, oracle_ode.law]
         assert 0 < report.max_divergence < 1e-6
 
     def test_a_derived_of_the_same_law_integrates_nothing(self, integrated):
@@ -746,7 +749,7 @@ class TestOracleShortcut:
         hand_built = Trajectory(run.taus, run.xs, run.vs, run.h)
         assert hand_built.law is None
         assert oracle_compare(system, "rk4", hand_built) == OracleReport(0.0)
-        assert integrated == [oracle_ode.kernel.law]
+        assert integrated == [oracle_ode.law]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_one_source_is_not_integrated(self, name, integrated):
@@ -759,8 +762,80 @@ class TestOracleShortcut:
         system = preset(name) if name in PRESETS else parse_system(STATE_MASS_ORACLE)
         assert mass_and_force(newton_oracle_eom(system.oracle_forces, system.n))[2]
         derived_ode, oracle_ode = self.laws(system)
-        assert "_singular_mass" not in oracle_ode.kernel.law
-        assert ("_singular_mass" in derived_ode.kernel.law) == (name == "statemass")
+        assert "_singular_mass" not in oracle_ode.law
+        assert ("_singular_mass" in derived_ode.law) == (name == "statemass")
+
+
+class TestLawObject:
+    """One ExplicitODE per law: two are equal, and hash equal, exactly when
+    their ``n`` and law source are; ``rhs`` takes no part in it."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_two_assemblies_are_one_law(self, name):
+        system = preset(name)
+        first, second = (
+            assemble_explicit(dual_spencer(system.phi), system.param_values()) for _ in range(2)
+        )
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert ExplicitODE(first.n, first.law) == first
+
+    def test_an_extra_oracle_term_is_another_law(self):
+        derived_ode, oracle_ode = TestOracleShortcut.laws(TestOracleShortcut.tiny_extra_term())
+        assert derived_ode.n == oracle_ode.n
+        assert derived_ode != oracle_ode
+
+    def test_a_replaced_rhs_is_the_same_law_and_integrates(self):
+        ode = ho_ode(damping=True, params={"k": 1.0, "m": 2.0, "b": 0.1})
+        calls = []
+
+        def rhs(t, x, v):
+            calls.append(t)
+            return ode.rhs(t, x, v)
+
+        traced = dataclasses.replace(ode, rhs=rhs)
+        assert traced == ode and hash(traced) == hash(ode)
+        assert traced.rhs(0.5, [1.0], [0.0]) == ode.rhs(0.5, [1.0], [0.0])
+        assert calls == [0.5]
+        got, want = (integrate(law, [1.0], [0.0], (0.0, 1.0), 0.1) for law in (traced, ode))
+        assert got.law is traced
+        assert np.array_equal(got.xs, want.xs) and np.array_equal(got.vs, want.vs)
+
+    def test_default_rhs_is_sample_on_one_row(self):
+        ode = ho_ode(damping=True, params={"k": 1.0, "m": 2.0, "b": 0.1})
+        assert ode.rhs(0.3, [0.5], [0.2]) == ode.sample([0.3], [[0.5]], [[0.2]])
+
+
+class TestInvertMass:
+    @staticmethod
+    def mass(momentum):
+        return mass_and_force(dual_spencer(VerticalOneForm((-K * X,), (momentum,))))[0]
+
+    @pytest.mark.parametrize("momentum", [M * M * V, M * K * V], ids=["m^2", "m*k"])
+    def test_an_entry_beyond_the_float_range_is_refused(self, momentum):
+        # m^2 overflows in the float power; m*k is inf, whose inverse was 0
+        with pytest.raises(MechError, match="^a mass matrix entry is beyond the float range$"):
+            invert_mass(self.mass(momentum), {"m": 1e200, "k": 1e200})
+
+    def test_an_inverse_beyond_the_float_range_is_refused(self):
+        # pivots of 1e-11 pass the threshold, but the inverse's corner is
+        # -1e300 / 1e-22; emitted as the literal -inf, it named no value
+        x0, x1 = Expr.var(coord(0)), Expr.var(coord(1))
+        v0, v1 = Expr.var(vel(0)), Expr.var(vel(1))
+        tiny, huge = Fraction(1, 10**11), Fraction(10**300)
+        phi = VerticalOneForm((-x0, -x1), (tiny * v0 + huge * v1, tiny * v1))
+        with pytest.raises(MechError, match="^the inverse mass matrix is beyond the float range$"):
+            assemble_explicit(dual_spencer(phi), {})
+
+    def test_exact_parameters_convert_only_where_the_mass_uses_them(self):
+        params = {"m": Fraction(1, 4), "k": Fraction(10) ** 400}
+        assert invert_mass(self.mass(M * V), params) == [[4.0]]
+        with pytest.raises(MechError, match="beyond the float range"):
+            invert_mass(self.mass(K * V), params)
+
+    def test_a_small_pivot_is_singular(self):
+        with pytest.raises(SingularMassError):
+            invert_mass(self.mass(M * V), {"m": 1e-13})
 
 
 class TestCsv:

@@ -204,7 +204,7 @@ def test_each_fold():
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_laws_multiply_by_no_unit(name):
     system = preset(name)
-    law = assemble_explicit(dual_spencer(system.phi), system.param_values()).kernel.law
+    law = assemble_explicit(dual_spencer(system.phi), system.param_values()).law
     assert not re.search(r"(?<![\w.])1\.0\*|\*1\.0(?![\w.])", law), law
     if name == "harmonic":
         assert law == "a{s}_0 = (-x{s}_0)"

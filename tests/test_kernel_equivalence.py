@@ -553,7 +553,7 @@ def test_generated_systems_cover_every_law_form():
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(GENERATED))
 def test_law_source_is_pinned(name):
-    law = _ode(_system(name)).kernel.law
+    law = _ode(_system(name)).law
     assert hashlib.sha256(law.encode()).hexdigest() == LAW_SHA256[name], law
 
 
@@ -700,12 +700,12 @@ def test_unit_mass_keeps_every_term_of_the_inverse():
     # 0.0 + turns a -0.0 sum into 0.0; 0.0 * inf makes the other row NaN
     system = parse_system(UNIT_MASS_2)
     ode, ref = _ode(system), _reference_rhs(system)
-    assert "(0.0 + r_0 + 0.0 * r_1)" in ode.kernel.law
+    assert "(0.0 + r_0 + 0.0 * r_1)" in ode.law
     assert _unit_mass_mismatches(ode, ref) == []
 
 
 def test_unit_mass_law_leaves_out_only_the_unit_factors():
-    assert _ode(parse_system(UNIT_MASS_2)).kernel.law == (
+    assert _ode(parse_system(UNIT_MASS_2)).law == (
         "r_0 = -x{s}_0\n"
         "r_1 = -x{s}_1\n"
         "a{s}_0 = (0.0 + r_0 + 0.0 * r_1)\n"
@@ -727,7 +727,7 @@ def test_unit_mass_law_without_its_zero_terms_differs(monkeypatch):
     monkeypatch.setattr(dynamics, "_dot", mutant)
     system = parse_system(UNIT_MASS_2)
     ode, ref = _ode(system), _reference_rhs(system)
-    assert "(0.0 + r_0)" in ode.kernel.law
+    assert "(0.0 + r_0)" in ode.law
     assert (math.inf, 0.0) in _unit_mass_mismatches(ode, ref)
 
 
