@@ -418,9 +418,10 @@ def invert_mass(mass: tuple, params: Mapping) -> list:
     used = {name: params[name] for name in names & params.keys()}
     try:  # a float power, or a parameter's float(), may overflow
         M0 = [[compile_expr(e, used)(0.0, (), ()) for e in row] for row in mass]
+        finite = all(math.isfinite(m) for row in M0 for m in row)
     except OverflowError:
-        M0 = [[math.inf]]
-    if not all(math.isfinite(m) for row in M0 for m in row):
+        finite = False
+    if not finite:
         raise MechError("a mass matrix entry is beyond the float range")
     solve = _solver(n)
     cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
