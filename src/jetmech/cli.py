@@ -5,21 +5,24 @@ derive (equations of motion), simulate (trajectory CSV with optional
 energy audit and oracle comparison), verify (property suites).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error
-(including the input bounds below, a system file that is not UTF-8 and a
-file that cannot be read or written; the ``--out`` and ``--json`` paths are
-opened for writing before any other work), 3 numeric failure, 4 internal error
-(an exception no other code names; one line ``internal error: <Type>:
-<message>`` on stderr). MECH_SEED fixes the randomized-suite seed; a value
-that is not an integer is a usage error (exit 2). ``simulate --tol`` takes a
-finite number >= 0; anything else is a usage error.
+(including the input bounds below, a system file that is not UTF-8, a
+file that cannot be read or written, and an ``--out`` or ``--json`` path
+that names the input file, which is refused before anything is written;
+the output paths are then opened for writing before any other work), 3
+numeric failure, 4 internal error (an exception no other code names; one
+line ``internal error: <Type>: <message>`` on stderr). MECH_SEED fixes the
+randomized-suite seed; a value that is not an integer is a usage error
+(exit 2). ``simulate --tol`` takes a finite number >= 0; anything else is a
+usage error.
 
 Input bounds, each a documented constant: expressions nest at most
 ``dsl.MAX_NESTING`` levels, numeric literals carry a decimal exponent of at
 most ``dsl.MAX_EXPONENT`` in magnitude, a time grid has at most
 ``dsl.MAX_TIME_STEPS`` steps, one product of expressions forms at most
 ``symexpr.MAX_TERM_PRODUCT`` term products, and ``simulate`` and ``verify``
-solve a state-dependent mass matrix of at most
-``dynamics.MAX_STATE_MASS_COORDINATES`` coordinates.
+solve a mass matrix of at most ``dynamics.MAX_MASS_COORDINATES``
+coordinates (``derive`` leaves a larger one implicit, with its warning
+line).
 
 Values stay exact rationals until a command needs them as floats. An
 ``init`` or ``time`` value beyond the float range (about 1.8e308) is a
@@ -97,6 +100,16 @@ def _load_system(target: str) -> SystemSpec:
     else:
         raise MechError(f"no such file or preset: {target}")
     return parse_system(text)
+
+
+def _same_file(path: str, target) -> bool:
+    """Whether the output ``path`` names the existing file ``target``."""
+    if target is None:
+        return False
+    try:
+        return os.path.samefile(path, target)
+    except (OSError, ValueError):  # either is missing, or not a valid path
+        return False
 
 
 def _report_dict(system=None, dec=None, eom=None, checks=()):
@@ -345,10 +358,13 @@ def main(argv=None) -> int:
     # "wrote ..." lines of the same run; usage and parse errors on stderr.
     try:
         # a bad output path fails before any work; a later failure leaves it empty
-        for path in (vars(args).get("out"), vars(args).get("json")):
-            if path:
-                with open(path, "w"):
-                    pass
+        outputs = [path for path in (vars(args).get("out"), vars(args).get("json")) if path]
+        for path in outputs:
+            if _same_file(path, args.target):
+                raise MechError(f"output path {path} is the input file")
+        for path in outputs:
+            with open(path, "w"):
+                pass
         return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

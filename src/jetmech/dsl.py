@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -397,12 +398,14 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
     directly as a coefficient and a {symbol: exponent} map, which becomes
     one term at the end (``Expr.term``). From the first operator that can
     make more than one term (+, -, or * by a negation or a parenthesized
-    sum) on, the chain is built with Expr's own + - * / **, where a run of ^
-    is folded into one power, (b^p)^q = b^(p*q), so every product that
-    MAX_TERM_PRODUCT bounds is a product of two expressions as written.
-    Operands resolve and combine left to right, so of an undeclared name
-    and a product too large to expand, the first in the text is the one
-    reported.
+    sum) on, the chain is built with Expr's own * / **, where a run of ^ is
+    folded into one power, (b^p)^q = b^(p*q), so every product that
+    MAX_TERM_PRODUCT bounds is a product of two expressions as written. A
+    run of + and - links is summed in one {monomial: coefficient} map, each
+    coefficient checked at the link that forms it, and becomes an Expr when
+    the run ends, so a long sum takes time linear in its terms. Operands
+    resolve and combine left to right, so of an undeclared name and a
+    product too large to expand, the first in the text is the one reported.
     """
     spine = []
     while isinstance(node, BinOp):
@@ -441,19 +444,35 @@ def resolve_expr(node: ExprNode, ctx: ExprContext) -> Expr:
                     sym = _symbol(base, ctx)
                     powers[sym] = powers.get(sym, 0) + exponent
                     continue
-            out = _binary(link, Expr.term(coeff, powers), ctx)
+            links = chain((link,), links)  # the rest of the chain starts here
             break
         else:
             return Expr.term(coeff, powers)
-    # the rest of the chain, from the link after the one-term prefix
-    exponent, at = 1, None
+        out = Expr.term(coeff, powers)
+    # the rest of the chain; ``run`` is the sum of the current run of + and -
+    exponent, at, run = 1, None, None
     for link in links:
+        if run is not None and link.op not in ("+", "-"):
+            out, run = Expr.from_map(run), None
         if link.op == "^":
             exponent, at = exponent * int(link.rhs.value), link
             continue
         if exponent != 1:
             out, exponent = _expr_power(out, exponent, at), 1
-        out = _binary(link, out, ctx)
+        if link.op not in ("+", "-"):
+            out = _binary(link, out, ctx)
+            continue
+        terms = resolve_expr(link.rhs, ctx).terms
+        first = run is None
+        if first:
+            run = dict(out.terms)
+        for mono, c in terms:
+            run[mono] = _sized(run.get(mono, 0) + (c if link.op == "+" else -c), link)
+        if first:  # out's own terms, which no operator may have checked yet
+            for c in run.values():
+                _sized(c, link)
+    if run is not None:
+        out = Expr.from_map(run)
     return out if exponent == 1 else _expr_power(out, exponent, at)
 
 
@@ -489,14 +508,10 @@ def _expr_power(e: Expr, p: int, link: BinOp) -> Expr:
 
 
 def _binary(link: BinOp, lhs: Expr, ctx: ExprContext) -> Expr:
-    """``lhs`` combined with the operand of a ``/ * + -`` link."""
+    """``lhs`` combined with the operand of a ``/`` or ``*`` link."""
     if link.op == "/":
         return _sized_expr(lhs / link.rhs.value, link)
-    if link.op == "*":
-        return _sized_expr(lhs * resolve_expr(link.rhs, ctx), link)
-    if link.op == "+":
-        return _sized_expr(lhs + resolve_expr(link.rhs, ctx), link)
-    return _sized_expr(lhs - resolve_expr(link.rhs, ctx), link)
+    return _sized_expr(lhs * resolve_expr(link.rhs, ctx), link)
 
 
 def _symbol(node: Name | TimeRef | SigRef, ctx: ExprContext) -> Symbol:

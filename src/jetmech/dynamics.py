@@ -51,11 +51,11 @@ RKF45_MAX_STEP = 0.02
 # longest RK4 run; the benchmark jobs and the tests attempt at most ~30,000.
 RKF45_MAX_ATTEMPTS = 500_000
 
-# Most coordinates of a system whose mass matrix depends on the state. Its
-# elimination is emitted as straight-line source that grows as n^3 and is
-# inlined 12 times across the kernels; the bound is checked before any
-# source is emitted.
-MAX_STATE_MASS_COORDINATES = 16
+# Most coordinates of a mass matrix the program solves. Its elimination is
+# emitted as straight-line source that grows as n^3 (and, for a matrix that
+# depends on the state, is inlined 12 times across the kernels);
+# ``_elimination`` checks the bound before it emits any.
+MAX_MASS_COORDINATES = 16
 
 # ---------------------------------------------------------------------------
 # the mass solve: Gaussian elimination emitted as straight-line source
@@ -85,8 +85,13 @@ def _elimination(n: int, state: str) -> list:
     ``>= col``, a zero factor skips its row, and back-substitution subtracts
     left to right. Column ``col`` of the rows below is never written, as
     nothing reads it again. ``state`` is the source of the state argument of
-    ``_singular_mass``.
+    ``_singular_mass``. Raises MechError for n beyond MAX_MASS_COORDINATES.
     """
+    if n > MAX_MASS_COORDINATES:
+        raise MechError(
+            f"system too large: a mass matrix of {n} coordinates "
+            f"exceeds MAX_MASS_COORDINATES = {MAX_MASS_COORDINATES}"
+        )
     lines = []
     for col in range(n):
         below = range(col + 1, n)
@@ -410,10 +415,12 @@ def invert_mass(mass: tuple, params: Mapping) -> list:
     Each entry is evaluated once by ``compile_expr`` and the columns of the
     inverse are solved against the unit vectors by the emitted elimination.
     ``params`` may hold exact values; only those M uses are converted. Raises
-    MechError for an entry of M or of its inverse beyond the float range,
-    and SingularMassError for a pivot below PIVOT_THRESHOLD.
+    MechError for n beyond MAX_MASS_COORDINATES, for an entry of M or of its
+    inverse beyond the float range, and SingularMassError for a pivot below
+    PIVOT_THRESHOLD.
     """
     n = len(mass)
+    solve = _solver(n)
     names = {s.name for row in mass for e in row for s in e.symbols()}
     used = {name: params[name] for name in names & params.keys()}
     try:  # a float power, or a parameter's float(), may overflow
@@ -423,7 +430,6 @@ def invert_mass(mass: tuple, params: Mapping) -> list:
         finite = False
     if not finite:
         raise MechError("a mass matrix entry is beyond the float range")
-    solve = _solver(n)
     cols = [solve(M0, [float(r == j) for r in range(n)]) for j in range(n)]
     if not all(math.isfinite(a) for col in cols for a in col):
         raise MechError("the inverse mass matrix is beyond the float range")
@@ -439,16 +445,11 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     below PIVOT_THRESHOLD. A constant mass matrix is inverted once
     (``invert_mass``), a state-dependent one is solved inline at every law
     evaluation. The resulting law is emitted as source for the system's
-    ExplicitODE. A state-dependent mass of more than
-    MAX_STATE_MASS_COORDINATES coordinates raises MechError first.
+    ExplicitODE. A mass of more than MAX_MASS_COORDINATES coordinates raises
+    MechError before its elimination is emitted.
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
-    if not constant and n > MAX_STATE_MASS_COORDINATES:
-        raise MechError(
-            f"system too large: a state-dependent mass matrix of {n} coordinates "
-            f"exceeds MAX_STATE_MASS_COORDINATES = {MAX_STATE_MASS_COORDINATES}"
-        )
 
     def source(e: Expr) -> str:
         return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
@@ -829,18 +830,12 @@ class VariationField:
                             "symbolic variations may only involve time and signals"
                         )
 
-    @cached_property
-    def _sampled(self) -> list:
-        """[(grid key, (delta, delta_dot))]: the read-only samples
-        ``sample_on`` computed for a symbolic field, one entry per grid."""
-        return []
-
     def sample_on(self, taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(delta, delta_dot) arrays of shape (N, n) on the given grid.
 
-        A symbolic field samples each grid once and keeps the read-only pair:
-        a grid of the same dtype, shape and bytes, with the same ``h``, gets
-        the same two arrays back.
+        A symbolic field is evaluated on each call; to use one on many
+        trajectories, sample it once and pass ``VariationField(samples=...,
+        dot_samples=...)``.
         """
         if self.exprs is None:
             N = len(taus)
@@ -851,24 +846,15 @@ class VariationField:
                 ddot = diff_order2(delta, h)
             self._check_ends(delta)
             return delta, ddot
-        grid = np.asarray(taus)
-        key = (grid.dtype.str, grid.shape, grid.tobytes(), h)
-        for kept, pair in self._sampled:
-            if kept == key:
-                return pair
         cols = []
         dcols = []
-        zeros = np.zeros_like(taus)
-        dummy = (zeros,) * 8
         for e in self.exprs:
             fn, dfn = compile_expr(e, {}), compile_expr(partial(e, TAU), {})
-            cols.append(np.broadcast_to(np.asarray(fn(taus, dummy, dummy), float), taus.shape))
-            dcols.append(np.broadcast_to(np.asarray(dfn(taus, dummy, dummy), float), taus.shape))
+            cols.append(np.broadcast_to(np.asarray(fn(taus, (), ()), float), taus.shape))
+            dcols.append(np.broadcast_to(np.asarray(dfn(taus, (), ()), float), taus.shape))
         delta = np.column_stack(cols)
         ddot = np.column_stack(dcols)
         self._check_ends(delta)
-        delta.flags.writeable = ddot.flags.writeable = False
-        self._sampled.append((key, (delta, ddot)))
         return delta, ddot
 
     def _check_ends(self, delta: np.ndarray):
@@ -876,15 +862,6 @@ class VariationField:
             raise ValueError("variation flagged as vanishing at a does not")
         if self.vanishes_at_b and np.abs(delta[-1]).max() > 1e-12:
             raise ValueError("variation flagged as vanishing at b does not")
-
-
-def _residuals(phi: VerticalOneForm) -> tuple[Expr, ...]:
-    """``dual_spencer(phi).residuals``, derived on first use and kept on
-    ``phi``, as a cached property would be."""
-    kept = vars(phi)
-    if "_residuals" not in kept:
-        kept["_residuals"] = dual_spencer(phi).residuals
-    return kept["_residuals"]
 
 
 def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
@@ -928,7 +905,7 @@ def first_variation(
         return simpson_uniform(integrand, traj.h)
     if form != "post":
         raise ValueError("form must be 'pre' or 'post'")
-    residuals = _residuals(phi)
+    residuals = dual_spencer(phi).residuals
     integrand = np.zeros_like(traj.taus)
     for i in range(traj.n):
         integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]

@@ -213,6 +213,45 @@ class TestConstantMass:
         assert code == 0
         assert "explicit: x'' = -1/4*k*x" in out.splitlines()
 
+    @staticmethod
+    def diagonal_file(tmp_path, n: int):
+        qs = [f"q{i}" for i in range(n)]
+        lines = [f'system "diag{n}" {{', "  parameter m = 2"] + [f"  coordinate {q}" for q in qs]
+        for q in qs:
+            lines += [f"  force {q}: -{q}", f"  momentum {q}: m*{q}'"]
+        lines += ["  init " + ", ".join(f"{q} = 1/10" for q in qs),
+                  "  time 0 .. 1/10 step 1/100", "}"]
+        path = tmp_path / f"diag{n}.mech"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("past", [1, 64])
+    def test_a_mass_past_the_bound_emits_no_elimination(
+        self, capsys, tmp_path, monkeypatch, past
+    ):
+        # its elimination source would grow as n^3: 4.4 MB at n = 60
+        n = dynamics.MAX_MASS_COORDINATES + past
+        path = self.diagonal_file(tmp_path, n)
+        emitted = []
+        real = dynamics._elimination
+        monkeypatch.setattr(dynamics, "_elimination", lambda *a: emitted.append(real(*a)))
+        start = time.perf_counter()
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: system too large: a mass matrix of {n} coordinates exceeds "
+            f"MAX_MASS_COORDINATES = {dynamics.MAX_MASS_COORDINATES}\n"
+        )
+        code, out = run(capsys, "derive", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "warning: mass matrix singular or non-diagonal; residuals left implicit"
+        )
+        assert emitted == []
+
 
 class TestDecompose:
     def test_declared_split(self, capsys):
@@ -635,6 +674,28 @@ class TestUsage:
         code, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--out"), ("derive", "--json"), ("decompose", "--json"),
+         ("verify", "--json")],
+    )
+    @pytest.mark.parametrize("alias", [False, True], ids=["same", "alias"])
+    def test_an_output_path_naming_the_input_is_refused(
+        self, capsys, tmp_path, command, flag, alias
+    ):
+        path = tmp_path / "sys.mech"
+        path.write_text(DAMPED)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "sub" / ".." / "sys.mech" if alias else path
+        start = time.perf_counter()
+        code = main([command, str(path), flag, str(out)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: output path {out} is the input file\n"
+        assert path.read_text() == DAMPED
+
 
 class TestMethodSelection:
     def test_rkf45_flag(self, capsys, tmp_path):
@@ -876,6 +937,25 @@ class TestLongExpressions:
             expected = expected - term if k % 2 else expected + term
         assert parse_system(source).phi.F == (expected,)
 
+    def test_a_four_thousand_term_polynomial_derives_in_linear_time(self, capsys, tmp_path):
+        # distinct monomials: the running sum of each + holds every term so
+        # far, so summing link by link would take quadratic time
+        text = " + ".join(f"{i}*x^{i % 40}*y^{i // 40}" for i in range(1, 4001))
+        source = (
+            'system "poly" { parameter m = 1; coordinate x; coordinate y; '
+            f"force x: {text}; force y: -y }}"
+        )
+        path = tmp_path / "poly.mech"
+        path.write_text(source)
+        start = time.perf_counter()
+        code, out = run(capsys, "derive", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "explicit: m*y'' = -y" in out.splitlines()
+        x, y = (Expr.var(coord(i)) for i in range(2))
+        expected = {(x ** (i % 40) * y ** (i // 40)).terms[0][0]: i for i in range(1, 4001)}
+        assert dict(parse_system(source).phi.F[0].terms) == expected
+
     def test_nested_squares_hit_the_term_product_bound(self, capsys, tmp_path):
         # each level squares the polynomial: 12 levels would need 2049^2
         # term products in the last square alone
@@ -909,7 +989,7 @@ class TestLongExpressions:
         return "\n".join(lines) + "\n"
 
     def test_state_dependent_mass_past_the_cap_exits_2(self, capsys, tmp_path):
-        cap = dynamics.MAX_STATE_MASS_COORDINATES
+        cap = dynamics.MAX_MASS_COORDINATES
         path = tmp_path / "chain.mech"
         path.write_text(self.state_mass_system(cap + 1))
         start = time.perf_counter()
@@ -919,8 +999,8 @@ class TestLongExpressions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: system too large: a state-dependent mass matrix of {cap + 1} "
-            f"coordinates exceeds MAX_STATE_MASS_COORDINATES = {cap}\n"
+            f"error: system too large: a mass matrix of {cap + 1} "
+            f"coordinates exceeds MAX_MASS_COORDINATES = {cap}\n"
         )
         # at the cap the law is emitted; its loops are compiled only when run
         system = parse_system(self.state_mass_system(cap))

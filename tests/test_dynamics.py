@@ -464,9 +464,9 @@ class TestVariation:
         ta, _ = transversality_term(traj, ho_phi(), variation, HO_PARAMS)
         assert ta == 0.0
 
-    def test_a_symbolic_field_compiles_once(self, monkeypatch):
-        # each component and its time derivative are compiled when a grid is
-        # first sampled; a later call on the same grid reuses the samples
+    def test_a_symbolic_field_is_evaluated_on_each_call(self, monkeypatch):
+        # the field keeps nothing: each call compiles (a lookup in
+        # compile_expr's cache once compiled) and evaluates its components
         compiled = []
         original = dynamics.compile_expr
 
@@ -478,11 +478,11 @@ class TestVariation:
         t = Expr.var(TAU)
         variation = VariationField(exprs=(t * t / 10,))
         delta, ddot = variation.sample_on(self.traj.taus, self.traj.h)
-        assert compiled == [t * t / 10, t / 5]
         again = variation.sample_on(self.traj.taus, self.traj.h)
-        first_variation(self.traj, self.phi, variation, self.params, "pre")
-        assert compiled[2:] == [self.phi.F[0], self.phi.Pi[0]]  # phi's, not the field's
-        assert np.array_equal(again[0], delta) and np.array_equal(again[1], ddot)
+        assert compiled == [t * t / 10, t / 5] * 2
+        assert again[0] is not delta and again[1] is not ddot
+        assert again[0].tobytes() == delta.tobytes() and again[1].tobytes() == ddot.tobytes()
+        assert vars(variation).keys() == {f.name for f in dataclasses.fields(VariationField)}
         assert np.allclose(ddot[:, 0], self.traj.taus / 5, rtol=1e-15, atol=0)
 
     def test_sampled_variation_is_rows_never_transposed(self):
@@ -504,8 +504,9 @@ class TestVariation:
 
 
 class TestKeptSamples:
-    """Each expression is evaluated once per trajectory, and a symbolic
-    variation sampled once per grid; what is kept is handed out read-only."""
+    """Each expression is evaluated once per trajectory, and what is kept is
+    handed out read-only; the trajectory is the one object that keeps
+    samples."""
 
     def setup_method(self):
         self.params = {"k": 1.0, "m": 1.0, "b": 0.1}
@@ -550,35 +551,26 @@ class TestKeptSamples:
         minus = _eval_on_trajectory(K * X, self.traj, {"k": -0.0})
         assert not np.signbit(plus[0]) and np.signbit(minus[0])
 
-    def test_a_grid_is_sampled_once_per_field(self):
-        t = Expr.var(TAU)
-        variation = VariationField(exprs=(t * (Expr.const(1) - t),))
-        taus, h = self.traj.taus, self.traj.h
-        delta, ddot = variation.sample_on(taus, h)
-        again = variation.sample_on(taus.copy(), h)
-        assert again[0] is delta and again[1] is ddot
-        with pytest.raises(ValueError):
-            delta[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ddot[0, 0] = 1.0
-        shifted = taus.copy()
-        shifted[3] = np.nextafter(shifted[3], math.inf)
-        for grid, step in ((shifted, h), (taus, np.nextafter(h, math.inf))):
-            other = variation.sample_on(grid, step)
-            assert other[0] is not delta and other[1] is not ddot
-            fresh = VariationField(exprs=variation.exprs).sample_on(grid, step)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(other, fresh))
-        assert len(variation._sampled) == 3
-
-    def test_post_derives_the_residuals_once_per_form(self, monkeypatch):
-        derived = []
-        real = dynamics.dual_spencer
-        monkeypatch.setattr(dynamics, "dual_spencer", lambda phi: derived.append(phi) or real(phi))
-        variation = VariationField(exprs=(Expr.var(TAU),))
-        values = [
-            first_variation(self.traj, self.phi, variation, self.params, "post") for _ in range(3)
-        ]
-        assert derived == [self.phi] and values[0] == values[1] == values[2]
+    def test_a_sampled_symbolic_field_gives_the_same_values(self):
+        # sampling a symbolic field once and passing the samples, as verify
+        # does, changes no bit of the functional or the boundary pairing
+        symbolic = _fixed_boundary_variation(random.Random(30_007), 0.0, 1.0)
+        delta, ddot = symbolic.sample_on(self.traj.taus, self.traj.h)
+        sampled = VariationField(
+            samples=delta, dot_samples=ddot, vanishes_at_a=True, vanishes_at_b=True
+        )
+        ode = assemble_explicit(dual_spencer(self.phi), dict(self.params, k=1.1))
+        perturbed = integrate(ode, [1.0], [0.0], (0.0, 1.0), 1e-2)
+        for traj in (self.traj, perturbed):
+            for form in ("pre", "post"):
+                want = first_variation(traj, self.phi, symbolic, self.params, form)
+                got = first_variation(traj, self.phi, sampled, self.params, form)
+                assert got.hex() == want.hex()
+            want = transversality_term(traj, self.phi, symbolic, self.params)
+            got = transversality_term(traj, self.phi, sampled, self.params)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        for kept, cls in ((symbolic, VariationField), (self.phi, VerticalOneForm)):
+            assert vars(kept).keys() == {f.name for f in dataclasses.fields(cls)}
 
     def test_first_variation_values_are_unchanged(self):
         # the verify suite's setup; the digest was recorded before any sample
@@ -596,7 +588,6 @@ class TestKeptSamples:
             for form in ("pre", "post"):
                 for traj in trajs:
                     values.append(first_variation(traj, system.phi, variation, params, form))
-            assert len(variation._sampled) == 1  # both trajectories share one grid
         digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
         assert digest == "5cb452c038a529ff362ea6050e702747c587f7745fa321beef24bb3a68b85ec6"
 
