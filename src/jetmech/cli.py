@@ -193,18 +193,18 @@ def cmd_derive(args) -> int:
     for i, r in enumerate(normalized):
         print(f"{format_expr(r, coords)} = 0")
     mass, force, constant = mass_and_force(eom)
-    inverted = constant
+    reason = None if constant else "the mass matrix depends on the state"
     if constant:
         try:
             invert_mass(mass, system.params)
-        except MechError:
-            inverted = False
-    if inverted:
+        except MechError as exc:
+            reason = str(exc)
+    if reason is None:
         for i, row in enumerate(mass):
             lhs = sum((m * Expr.var(acc(j)) for j, m in enumerate(row)), ZERO)
             print(f"explicit: {format_expr(lhs, coords)} = {format_expr(force[i], coords)}")
     else:
-        print("warning: mass matrix singular or non-diagonal; residuals left implicit")
+        print(f"warning: residuals left implicit: {reason}")
     if args.json:
         _write_json(args.json, _report_dict(system, None, eom, ()))
         print(f"wrote {args.json}")
@@ -223,7 +223,7 @@ def cmd_simulate(args) -> int:
     ode = assemble_explicit(dual_spencer(system.phi), params)
     traj = integrate(ode, system.init[0], system.init[1], (a, b), h, method)
 
-    report = None
+    report = refusal = None
     if args.audit:
         try:
             dec = (
@@ -232,21 +232,25 @@ def cmd_simulate(args) -> int:
                 else decompose(system.phi)
             )
             report = energy_audit(traj, dec, params)
-        except (ReconstructionError, AdmissibilityError, AuditUnsupportedError):
-            # the trajectory is still useful; land it before main reports the failure
-            write_trajectory_csv(traj, args.out, None)
-            print(f"wrote {args.out} ({len(traj.taus)} samples, no audit columns)")
-            raise
-        print(
-            f"energy audit: max |rho| = {report.max_residual:.6e}, "
-            f"rms = {report.rms_residual:.6e}, "
-            f"energy drift {report.relative_drift:.6e}"
-        )
+        except (ReconstructionError, AdmissibilityError, AuditUnsupportedError) as exc:
+            # the trajectory is still useful: write it and name its truncation
+            # before main reports the refusal
+            refusal = exc
+        else:
+            print(
+                f"energy audit: max |rho| = {report.max_residual:.6e}, "
+                f"rms = {report.rms_residual:.6e}, "
+                f"energy drift {report.relative_drift:.6e}"
+            )
 
     write_trajectory_csv(traj, args.out, report)
-    print(f"wrote {args.out} ({len(traj.taus)} samples)")
+    note = ", no audit columns" if refusal else ""
+    print(f"wrote {args.out} ({len(traj.taus)} samples{note})")
     if traj.truncated:
         print(f"numeric failure: trajectory truncated ({traj.truncation}); partial CSV written")
+    if refusal:
+        raise refusal
+    if traj.truncated:
         return EXIT_NUMERIC
 
     if args.oracle:
@@ -342,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("target", nargs="?", default=None, help=".mech file or preset name")
-    p.add_argument("--builtin-suite", action="store_true", help="run suites on shipped presets")
+    p.add_argument(
+        "--builtin-suite", action="store_true", help="run the property suites without a target"
+    )
     p.add_argument("--json", help="write a JSON report here")
     return parser
 

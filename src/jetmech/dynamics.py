@@ -646,8 +646,8 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
 
 def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
     """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
-    if ``e`` has accelerations. The array is kept on ``traj``, keyed as
-    ``compile_expr`` keys its functions, so each expression and set of
+    if ``e`` has accelerations. The array is kept on ``traj``, keyed by the
+    expression and its ``param_literals``, so each expression and set of
     parameter literals is compiled and evaluated once per trajectory."""
     key = (e, param_literals(params))
     out = traj._evaluated.get(key)
@@ -792,9 +792,11 @@ def energy_audit(traj: Trajectory, dec: Decomposition, params) -> BalanceReport:
     E = _eval_on_trajectory(E_expr, traj, params)
     P = _eval_on_trajectory(P_expr, traj, params)
     rho = diff_order2(E, traj.h) - P
-    return BalanceReport(
-        E, P, rho, float(np.abs(rho).max()), float(np.sqrt(np.mean(rho**2)))
-    )
+    peak = float(np.abs(rho).max())
+    rms = float(np.sqrt(np.mean(rho**2)))
+    if math.isinf(rms) and math.isfinite(peak):  # rho**2 overflowed
+        rms = peak * float(np.sqrt(np.mean((rho / peak) ** 2)))
+    return BalanceReport(E, P, rho, peak, rms)
 
 
 # ---------------------------------------------------------------------------

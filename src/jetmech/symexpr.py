@@ -847,12 +847,6 @@ def expr_source(
     return " + ".join(pieces) if pieces else "0.0"
 
 
-# Most compiled functions compile_expr keeps, one per distinct expression
-# and parameter literals; one `verify --builtin-suite` job asks for a few
-# dozen.
-COMPILE_CACHE_SIZE = 1024
-
-
 def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     """Compile to ``f(t, x, v, a=None)`` with parameters bound as constants.
 
@@ -860,23 +854,16 @@ def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     numpy arrays; sin/cos are numpy's. An expression of parameters and
     constants only, such as a constant mass entry, calls neither, so it
     evaluates to a Python float. Raises UnboundSymbolError for parameters
-    missing from ``params``. Each distinct expression and parameter
-    literals is compiled once (up to COMPILE_CACHE_SIZE of them), so equal
-    inputs return the same function without generating its source again.
+    missing from ``params``. Each call compiles afresh and keeps nothing.
     """
-    return _compile(e, param_literals(params))
+    namespace = {"sin": np.sin, "cos": np.cos}
+    src = f"def compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
+    exec(src, namespace)  # noqa: S102 - source is generated locally
+    return namespace["compiled"]
 
 
 def param_literals(params: Mapping[str, float]) -> frozenset:
-    """The parameters as compile_expr keys them: by each value's emitted
-    literal, not by ==, as -0.0 and 0.0 are equal but emit different source."""
+    """The parameters as ``dynamics._eval_on_trajectory`` keys them: by each
+    value's emitted literal, not by ==, as -0.0 and 0.0 are equal but emit
+    different source."""
     return frozenset((name, repr(float(value))) for name, value in params.items())
-
-
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(e: Expr, literals: frozenset) -> Callable:
-    body = expr_source(e, {name: float(literal) for name, literal in literals})
-    namespace = {"sin": np.sin, "cos": np.cos}
-    src = f"def compiled(t, x, v, a=None):\n    return {body}\n"
-    exec(src, namespace)  # noqa: S102 - source is generated locally
-    return namespace["compiled"]

@@ -176,7 +176,9 @@ class TestConstantMass:
         ]
         code, out = run(capsys, "derive", str(path))
         assert code == 0
-        assert "warning: mass matrix singular or non-diagonal" in out
+        assert out.splitlines()[-1] == (
+            "warning: residuals left implicit: a mass matrix entry is beyond the float range"
+        )
 
     def test_an_invertible_off_diagonal_mass_derives_explicit_rows(self, capsys, tmp_path):
         path = constant_mass_file(tmp_path, {"m": 2}, ["m*x' + y'", "x' + m*y'"], two=True)
@@ -196,7 +198,8 @@ class TestConstantMass:
         code, out = run(capsys, "derive", str(path))
         assert code == 0
         assert out.splitlines()[-1] == (
-            "warning: mass matrix singular or non-diagonal; residuals left implicit"
+            "warning: residuals left implicit: mass matrix singular "
+            "(pivot 1.000e-13 below threshold) at constant mass matrix"
         )
 
     def test_a_parameter_the_mass_does_not_use_may_be_huge(self, capsys, tmp_path):
@@ -248,7 +251,8 @@ class TestConstantMass:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out.splitlines()[-1] == (
-            "warning: mass matrix singular or non-diagonal; residuals left implicit"
+            f"warning: residuals left implicit: system too large: a mass matrix of {n} "
+            f"coordinates exceeds MAX_MASS_COORDINATES = {dynamics.MAX_MASS_COORDINATES}"
         )
         assert emitted == []
 
@@ -504,6 +508,57 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert "energy audit: max |rho| = nan, rms = nan" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "force, momentum, init, samples, refusal",
+        [
+            # the law overflows on the first step, leaving too few samples to audit
+            ("x^9", "x'", "x = 1e30", 1, "energy audit needs at least 3 samples"),
+            # the state-dependent mass splits with dv components
+            ("-x", "x*x'", "x = 1, x' = -10", 73,
+             "energy audit requires an anti-exact part with zero dv components"),
+        ],
+        ids=["too-few-samples", "dv-components"],
+    )
+    def test_a_refused_audit_still_names_the_truncation(
+        self, capsys, tmp_path, force, momentum, init, samples, refusal
+    ):
+        path = tmp_path / "t.mech"
+        path.write_text(
+            f'system "t" {{ coordinate x; force x: {force}; momentum x: {momentum};\n'
+            f"init {init}; time 0 .. 3 step 1e-3 }}"
+        )
+        out_csv = tmp_path / "t.csv"
+        assert main(["simulate", str(path), "--out", str(out_csv), "--audit"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"wrote {out_csv} ({samples} samples, no audit columns)",
+            "numeric failure: trajectory truncated (law overflow); partial CSV written",
+            f"numeric failure: {refusal}",
+        ]
+        assert captured.err == ""
+        assert len(out_csv.read_text().splitlines()) == samples + 1
+
+    def test_audit_rms_of_a_blow_up_stays_finite(self, capsys, tmp_path):
+        # rho**2 overflows while every |rho| is finite; the rms is the peak
+        # times the rms of rho / peak
+        path = tmp_path / "cube.mech"
+        path.write_text(
+            'system "cube" { coordinate x; force x: x^3; momentum x: x\';\n'
+            "init x = 1; time 0 .. 3 step 1e-3 }"
+        )
+        out_csv = tmp_path / "cube.csv"
+        assert main(["simulate", str(path), "--out", str(out_csv), "--audit"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        rho = [float(row.split(",")[-1]) for row in out_csv.read_text().splitlines()[1:]]
+        peak = max(map(abs, rho))
+        rms = peak * math.sqrt(math.fsum((r / peak) ** 2 for r in rho) / len(rho))
+        assert math.isfinite(rms) and rms < peak
+        assert out[0].startswith(f"energy audit: max |rho| = {peak:.6e}, rms = {rms:.6e}, ")
+        assert out[1:] == [
+            f"wrote {out_csv} ({len(rho)} samples)",
+            "numeric failure: trajectory truncated (law overflow); partial CSV written",
+        ]
 
     def test_negative_parameter_squared(self, capsys, tmp_path):
         # (-2)^2 = 4 is the stiffness: x(t) = cos 2t

@@ -465,8 +465,8 @@ class TestVariation:
         assert ta == 0.0
 
     def test_a_symbolic_field_is_evaluated_on_each_call(self, monkeypatch):
-        # the field keeps nothing: each call compiles (a lookup in
-        # compile_expr's cache once compiled) and evaluates its components
+        # the field keeps nothing: each call compiles and evaluates its
+        # components afresh
         compiled = []
         original = dynamics.compile_expr
 

@@ -523,13 +523,6 @@ class TestCompile:
         with pytest.raises(UnboundSymbolError):
             compile_expr(var(K) * var(X), {})
 
-    def test_equal_inputs_share_one_function(self):
-        f = sinusoid_signal("f", 1, 2, 0)
-        built_twice = [var(K) * var(X) * var(signal_symbol(f)) + var(V) for _ in range(2)]
-        assert built_twice[0] is not built_twice[1]
-        fns = [compile_expr(e, {"k": 1.5}) for e in built_twice]
-        assert fns[0] is fns[1]
-
     def test_signals_compile_to_numpy(self):
         import numpy as np
 
@@ -542,23 +535,6 @@ class TestCompile:
         one, two = compile_expr(e, {"k": 1.0}), compile_expr(e, {"k": 2.0})
         assert one is not two
         assert (one(0.0, [3.0], [0.0]), two(0.0, [3.0], [0.0])) == (3.0, 6.0)
-
-    def test_equal_inputs_generate_source_once(self, monkeypatch):
-        from jetmech import symexpr
-
-        calls = []
-        real = symexpr.expr_source
-        monkeypatch.setattr(
-            symexpr, "expr_source", lambda e, params: calls.append(e) or real(e, params)
-        )
-        # a coefficient no other test compiles, so the first request misses
-        built_twice = [var(K) * var(X) ** 3 + Fraction(7919, 7907) for _ in range(2)]
-        first = compile_expr(built_twice[0], {"k": 1.25, "m": 2.0})
-        again = compile_expr(built_twice[1], {"m": 2.0, "k": 1.25})
-        assert first is again
-        assert len(calls) == 1
-        with pytest.raises(UnboundSymbolError):
-            compile_expr(built_twice[0], {"m": 2.0})
 
     def test_signed_zero_params_compile_apart(self):
         # -0.0 == 0.0, but each emits its own literal and gives its own sign
@@ -583,11 +559,6 @@ class TestCompile:
                 assert got == evaluate(e, {X: x, V: v, K: k})
         square = compile_expr(var(K) ** 2, {"k": -0.0})
         assert math.copysign(1.0, float(square(0.0, [], []))) == 1.0
-
-    def test_cache_is_bounded(self):
-        from jetmech import symexpr
-
-        assert symexpr._compile.cache_info().maxsize == symexpr.COMPILE_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
