@@ -79,7 +79,7 @@ from .formcalc import (
 )
 from .spencer import dual_spencer
 from .symexpr import ZERO, Expr, acc
-from .verify import DEFAULT_SEED, CheckResult, check_declared_split, run_builtin_suites
+from .verify import DEFAULT_SEED, CheckResult, run_builtin_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -151,10 +151,6 @@ def cmd_decompose(args) -> int:
     coords = system.coords
     checks = []
     if args.mode == "declared":
-        if system.declared_split is None:
-            raise MechError(
-                "declared mode requires lagrangian/antiexact clauses in the system"
-            )
         dec = system.declared_decomposition()
     else:
         dec = decompose(system.phi)
@@ -278,9 +274,16 @@ def cmd_verify(args) -> int:
     if args.target is not None:
         system = _load_system(args.target)
         if system.declared_split is not None:
-            checks.append(check_declared_split(system))
+            try:
+                system.declared_decomposition()
+            except ReconstructionError as exc:
+                checks.append(CheckResult("split-reconstruction", False, str(exc)))
+            else:
+                checks.append(
+                    CheckResult("split-reconstruction", True, "declared split rebuilds phi")
+                )
         if system.oracle_forces is not None and system.init and system.time:
-            rep = oracle_compare(system)
+            rep = oracle_compare(system, system.integrator)
             checks.append(
                 CheckResult(
                     "oracle-equivalence",

@@ -589,7 +589,10 @@ class SystemSpec:
         """Validate and return the user-declared split (may raise
         ReconstructionError)."""
         if self.declared_split is None:
-            raise MechError(f"system '{self.name}' declares no split")
+            raise MechError(
+                f"system '{self.name}' declares no split: it needs lagrangian "
+                "and antiexact clauses"
+            )
         return accept_user_split(*self.declared_split, self.phi)
 
 

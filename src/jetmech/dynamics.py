@@ -28,7 +28,6 @@ from .symexpr import (
     ZERO,
     acc,
     compile_expr,
-    coord,
     expr_source,
     param_literals,
     partial,
@@ -414,17 +413,14 @@ def invert_mass(mass: tuple, params: Mapping) -> list:
 
     Each entry is evaluated once by ``compile_expr`` and the columns of the
     inverse are solved against the unit vectors by the emitted elimination.
-    ``params`` may hold exact values; only those M uses are converted. Raises
-    MechError for n beyond MAX_MASS_COORDINATES, for an entry of M or of its
-    inverse beyond the float range, and SingularMassError for a pivot below
-    PIVOT_THRESHOLD.
+    ``params`` may hold exact values. Raises MechError for n beyond
+    MAX_MASS_COORDINATES, for an entry of M or of its inverse beyond the
+    float range, and SingularMassError for a pivot below PIVOT_THRESHOLD.
     """
     n = len(mass)
     solve = _solver(n)
-    names = {s.name for row in mass for e in row for s in e.symbols()}
-    used = {name: params[name] for name in names & params.keys()}
     try:  # a float power, or a parameter's float(), may overflow
-        M0 = [[compile_expr(e, used)(0.0, (), ()) for e in row] for row in mass]
+        M0 = [[compile_expr(e, params)(0.0, (), ()) for e in row] for row in mass]
         finite = all(math.isfinite(m) for row in M0 for m in row)
     except OverflowError:
         finite = False

@@ -311,22 +311,16 @@ def accept_user_split(
 
     The split need not be homotopy-annulled (the canonical one is), but the
     vertical part of d(L) plus the declared remainder must rebuild phi
-    exactly; otherwise the residual one-form is reported.
+    exactly; otherwise ReconstructionError names the residual one-form.
     """
     dec = Decomposition(lagrangian, anti_exact, mode="user-declared")
-    check_reconstruction(dec, phi)
-    return dec
-
-
-def check_reconstruction(dec: Decomposition, phi: VerticalOneForm):
-    """Raise ReconstructionError, naming the residual one-form, unless the
-    split rebuilds phi exactly."""
     residual = reconstruction_residual(dec, phi)
     if not residual.is_zero:
         raise ReconstructionError(
             residual,
             "split reconstruction residual: " + format_one_form(residual),
         )
+    return dec
 
 
 def format_one_form(omega: VerticalOneForm, coords: tuple[str, ...] = ()) -> str:

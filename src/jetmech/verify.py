@@ -35,7 +35,7 @@ from .dynamics import (
     integrate,
 )
 from .dsl import preset
-from .errors import MechError, ReconstructionError
+from .errors import MechError
 from .formcalc import (
     Decomposition,
     VerticalOneForm,
@@ -317,12 +317,3 @@ ALL_SUITES = (
 
 def run_builtin_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return [suite(seed) for suite in ALL_SUITES]
-
-
-def check_declared_split(system) -> CheckResult:
-    """Whether a system's declared Lagrangian/anti-exact split rebuilds phi."""
-    try:
-        system.declared_decomposition()
-    except ReconstructionError as exc:
-        return CheckResult("split-reconstruction", False, str(exc))
-    return CheckResult("split-reconstruction", True, "declared split rebuilds phi")

@@ -57,6 +57,20 @@ system "corrupt" {
 }
 """
 
+# stiff enough that rk4 and rkf45 at step 1/10 integrate it very differently
+STIFF_RKF45 = """
+system "stiff" {
+  parameter m = 1
+  coordinate x
+  force x: -1000*x
+  momentum x: m*x'
+  oracle x: -1000*x - 1/1000000000*x
+  init x = 1, x' = 0
+  time 0 .. 2 step 1/10
+  integrator rkf45
+}
+"""
+
 MASSLESS = 'system "nomass" { parameter k = 1; coordinate x; force x: -k*x }'
 
 # the derived law is regular (momentum x'), the newton oracle's mass is zero
@@ -278,8 +292,14 @@ class TestDecompose:
         assert "polynomial signals" in out
 
     def test_declared_mode_without_split(self, capsys):
-        code, out = run(capsys, "decompose", "duffing", "--mode", "declared")
+        code = main(["decompose", "duffing", "--mode", "declared"])
+        out = capsys.readouterr()
         assert code == 2
+        assert out.out == ""
+        assert out.err == (
+            "error: system 'duffing' declares no split: "
+            "it needs lagrangian and antiexact clauses\n"
+        )
 
     def test_json_report_schema(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -576,8 +596,8 @@ class TestSimulate:
 
 
 class TestOutputDigests:
-    """The CSV bytes of two preset runs, pinned by sha256. CI checks the same
-    digests on the installed console script."""
+    """The CSV bytes of two preset runs and four JSON reports, pinned by
+    sha256. CI checks the same digests on the installed console script."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -597,6 +617,35 @@ class TestOutputDigests:
         code, _ = run(capsys, "simulate", argv[0], "--out", str(out_csv), *argv[1:])
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("decompose", "damped_ho", "--mode", "declared"),
+                "8d4f6c2408341963910435a056e8da80056c492f661b731a4f160c61b5de8d53",
+            ),
+            (
+                ("decompose", "duffing"),
+                "51320a7ac9f853a76548bccdf5f4cd266f671cd8202c41b32bc0e0a79046177e",
+            ),
+            (
+                ("derive", "vanderpol"),
+                "e53a5a2ff6fbd7e4d5007009d6f7bfc9714c2323a1e496d90cb04e22c0f5f988",
+            ),
+            (
+                ("verify", "damped_ho", "--builtin-suite"),
+                "cc9e3f4316d57b692c8d9f38b931816307301b7e06245e7c555ff98ee02464c0",
+            ),
+        ],
+        ids=["decompose-declared", "decompose", "derive", "verify"],
+    )
+    def test_json_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.setenv("MECH_SEED", "7")
+        report = tmp_path / "report.json"
+        code, _ = run(capsys, *argv, "--json", str(report))
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestVerify:
@@ -648,6 +697,18 @@ class TestVerify:
         code, out = run(capsys, "verify", str(path))
         assert code == 0
         assert "[PASS] oracle-equivalence" in out
+
+    def test_oracle_check_runs_under_the_file_integrator(self, capsys, tmp_path):
+        # under rk4 at this step the stiff law's two trajectories part by
+        # 6e-3; under the file's rkf45 they agree as simulate --oracle finds
+        path = tmp_path / "stiff.mech"
+        path.write_text(STIFF_RKF45)
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "s.csv"), "--oracle")
+        assert code == 0
+        assert "max divergence 9.321514e-10" in out
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0
+        assert re.search(r"\[PASS\] oracle-equivalence +max divergence 9\.322e-10", out)
 
     def test_empty_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "empty.mech"

@@ -6,7 +6,7 @@ import pytest
 
 from jetmech.dynamics import Trajectory
 from jetmech.errors import ReconstructionError
-from jetmech.formcalc import Decomposition, VerticalOneForm, d0, decompose
+from jetmech.formcalc import Decomposition, VerticalOneForm, accept_user_split, d0, decompose
 from jetmech.spencer import (
     assemble_with_split,
     dual_spencer,
@@ -135,6 +135,19 @@ class TestAssembleWithSplit:
         dec = Decomposition(ZERO, VerticalOneForm.zero(1), "user-declared")
         with pytest.raises(ReconstructionError):
             assemble_with_split(dec, phi)
+
+    def test_bad_split_refused_as_accept_user_split_refuses_it(self):
+        # assemble_with_split checks the split through accept_user_split
+        phi = VerticalOneForm((X,), (M * V,))
+        L = Expr.const(Fraction(1, 2)) * M * V**2
+        anti = VerticalOneForm((-X,), (ZERO,))
+        with pytest.raises(ReconstructionError) as assembled:
+            assemble_with_split(Decomposition(L, anti, "user-declared"), phi)
+        with pytest.raises(ReconstructionError) as accepted:
+            accept_user_split(L, anti, phi)
+        assert assembled.value.residual == accepted.value.residual
+        assert assembled.value.residual == VerticalOneForm((2 * X,), (ZERO,))
+        assert str(assembled.value) == str(accepted.value)
 
     def test_random_split_invariance(self):
         rng = random.Random(37)
