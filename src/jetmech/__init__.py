@@ -15,6 +15,7 @@ from .errors import (
     MechError,
     ReconstructionError,
     SingularMassError,
+    TruncationError,
     UnboundSymbolError,
 )
 from .symexpr import (

@@ -69,6 +69,7 @@ from .errors import (
     MechError,
     ReconstructionError,
     SingularMassError,
+    TruncationError,
 )
 from .formcalc import (
     d1,
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     except ReconstructionError as exc:
         print(f"FAIL {exc}")
         return EXIT_VERIFICATION
-    except (SingularMassError, AdmissibilityError, AuditUnsupportedError) as exc:
+    except (SingularMassError, AdmissibilityError, AuditUnsupportedError, TruncationError) as exc:
         print(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (MechError, OSError, UnicodeError) as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AuditUnsupportedError, MechError, SingularMassError
+from .errors import AuditUnsupportedError, MechError, SingularMassError, TruncationError
 from .formcalc import Decomposition, VerticalOneForm
 from .spencer import EquationsOfMotion, as_samples, diff_order2, dual_spencer
 from .symexpr import (
@@ -147,12 +147,31 @@ def _dot(coeffs, names: str) -> str:
     return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
 
 
-def _define(template: str, n: int, law: str, **fields):
+# The names a generated function runs with: ``math``'s sin, cos and
+# isfinite and the singular-mass report for the loops on Python floats; for
+# the law on whole columns, numpy's float_power (pow() per element, as
+# Python's ``**`` on floats) and ``math``'s sin and cos per element.
+_FLOAT_NAMES = {
+    "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
+    "_singular_mass": _singular_mass,
+}
+
+
+def _per_element(fn):
+    return lambda column: np.fromiter(map(fn, column.tolist()), float, len(column))
+
+
+_COLUMN_NAMES = {
+    "sin": _per_element(math.sin), "cos": _per_element(math.cos),
+    "float_power": np.float_power,
+}
+
+
+def _define(template: str, n: int, law: str, names: dict = _FLOAT_NAMES, **fields):
     """The function ``kernel`` that ``template`` defines, its ``fields``
     filled in. A line holding {i} repeats once per coordinate, for ``n`` of
-    them; a line @law(S) becomes ``law`` at stage suffix S. Every generated
-    function runs in one namespace: ``math``'s sin, cos and isfinite and the
-    singular-mass report."""
+    them; a line @law(S) becomes ``law`` at stage suffix S. The function
+    runs in a namespace of ``names``."""
     lines = []
     for line in template.format(i="{i}", **fields).splitlines():
         body = line.lstrip()
@@ -163,10 +182,7 @@ def _define(template: str, n: int, law: str, **fields):
             lines += [line.format(i=i) for i in range(n)]
         else:
             lines.append(line)
-    namespace = {
-        "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
-        "_singular_mass": _singular_mass,
-    }
+    namespace = dict(names)
     exec("\n".join(lines) + "\n", namespace)  # noqa: S102 - generated locally
     return namespace["kernel"]
 
@@ -181,6 +197,16 @@ def kernel(taus, xs, vs):
         @law()
         out.append(a_{i})
     return out
+"""
+
+# The law of a constant mass on whole columns: ``t`` the grid and ``x[i]``,
+# ``v[i]`` coordinate i at every sample.
+_SAMPLE_COLUMNS = """\
+def kernel(t, x, v):
+    x_{i} = x[{i}]
+    v_{i} = v[{i}]
+    @law()
+    return [{answer}]
 """
 
 # The integration loops catch OverflowError/ValueError from the law (float
@@ -318,10 +344,16 @@ class ExplicitODE:
     again at the same point. Two laws are equal, and hash equal, when their
     ``n`` and ``law`` are. ``rhs`` evaluates the law at one state and returns
     a list; it defaults to ``sample`` on one row, and the loops never call it.
+    ``column_law`` emits, when first called, the same law with every power
+    a ``float_power`` call, for a constant mass only (it is None
+    otherwise): that law runs on whole columns of samples, in
+    ``sample_columns``. Only ``accelerations_on`` asks for it, so the
+    integrating commands never emit it.
     """
 
     n: int
     law: str
+    column_law: Callable[[], str] | None = field(default=None, compare=False, repr=False)
     rhs: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -336,6 +368,14 @@ class ExplicitODE:
         """``sample(taus, xs, vs) -> accels``: the law at each (t, x, v)
         row, as one flat row-major list."""
         return _define(_SAMPLE, self.n, self.law)
+
+    @cached_property
+    def sample_columns(self):
+        """``sample_columns(taus, xs, vs) -> accels``: the column law on the
+        (N,) grid and the (n, N) columns of x and v, as n columns (an array,
+        or a float for a law that holds no sample)."""
+        answer = self._join("a_{i}", ", ")
+        return _define(_SAMPLE_COLUMNS, self.n, self.column_law(), _COLUMN_NAMES, answer=answer)
 
     @cached_property
     def rk4(self):
@@ -446,24 +486,31 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
+    params = dict(params)  # the column law is emitted later, from these values
 
-    def source(e: Expr) -> str:
-        return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}")
+    def source(e: Expr, power: str = "{}**{}") -> str:
+        return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}", power=power)
 
-    forces = [source(force_sym[i]) for i in range(n)]
-    law = [f"r_{i} = {forces[i]}" for i in range(n)]
+    forces = [source(e) for e in force_sym]
     if constant:
         inverse = invert_mass(mass_sym, params)
-        if n == 1:
-            # a unit mass leaves out the exact *1.0
-            scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
-            law = [f"a{{s}}_0 = ({forces[0]}){scale}"]
-        else:
-            law += [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
-    else:
-        law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
-        xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
-        law += _elimination(n, f"(t{{s}}, ({xs}), ({vs}))")
+
+        def solved(forces: list) -> str:
+            if n == 1:
+                # a unit mass leaves out the exact *1.0
+                scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
+                return f"a{{s}}_0 = ({forces[0]}){scale}"
+            rows = [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
+            return "\n".join([f"r_{i} = {forces[i]}" for i in range(n)] + rows)
+
+        def column_law() -> str:
+            return solved([source(e, power="float_power({}, {})") for e in force_sym])
+
+        return ExplicitODE(n, solved(forces), column_law)
+    law = [f"r_{i} = {forces[i]}" for i in range(n)]
+    law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
+    xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
+    law += _elimination(n, f"(t{{s}}, ({xs}), ({vs}))")
     return ExplicitODE(n, "\n".join(law))
 
 
@@ -657,7 +704,24 @@ def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
 
 
 def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
-    """Accelerations recomputed from the explicit law at each sample."""
+    """Accelerations recomputed from the explicit law at each sample.
+
+    A law with a constant mass runs on whole columns (``sample_columns``),
+    with the float operations of the row loop (``sample``) element by
+    element. Where that gives a value that is not finite, the row loop runs
+    instead, so its errors (a power beyond the float range raises
+    OverflowError there) and its NaN bits are what the caller sees. The
+    column law raises nothing itself: its signals are sines of the finite
+    grid times. A state-dependent mass always takes the row loop.
+    """
+    if ode.column_law is not None:
+        out = np.empty(traj.xs.shape)
+        with np.errstate(all="ignore"):
+            columns = ode.sample_columns(traj.taus, traj.xs.T, traj.vs.T)
+        for i, column in enumerate(columns):
+            out[:, i] = column
+        if np.isfinite(out).all():
+            return out
     accels = ode.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
     return np.array(accels, dtype=float).reshape(traj.xs.shape)
 
@@ -699,7 +763,9 @@ def oracle_compare(
     both sides alike, and the parser guarantees the finite ``init`` and
     valid ``time`` that ``integrate`` would check. Otherwise what is
     missing is integrated: the oracle, and the derived law when no
-    ``derived`` is given.
+    ``derived`` is given. A derived trajectory that is truncated, given or
+    integrated here, raises TruncationError: a divergence measured on part
+    of the grid would look like a verdict on the whole.
 
     ``system`` is a parsed SystemSpec (duck-typed: phi, oracle_forces,
     param_values(), init, time fields are used).
@@ -727,6 +793,8 @@ def oracle_compare(
         return OracleReport(0.0)
     if derived is None:
         derived = integrate(derived_ode, x0, v0, (a, b), h, method)
+    if derived.truncated:
+        raise TruncationError(f"trajectory truncated ({derived.truncation})")
     oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
     m = min(len(derived.taus), len(oracle.taus))
     div = np.abs(derived.xs[:m] - oracle.xs[:m]).sum(axis=1) + np.abs(

@@ -38,6 +38,11 @@ class ReconstructionError(MechError):
         super().__init__(message)
 
 
+class TruncationError(MechError):
+    """An integration the command needs whole stopped before the end of its
+    grid; the message names why, as ``Trajectory.truncation`` does."""
+
+
 class SingularMassError(MechError):
     """Mass matrix not invertible at some state (pivot below threshold)."""
 

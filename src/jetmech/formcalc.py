@@ -26,7 +26,8 @@ once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import AdmissibilityError, ReconstructionError
 from .symexpr import (
@@ -60,6 +61,7 @@ class VerticalOneForm:
 
     Construction checks both; the sum, difference and negation of valid
     forms of one ``n`` are valid by construction and skip the check.
+    Forms known to be valid are built by ``_valid``.
     """
 
     F: tuple[Expr, ...]
@@ -107,7 +109,45 @@ class VerticalOneForm:
         return VerticalOneForm._valid(tuple(-e for e in self.F), tuple(-e for e in self.Pi))
 
     def __sub__(self, other: "VerticalOneForm") -> "VerticalOneForm":
-        return self + (-other)
+        return self.minus(other)
+
+    def minus(self, *others: "VerticalOneForm") -> "VerticalOneForm":
+        """This form minus the sum of ``others``, forms of the same ``n``.
+
+        Each component is collected in one {monomial: coefficient} map, made
+        canonical once. A coefficient is kept there as an unreduced
+        (numerator, denominator) pair and reduced once, at the end, instead
+        of once per ``Fraction`` operation. The terms, and the coefficient
+        types, are those of the sums and negations it replaces.
+        """
+        for other in others:
+            if other.n != self.n:
+                raise ValueError("dimension mismatch")
+
+        def component(own: Expr, *parts: Expr) -> Expr:
+            acc = {mono: (c.numerator, c.denominator) for mono, c in own.terms}
+            for part in parts:
+                for mono, c in part.terms:
+                    num, den = c.numerator, c.denominator
+                    if mono not in acc:
+                        acc[mono] = (-num, den)
+                        continue
+                    n0, d0 = acc[mono]
+                    acc[mono] = (n0 - num, den) if d0 == den else (n0 * den - num * d0, d0 * den)
+            terms = []
+            for mono, (num, den) in acc.items():
+                if num:
+                    if den != 1:
+                        q = Fraction(num, den)
+                        num = q if q.denominator != 1 else q.numerator
+                    terms.append((mono, num))
+            terms.sort()
+            return Expr(tuple(terms))
+
+        return VerticalOneForm._valid(
+            tuple(map(component, self.F, *(o.F for o in others))),
+            tuple(map(component, self.Pi, *(o.Pi for o in others))),
+        )
 
     def components(self):
         """(basis symbol, component) pairs: (x^i, F_i) then (v^i, Pi_i), per i."""
@@ -129,18 +169,22 @@ class TwoForm:
 
     Basis covectors are keyed by the jet symbols TAU, coord(i) and vel(i);
     the ``Symbol`` tuple order puts dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
-    and keys are strictly ordered pairs.
+    and keys are strictly ordered pairs. ``n`` is set on the differential
+    ``d1`` takes of a form of ``n`` coordinates, whose keys and
+    coefficients hold no acceleration and no index >= n; it is None on a
+    two-form built by hand, and no part of equality.
     """
 
     coeffs: tuple[tuple[tuple[Symbol, Symbol], Expr], ...]
+    n: int | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TwoForm":
+    def from_dict(cls, data: dict, n: int | None = None) -> "TwoForm":
         items = tuple(sorted((pair, e) for pair, e in data.items() if not e.is_zero))
         for (b1, b2), _ in items:
             if not b1 < b2:
                 raise ValueError("two-form keys must be strictly ordered pairs")
-        return cls(items)
+        return cls(items, n)
 
     def coefficient(self, b1: Symbol, b2: Symbol) -> Expr:
         """Coefficient of db1 ^ db2, with antisymmetry applied."""
@@ -214,7 +258,9 @@ def d1(omega: VerticalOneForm) -> TwoForm:
                 if sign < 0:
                     c = -c
                 terms[mono] = terms[mono] + c if mono in terms else c
-    return TwoForm.from_dict({key: Expr.from_map(terms) for key, terms in acc.items()})
+    return TwoForm.from_dict(
+        {key: Expr.from_map(terms) for key, terms in acc.items()}, omega.n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +305,9 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     """Fiber homotopy on two-forms; dt^... blocks land in the dt slot and drop.
 
     For a fiber block coefficient a at dy^i ^ dy^j, contributes
-    [int_0^1 s a(t, s x, s v) ds] (y^i dy^j - y^j dy^i).
+    [int_0^1 s a(t, s x, s v) ds] (y^i dy^j - y^j dy^i). The result of the
+    differential of a form of at most ``n`` coordinates is a valid one-form
+    by construction and is not checked again; any other is.
     """
     comps: dict = {}
     for (b1, b2), a in eta.coeffs:
@@ -276,7 +324,8 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
             into2[m] = into2[m] + c if m in into2 else c
             m = times_symbol(mono, b2)
             into1[m] = into1[m] - c if m in into1 else -c
-    return VerticalOneForm(
+    build = VerticalOneForm._valid if eta.n is not None and eta.n <= n else VerticalOneForm
+    return build(
         tuple(Expr.from_map(comps.get(coord(i), {})) for i in range(n)),
         tuple(Expr.from_map(comps.get(vel(i), {})) for i in range(n)),
     )
@@ -300,8 +349,12 @@ def decompose(phi: VerticalOneForm) -> Decomposition:
 
 
 def reconstruction_residual(dec: Decomposition, phi: VerticalOneForm) -> VerticalOneForm:
-    """phi minus (vertical part of d(L) plus anti-exact part); zero iff exact."""
-    return phi - (d0(dec.lagrangian, n=phi.n) + dec.anti_exact)
+    """phi minus (vertical part of d(L) plus anti-exact part); zero iff exact.
+
+    One walk of L for its partials (``d0``, with its checks), then one map
+    per component of phi minus both parts.
+    """
+    return phi.minus(d0(dec.lagrangian, n=phi.n), dec.anti_exact)
 
 
 def accept_user_split(

@@ -799,12 +799,14 @@ def expr_source(
     x: str = "x[{}]",
     v: str = "v[{}]",
     a: str = "a[{}]",
+    power: str = "{}**{}",
 ) -> str:
     """Python source of one expression, with parameters bound as literals.
 
     ``t`` names the time variable; ``x``, ``v`` and ``a`` are format
-    templates that name coordinate ``i`` of each kind. Signals call ``sin``
-    and ``cos``, which the caller's namespace supplies. Raises
+    templates that name coordinate ``i`` of each kind, and ``power`` the
+    template of a factor's base and its exponent above 1. Signals call
+    ``sin`` and ``cos``, which the caller's namespace supplies. Raises
     UnboundSymbolError for parameters missing from ``params``.
 
     A term leaves out the factors that change nothing: a coefficient whose
@@ -838,7 +840,7 @@ def expr_source(
                 base = _signal_code(sym, t)
             if base.startswith("-"):
                 base = f"({base})"
-            factors.append(base if exp == 1 else f"{base}**{exp}")
+            factors.append(base if exp == 1 else power.format(base, exp))
         if not factors or coefficient not in ("1.0", "-1.0"):
             factors.insert(0, coefficient)
         elif coefficient == "-1.0":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,28 @@ class CheckResult:
 
 _SIGNAL_POOL = PolynomialSignal("w", (Fraction(1), Fraction(-1, 2), Fraction(1, 3)))
 
+# a term's coefficient, by its drawn numerator and denominator
+_COEFFICIENTS = {
+    (num, den): num // den if num % den == 0 else Fraction(num, den)
+    for num in range(-6, 7)
+    if num
+    for den in (1, 2, 3)
+}
+
+
+@cache
+def _pool(n: int, with_time: bool, with_signal: bool) -> tuple[tuple, tuple]:
+    """The symbols ``random_expr`` draws from, in canonical order, and the
+    place in that order of each symbol in draw order."""
+    pool = [param("p"), param("q")]
+    pool += [coord(i) for i in range(n)] + [vel(i) for i in range(n)]
+    if with_time:
+        pool.append(TAU)
+    if with_signal:
+        pool.append(signal_symbol(_SIGNAL_POOL))
+    ranked = sorted(pool)
+    return tuple(ranked), tuple(ranked.index(sym) for sym in pool)
+
 
 def random_expr(
     rng: random.Random,
@@ -95,23 +118,24 @@ def random_expr(
     with_time: bool = True,
     with_signal: bool = False,
 ) -> Expr:
-    """Random canonical polynomial over the jet vocabulary."""
-    pool = [param("p"), param("q")]
-    pool += [coord(i) for i in range(n)] + [vel(i) for i in range(n)]
-    if with_time:
-        pool.append(TAU)
-    if with_signal:
-        pool.append(signal_symbol(_SIGNAL_POOL))
+    """Random canonical polynomial over the jet vocabulary.
+
+    Each draw is the one ``rng.randint`` or ``rng.choice`` makes, taken
+    from ``rng._randbelow`` directly, so a seed gives the same expression
+    and leaves ``rng`` in the same state as those calls would.
+    """
+    symbols, ranks = _pool(n, with_time, with_signal)
+    below = rng._randbelow
+    size = len(ranks)
     terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(1 + below(max_terms)):  # randint(1, max_terms)
         powers: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            sym = rng.choice(pool)
-            powers[sym] = powers.get(sym, 0) + 1
-        mono = tuple(sorted(powers.items()))
-        num = rng.randint(-6, 6) or 1
-        den = rng.randint(1, 3)
-        q = num // den if num % den == 0 else Fraction(num, den)
+        for _ in range(below(max_degree + 1)):  # randint(0, max_degree)
+            r = ranks[below(size)]  # choice(pool), by canonical place
+            powers[r] = powers.get(r, 0) + 1
+        mono = tuple([(symbols[r], k) for r, k in sorted(powers.items())])
+        num = below(13) - 6 or 1  # randint(-6, 6) or 1
+        q = _COEFFICIENTS[num, 1 + below(3)]  # randint(1, 3)
         terms[mono] = terms[mono] + q if mono in terms else q
     return Expr.from_map(terms)
 
@@ -119,6 +143,9 @@ def random_expr(
 def random_vertical_form(
     rng: random.Random, n: int, with_time: bool = True, with_signal: bool = True
 ) -> VerticalOneForm:
+    """Random one-form of ``n`` coordinates; its components hold no index
+    >= n and no acceleration, so it is built without the one-form check."""
+
     def make() -> Expr:
         return random_expr(
             rng,
@@ -129,7 +156,7 @@ def random_vertical_form(
             with_signal=with_signal and rng.random() < 0.3,
         )
 
-    return VerticalOneForm(
+    return VerticalOneForm._valid(
         tuple(make() for _ in range(n)), tuple(make() for _ in range(n))
     )
 

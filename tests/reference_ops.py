@@ -1,7 +1,8 @@
 """The jet operators as compositions of ``partial`` and ``Expr`` arithmetic.
 
 ``spencer`` and ``formcalc`` apply each operator in one walk over the terms
-of its input. These are the compositions they replace, kept verbatim but
+of its input, and take the difference of one-forms in one map per
+component. These are the compositions they replace, kept verbatim but
 for names: the tests compare the two on seeded inputs, terms and
 coefficient types included.
 """
@@ -9,6 +10,7 @@ coefficient types included.
 from __future__ import annotations
 
 from jetmech.formcalc import (
+    Decomposition,
     TwoForm,
     VerticalOneForm,
     _check_acceleration_free,
@@ -101,3 +103,8 @@ def reference_homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
         tuple(comps.get(coord(i), ZERO) for i in range(n)),
         tuple(comps.get(vel(i), ZERO) for i in range(n)),
     )
+
+
+def reference_reconstruction_residual(dec: Decomposition, phi: VerticalOneForm) -> VerticalOneForm:
+    """phi minus (vertical part of d(L) plus anti-exact part); zero iff exact."""
+    return phi + -(reference_d0(dec.lagrangian, n=phi.n) + dec.anti_exact)

@@ -710,6 +710,23 @@ class TestVerify:
         assert code == 0
         assert re.search(r"\[PASS\] oracle-equivalence +max divergence 9\.322e-10", out)
 
+    def test_truncated_oracle_check_is_a_numeric_failure(self, capsys, tmp_path, integrations):
+        # the derived law blows up near t = 1.85; its divergence from the
+        # oracle on the part before is no verdict on the whole grid
+        path = tmp_path / "blow2.mech"
+        path.write_text(
+            'system "blow2" { parameter m = 1; coordinate x; force x: x^3; momentum x: m*x\'; '
+            "oracle x: x^3 + 1/1000000*x; init x = 1, x' = 0; time 0 .. 3 step 1e-3 }"
+        )
+        line = "numeric failure: trajectory truncated (law overflow)"
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "b.csv"), "--oracle")
+        assert code == 3
+        assert out.splitlines()[-1] == line + "; partial CSV written"
+        code, out = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out.splitlines() == [line]
+        assert integrations == ["rk4", "rk4"]  # simulate's run, then verify's derived run
+
     def test_empty_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "empty.mech"
         path.write_text("")

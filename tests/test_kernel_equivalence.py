@@ -615,6 +615,102 @@ def test_accelerations_on_state_mass_bitwise():
     assert _same(accelerations_on(traj, ode), reference)
 
 
+def _drawn_constant_mass_system(rng, n):
+    """A seeded system of ``n`` coordinates with a constant, non-diagonal
+    mass for n > 1, and forces of random terms: powers up to 4 of every
+    coordinate, velocity and t, sinusoid and polynomial signals, and
+    parameters of either sign."""
+    names = "xyz"[:n]
+    bases = [*names, *(f"{q}'" for q in names), "t", "sig(f)", "sig(w)"]
+    lines = [
+        'system "drawn" {',
+        "  parameter m = 9/4", "  parameter c = 1/3", "  parameter k = -3/2",
+        *(f"  coordinate {q}" for q in names),
+        "  signal f = sinusoid(2/5, 7/5, 1/3)",
+        "  signal w = polynomial(1/2, -1/4, 1/8)",
+    ]
+    for i, q in enumerate(names):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            factors = [rng.choice(("1", "k", "3/7", "-2"))]
+            for _ in range(rng.randint(0, 3)):
+                base, exp = rng.choice(bases), rng.randint(1, 4)
+                factors.append(base if exp == 1 or base.startswith("sig") else f"{base}^{exp}")
+            terms.append("*".join(factors))
+        coupled = [f"{rng.choice(('c', 'k'))}*{p}'" for j, p in enumerate(names) if abs(i - j) == 1]
+        lines.append(f"  force {q}: " + " + ".join(terms))
+        lines.append(f"  momentum {q}: " + " + ".join([f"m*{q}'", *coupled]))
+    return parse_system("\n".join(lines + ["}"]) + "\n")
+
+
+def _drawn_rows(rng, n, kind):
+    """A 64-sample trajectory built by hand: moderate values and signed
+    zeros; with infinities and NaN among them for ``kind`` "special"; and
+    for "huge", values whose fourth power is beyond the float range."""
+    pool = [0.0, -0.0, 1.0, -1.5]
+    if kind == "special":
+        pool += [math.inf, -math.inf, math.nan]
+    if kind == "huge":
+        pool += [1e90, -3e100]
+
+    def value():
+        return rng.choice(pool) if rng.random() < 0.2 else rng.uniform(-2.5, 2.5)
+
+    taus = np.linspace(0.0, 3.0, 64)
+    xs = [[value() for _ in range(n)] for _ in taus]
+    vs = [[value() for _ in range(n)] for _ in taus]
+    return Trajectory(taus, xs, vs, taus[1] - taus[0])
+
+
+def _outcome_on(fn):
+    """The table ``fn`` returns, or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_column_law_matches_the_reference_rows():
+    # a constant mass takes the column law; a table that is not finite goes
+    # back to the row loop, which raises OverflowError for a power beyond the
+    # float range. The reference runs on numpy scalars, which give inf there
+    # instead, and whose NaN can differ from the row loop's in its sign bit:
+    # so NaN is compared bit for bit with the row loop and by position with
+    # the reference, and every other value bit for bit with both
+    rng = random.Random("column law")
+    finite = fallen_back = raised = 0
+    for case in range(120):
+        n = 1 + case % 3
+        system = _drawn_constant_mass_system(rng, n)
+        ode = _ode(system)
+        assert ode.column_law is not None
+        ref = _reference_rhs(system)
+        for kind in ("moderate", "special", "huge"):
+            traj = _drawn_rows(rng, n, kind)
+            got = _outcome_on(lambda: accelerations_on(traj, ode))
+            rows = _outcome_on(lambda: np.array(
+                ode.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
+            ).reshape(traj.xs.shape))
+            if isinstance(rows, tuple):
+                assert got == rows, case
+                raised += 1
+                continue
+            assert _same(got, rows), case
+            want = _outcome_on(lambda: reference_accelerations_on(traj, ref))
+            assert _same(np.nan_to_num(got, nan=7.0, posinf=8.0, neginf=9.0),
+                         np.nan_to_num(want, nan=7.0, posinf=8.0, neginf=9.0)), case
+            if np.isfinite(want).all():
+                finite += 1
+            else:
+                fallen_back += 1
+    assert finite > 100 and fallen_back > 80 and raised > 20
+
+
+def test_state_mass_has_no_column_law():
+    assert _ode(parse_system(STATE_MASS_3)).column_law is None
+
+
 def _entry(rng, specials):
     """A matrix or right-side entry; ties, near-threshold values and, when
     ``specials``, infinities and NaN are all common."""

@@ -2,7 +2,8 @@
 
 ``total_time_derivative``, ``variational_derivative``, ``d0``, ``d1``,
 ``interior_radius`` and ``homotopy_two_form`` each walk the terms of their
-input once and make every output canonical once. ``tests/reference_ops.py``
+input once and make every output canonical once; ``reconstruction_residual``
+and the difference of one-forms collect each component in one map. ``tests/reference_ops.py``
 keeps the compositions of ``partial`` and ``Expr`` arithmetic they replace.
 On seeded inputs with n = 1..4, exponents up to 6, parameters and signals,
 each operator must give the same terms as its reference, coefficient types
@@ -17,12 +18,15 @@ from fractions import Fraction
 import pytest
 
 from jetmech.formcalc import (
+    Decomposition,
     TwoForm,
     VerticalOneForm,
     d0,
     d1,
+    decompose,
     homotopy_two_form,
     interior_radius,
+    reconstruction_residual,
 )
 from jetmech.spencer import total_time_derivative, variational_derivative
 from jetmech.symexpr import (
@@ -46,6 +50,7 @@ from reference_ops import (
     reference_d1,
     reference_homotopy_two_form,
     reference_interior_radius,
+    reference_reconstruction_residual,
     reference_total_time_derivative,
     reference_variational_derivative,
 )
@@ -184,6 +189,67 @@ def test_homotopy_two_form_matches_reference():
     for case, rng, n in cases(6):
         eta = draw_two_form(rng, n)
         assert_same_form(homotopy_two_form(eta, n), reference_homotopy_two_form(eta, n))
+
+
+def test_homotopy_two_form_checks_what_is_not_a_differential():
+    x1, a0 = Expr.var(coord(1)), Expr.var(acc(0))
+    for coefficient in (x1, a0):
+        eta = TwoForm.from_dict({(coord(0), vel(0)): coefficient})
+        with pytest.raises(ValueError):
+            homotopy_two_form(eta, 1)
+    # the differential of a form of two coordinates, contracted on one
+    eta = d1(VerticalOneForm((x1, ZERO), (ZERO, ZERO)))
+    with pytest.raises(ValueError, match="index >= n"):
+        homotopy_two_form(eta, 1)
+    assert homotopy_two_form(eta, 3).n == 3
+
+
+def test_reconstruction_residual_matches_reference():
+    # two thirds of the splits rebuild phi exactly, the canonical one among
+    # them when phi has no sinusoid; the others miss it by a random form
+    exact = 0
+    for case, rng, n in cases(8):
+        sinusoids = rng.random() < 0.5
+        phi = draw_form(rng, n, sinusoids)
+        pick = rng.randrange(3)
+        if pick == 0 and not sinusoids:
+            dec = decompose(phi)
+        else:
+            lagrangian = draw_expr(rng, n, sinusoids=True)
+            anti = draw_form(rng, n, sinusoids=True)
+            if pick < 2:
+                anti = phi + -reference_d0(lagrangian, n)
+            dec = Decomposition(lagrangian, anti, mode="user-declared")
+        got = reconstruction_residual(dec, phi)
+        assert_same_form(got, reference_reconstruction_residual(dec, phi))
+        assert_same_form(phi - dec.anti_exact, phi + -dec.anti_exact)
+        exact += got.is_zero
+    assert CASES // 2 < exact < CASES * 3 // 4
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_reconstruction_residual_keeps_the_errors_of_d0():
+    x0, x1, a0 = (Expr.var(s) for s in (coord(0), coord(1), acc(0)))
+    phi = VerticalOneForm((x0,), (ZERO,))
+    splits = [
+        Decomposition(x0 * a0, phi, "user-declared"),
+        Decomposition(x0 * x1, phi, "user-declared"),
+        Decomposition(x0, VerticalOneForm.zero(2), "user-declared"),
+    ]
+    messages = [_raised(reconstruction_residual, dec, phi) for dec in splits]
+    assert messages == [_raised(reference_reconstruction_residual, dec, phi) for dec in splits]
+    assert all(messages)
+    # an index >= n whose partial is no component of d(L) is no error
+    dec = Decomposition(x1, phi, "user-declared")
+    want = reference_reconstruction_residual(dec, phi)
+    assert_same_form(reconstruction_residual(dec, phi), want)
 
 
 def test_jet_partials_are_the_partials():
