@@ -19,9 +19,11 @@ Each operator walks the terms of its input once. The exterior derivatives
 are derivations, applied by the Leibniz rule on the generators: every
 partial of a component, the time partial with the signal chain rule, comes
 from one walk (``symexpr.jet_partials``). The radius contraction and the
-two-form homotopy place each term of a component once. Terms are collected
-in one {monomial: coefficient} map per output, which is made canonical
-once, at the end.
+two-form homotopy place each term of a component once, and
+``homotopy_of_d1`` places the two-form homotopy of ``d1`` straight from the
+terms of the one-form, with no two-form between. Terms are collected in
+one {monomial: coefficient} map per output, which is made canonical once,
+at the end.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from .symexpr import (
     times_symbol,
     vel,
 )
+
+
+# the kinds a walk compares with, as module constants: an attribute of the
+# enum class is looked up again at each comparison
+_COORD, _VEL = SymbolKind.COORD, SymbolKind.VEL
 
 
 def _check_acceleration_free(e: Expr, what: str):
@@ -134,15 +141,7 @@ class VerticalOneForm:
                         continue
                     n0, d0 = acc[mono]
                     acc[mono] = (n0 - num, den) if d0 == den else (n0 * den - num * d0, d0 * den)
-            terms = []
-            for mono, (num, den) in acc.items():
-                if num:
-                    if den != 1:
-                        q = Fraction(num, den)
-                        num = q if q.denominator != 1 else q.numerator
-                    terms.append((mono, num))
-            terms.sort()
-            return Expr(tuple(terms))
+            return _from_pairs(acc)
 
         return VerticalOneForm._valid(
             tuple(map(component, self.F, *(o.F for o in others))),
@@ -154,6 +153,21 @@ class VerticalOneForm:
         for i in range(self.n):
             yield coord(i), self.F[i]
             yield vel(i), self.Pi[i]
+
+
+def _from_pairs(acc: dict) -> Expr:
+    """The expression of a {monomial: (numerator, denominator)} map of
+    positive denominators: each coefficient reduced once, a zero dropped and
+    an integral one an int."""
+    terms = []
+    for mono, (num, den) in acc.items():
+        if num:
+            if den != 1:
+                q = Fraction(num, den)
+                num = q if q.denominator != 1 else q.numerator
+            terms.append((mono, num))
+    terms.sort()
+    return Expr(tuple(terms))
 
 
 def _oriented(b1: Symbol, b2: Symbol):
@@ -328,6 +342,67 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     return build(
         tuple(Expr.from_map(comps.get(coord(i), {})) for i in range(n)),
         tuple(Expr.from_map(comps.get(vel(i), {})) for i in range(n)),
+    )
+
+
+def homotopy_of_d1(phi: VerticalOneForm) -> VerticalOneForm:
+    """``homotopy_two_form(d1(phi), phi.n)``, in one walk over the terms of phi.
+
+    A term ``c*m`` of fiber degree d in the component at y^j gives, for each
+    fiber factor (y^i)^e of m with y^i != y^j, the term ``e*c*m/y^i`` of the
+    partial by y^i to the block dy^i ^ dy^j of d1(phi). The two-form
+    homotopy scales it by 1/(d + 1), its own fiber degree plus 2, and places
+    it at m in the y^j component and, negated, at (m/y^i)*y^j in the y^i
+    component; so the y^j component gains ``(d - e_j)*c/(d + 1)`` at m,
+    where e_j is the exponent of y^j in m. Time partials land in dt blocks,
+    which the homotopy drops, so none is taken; nor is a two-form or a
+    partial formed. Each component is collected in one map, keyed by its
+    basis symbol, of unreduced (numerator, denominator) pairs reduced once,
+    so the terms and coefficient types are those of the composition.
+    """
+    comps: dict = {}
+    for target, e in phi.components():
+        own = comps.get(target)
+        if own is None:
+            own = comps[target] = {}
+        for mono, c in e.terms:
+            degree = own_exp = 0
+            for sym, exp in mono:
+                kind = sym.kind
+                if kind == _COORD or kind == _VEL:
+                    degree += exp
+                    if sym == target:
+                        own_exp = exp
+            if degree == own_exp:
+                continue  # no fiber factor but y^j's own
+            num, den = c.numerator, c.denominator * (degree + 1)
+            q = num * (degree - own_exp)
+            if mono in own:
+                n0, d0 = own[mono]
+                own[mono] = (n0 + q, den) if d0 == den else (n0 * den + q * d0, d0 * den)
+            else:
+                own[mono] = (q, den)
+            for k, (sym, exp) in enumerate(mono):
+                kind = sym.kind
+                if (kind != _COORD and kind != _VEL) or sym == target:
+                    continue
+                if exp == 1:
+                    rest, q = mono[:k] + mono[k + 1 :], num
+                else:
+                    rest, q = mono[:k] + ((sym, exp - 1),) + mono[k + 1 :], num * exp
+                m = times_symbol(rest, target)
+                into = comps.get(sym)
+                if into is None:
+                    comps[sym] = {m: (-q, den)}
+                elif m in into:
+                    n0, d0 = into[m]
+                    into[m] = (n0 - q, den) if d0 == den else (n0 * den - q * d0, d0 * den)
+                else:
+                    into[m] = (-q, den)
+    n = phi.n
+    return VerticalOneForm._valid(
+        tuple(_from_pairs(comps.get(coord(i), {})) for i in range(n)),
+        tuple(_from_pairs(comps.get(vel(i), {})) for i in range(n)),
     )
 
 

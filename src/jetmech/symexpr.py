@@ -308,12 +308,13 @@ class Expr:
     semantic equality. Instances are hashable and safe to share between
     threads.
 
-    The symbol set and the hash are computed on first use and kept. A
-    pickle or copy carries the terms alone: str and signal hashes differ
-    between processes, so a kept hash must not travel.
+    The symbol set, the hash and the vertical partials (``jet_partials``
+    with ``with_time=False``) are computed on first use and kept. A pickle
+    or copy carries the terms alone: str and signal hashes differ between
+    processes, so a kept hash must not travel.
     """
 
-    __slots__ = ("_terms", "_symbols", "_hash")
+    __slots__ = ("_terms", "_symbols", "_hash", "_partials")
 
     def __init__(self, _terms: tuple[tuple[Monomial, Rational], ...] = ()):
         # internal: _terms must already be canonical (sorted monomials, no
@@ -322,6 +323,7 @@ class Expr:
         self._terms = _terms
         self._symbols = None
         self._hash = None
+        self._partials = None
 
     def __reduce__(self):
         return Expr, (self._terms,)
@@ -681,7 +683,21 @@ def jet_partials(e: Expr, with_time: bool = True) -> dict[Symbol, Expr]:
     constants. As in ``_power_rule``, the terms of a coordinate's partial
     are distinct and only need sorting; the time partial's may meet, so
     they are summed first.
+
+    The vertical partials (``with_time=False``) are kept on ``e`` the first
+    time they are taken, and the same map is returned after that: callers
+    read it and must not change it.
     """
+    if with_time:
+        return _partials(e, True)
+    parts = e._partials
+    if parts is None:
+        parts = e._partials = _partials(e, False)
+    return parts
+
+
+def _partials(e: Expr, with_time: bool) -> dict[Symbol, Expr]:
+    """``jet_partials(e, with_time)``, from a walk over the terms of ``e``."""
     lists: dict = {}
     time: dict = {}
     for mono, c in e.terms:

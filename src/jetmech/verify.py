@@ -41,10 +41,9 @@ from .formcalc import (
     Decomposition,
     VerticalOneForm,
     d0,
-    d1,
     decompose,
     homotopy,
-    homotopy_two_form,
+    homotopy_of_d1,
     reconstruction_residual,
 )
 from .spencer import (
@@ -87,13 +86,15 @@ class CheckResult:
 
 _SIGNAL_POOL = PolynomialSignal("w", (Fraction(1), Fraction(-1, 2), Fraction(1, 3)))
 
-# a term's coefficient, by its drawn numerator and denominator
-_COEFFICIENTS = {
-    (num, den): num // den if num % den == 0 else Fraction(num, den)
-    for num in range(-6, 7)
-    if num
-    for den in (1, 2, 3)
-}
+# a term's coefficient, by its two raw draws: below(13) for the numerator
+# randint(-6, 6) or 1, then below(3) for the denominator randint(1, 3)
+_COEFFICIENTS = tuple(
+    tuple(
+        num // den if num % den == 0 else Fraction(num, den)
+        for den in (1, 2, 3)
+    )
+    for num in (r - 6 or 1 for r in range(13))
+)
 
 
 @cache
@@ -120,22 +121,42 @@ def random_expr(
 ) -> Expr:
     """Random canonical polynomial over the jet vocabulary.
 
-    Each draw is the one ``rng.randint`` or ``rng.choice`` makes, taken
-    from ``rng._randbelow`` directly, so a seed gives the same expression
-    and leaves ``rng`` in the same state as those calls would.
+    Each draw is the one ``rng.randint`` or ``rng.choice`` makes: a value
+    below a bound ``m``, taken as ``Random._randbelow`` takes it, from
+    ``rng.getrandbits(m.bit_length())`` until one falls below ``m``. The
+    loop runs here, with each bound's bit length computed once per call, so
+    a seed gives the same expression and leaves ``rng`` in the same state
+    as those calls would.
     """
     symbols, ranks = _pool(n, with_time, with_signal)
-    below = rng._randbelow
-    size = len(ranks)
+    bits = rng.getrandbits
+    size, degrees = len(ranks), max_degree + 1
+    k_terms, k_degree, k_pool = (
+        max_terms.bit_length(), degrees.bit_length(), size.bit_length()
+    )
     terms: dict = {}
-    for _ in range(1 + below(max_terms)):  # randint(1, max_terms)
+    count = bits(k_terms)
+    while count >= max_terms:  # randint(1, max_terms) - 1
+        count = bits(k_terms)
+    for _ in range(count + 1):
+        degree = bits(k_degree)
+        while degree >= degrees:  # randint(0, max_degree)
+            degree = bits(k_degree)
         powers: dict = {}
-        for _ in range(below(max_degree + 1)):  # randint(0, max_degree)
-            r = ranks[below(size)]  # choice(pool), by canonical place
+        for _ in range(degree):
+            r = bits(k_pool)
+            while r >= size:  # choice(pool), by canonical place
+                r = bits(k_pool)
+            r = ranks[r]
             powers[r] = powers.get(r, 0) + 1
         mono = tuple([(symbols[r], k) for r, k in sorted(powers.items())])
-        num = below(13) - 6 or 1  # randint(-6, 6) or 1
-        q = _COEFFICIENTS[num, 1 + below(3)]  # randint(1, 3)
+        num = bits(4)
+        while num >= 13:  # randint(-6, 6), before its "or 1"
+            num = bits(4)
+        den = bits(2)
+        while den >= 3:  # randint(1, 3) - 1
+            den = bits(2)
+        q = _COEFFICIENTS[num][den]
         terms[mono] = terms[mono] + q if mono in terms else q
     return Expr.from_map(terms)
 
@@ -144,13 +165,21 @@ def random_vertical_form(
     rng: random.Random, n: int, with_time: bool = True, with_signal: bool = True
 ) -> VerticalOneForm:
     """Random one-form of ``n`` coordinates; its components hold no index
-    >= n and no acceleration, so it is built without the one-form check."""
+    >= n and no acceleration, so it is built without the one-form check.
+
+    Each component draws its ``max_degree`` as ``rng.randint(0, 4)`` does,
+    then, when ``with_signal``, its signal with ``rng.random() < 0.3``.
+    """
+    bits = rng.getrandbits
 
     def make() -> Expr:
+        degree = bits(3)
+        while degree >= 5:  # randint(0, 4)
+            degree = bits(3)
         return random_expr(
             rng,
             n,
-            max_degree=rng.randint(0, 4),
+            max_degree=degree,
             max_terms=3,
             with_time=with_time,
             with_signal=with_signal and rng.random() < 0.3,
@@ -181,8 +210,7 @@ def check_cochain_contraction(seed: int) -> CheckResult:
             return CheckResult(
                 "cochain-contraction", False, "anti-exact part not annulled", case_seed
             )
-        remainder = homotopy_two_form(d1(phi), n)
-        if remainder != dec.anti_exact:
+        if homotopy_of_d1(phi) != dec.anti_exact:
             return CheckResult(
                 "cochain-contraction",
                 False,

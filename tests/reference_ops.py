@@ -1,13 +1,19 @@
-"""The jet operators as compositions of ``partial`` and ``Expr`` arithmetic.
+"""The jet operators as compositions of ``partial`` and ``Expr`` arithmetic,
+and ``verify``'s case generators as calls of ``random.Random``'s methods.
 
 ``spencer`` and ``formcalc`` apply each operator in one walk over the terms
 of its input, and take the difference of one-forms in one map per
-component. These are the compositions they replace, kept verbatim but
-for names: the tests compare the two on seeded inputs, terms and
-coefficient types included.
+component. ``verify`` draws its cases with ``getrandbits`` and the
+rejection loop ``Random._randbelow`` runs. These are the compositions and
+the generators they replace, kept verbatim but for names: the tests
+compare the two on seeded inputs, terms and coefficient types included,
+and, for the generators, the state they leave the generator in.
 """
 
 from __future__ import annotations
+
+import random
+from fractions import Fraction
 
 from jetmech.formcalc import (
     Decomposition,
@@ -23,10 +29,13 @@ from jetmech.symexpr import (
     ZERO,
     acc,
     coord,
+    param,
     partial,
     scaling_integral,
+    signal_symbol,
     vel,
 )
+from jetmech.verify import _SIGNAL_POOL
 
 
 def reference_total_time_derivative(e: Expr) -> Expr:
@@ -108,3 +117,50 @@ def reference_homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
 def reference_reconstruction_residual(dec: Decomposition, phi: VerticalOneForm) -> VerticalOneForm:
     """phi minus (vertical part of d(L) plus anti-exact part); zero iff exact."""
     return phi + -(reference_d0(dec.lagrangian, n=phi.n) + dec.anti_exact)
+
+
+def reference_random_expr(
+    rng: random.Random,
+    n: int,
+    max_degree: int = 4,
+    max_terms: int = 4,
+    with_time: bool = True,
+    with_signal: bool = False,
+) -> Expr:
+    """Random canonical polynomial over the jet vocabulary."""
+    pool = [param("p"), param("q")]
+    pool += [coord(i) for i in range(n)] + [vel(i) for i in range(n)]
+    if with_time:
+        pool.append(TAU)
+    if with_signal:
+        pool.append(signal_symbol(_SIGNAL_POOL))
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        powers: dict = {}
+        for _ in range(rng.randint(0, max_degree)):
+            sym = rng.choice(pool)
+            powers[sym] = powers.get(sym, 0) + 1
+        mono = tuple(sorted(powers.items()))
+        num = rng.randint(-6, 6) or 1
+        den = rng.randint(1, 3)
+        q = num // den if num % den == 0 else Fraction(num, den)
+        terms[mono] = terms[mono] + q if mono in terms else q
+    return Expr.from_map(terms)
+
+
+def reference_random_vertical_form(
+    rng: random.Random, n: int, with_time: bool = True, with_signal: bool = True
+) -> VerticalOneForm:
+    def make() -> Expr:
+        return reference_random_expr(
+            rng,
+            n,
+            max_degree=rng.randint(0, 4),
+            max_terms=3,
+            with_time=with_time,
+            with_signal=with_signal and rng.random() < 0.3,
+        )
+
+    return VerticalOneForm(
+        tuple(make() for _ in range(n)), tuple(make() for _ in range(n))
+    )

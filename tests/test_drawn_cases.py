@@ -9,11 +9,18 @@ the Euler-Lagrange suite's Lagrangians and their ``n``
 (``assemble_with_split``) and the first-variation suite's fields
 (``_fixed_boundary_variation``). The rendering of every case, and the state
 each case's generator is left in, go into one sha256 per suite and seed.
+
+Beyond those seeds, ``random_expr`` and ``random_vertical_form`` are
+compared with the generators they replace (``reference_ops``), which draw
+through ``randint``, ``choice`` and ``random``: over every argument the
+suites pass, each draw must give the same terms and coefficient types and
+leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -22,6 +29,7 @@ import pytest
 from jetmech import verify
 from jetmech.formcalc import format_one_form
 from jetmech.symexpr import format_expr
+from reference_ops import reference_random_expr, reference_random_vertical_form
 
 
 class _Recording(random.Random):
@@ -105,3 +113,38 @@ def drawn_digest(monkeypatch, suite: str, seed: int) -> str:
 @pytest.mark.parametrize("suite, seed", sorted(DRAWN_SHA256))
 def test_suites_draw_the_pinned_cases(monkeypatch, suite, seed):
     assert drawn_digest(monkeypatch, suite, seed) == DRAWN_SHA256[suite, seed]
+
+
+def _typed(e) -> tuple:
+    return tuple((mono, c.__class__, c) for mono, c in e.terms)
+
+
+# every (n, max_degree, max_terms, with_time, with_signal) the suites pass
+EXPR_ARGUMENTS = list(itertools.product((1, 2, 3), range(5), (3, 4), (False, True), (False, True)))
+STREAM_SEEDS = 1000
+
+
+def test_random_expr_draws_the_reference_stream():
+    # one stream per seed runs through every argument combination, so each
+    # combination draws from STREAM_SEEDS different generator states; a draw
+    # that took one word more or less than its reference would leave every
+    # later state shifted, so the state is compared once per stream
+    for seed in range(STREAM_SEEDS):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n, max_degree, max_terms, with_time, with_signal in EXPR_ARGUMENTS:
+            got = verify.random_expr(rng, n, max_degree, max_terms, with_time, with_signal)
+            want = reference_random_expr(ref, n, max_degree, max_terms, with_time, with_signal)
+            assert _typed(got) == _typed(want), (seed, n, max_degree, max_terms)
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_random_vertical_form_draws_the_reference_stream():
+    for seed in range(STREAM_SEEDS):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n, with_time, with_signal in itertools.product((1, 2, 3), (False, True), (False, True)):
+            got = verify.random_vertical_form(rng, n, with_time, with_signal)
+            want = reference_random_vertical_form(ref, n, with_time, with_signal)
+            assert got.n == want.n == n
+            for a, b in zip((*got.F, *got.Pi), (*want.F, *want.Pi)):
+                assert _typed(a) == _typed(b), (seed, n, with_time, with_signal)
+            assert rng.getstate() == ref.getstate(), seed

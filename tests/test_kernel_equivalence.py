@@ -297,9 +297,11 @@ def reference_integrate(rhs, n, x0, v0, interval, h, method,
 
 
 def reference_accelerations_on(traj, rhs):
+    # on Python floats, as the kernels evaluate: a numpy scalar gives inf
+    # where a float power raises OverflowError, and can set NaN signs apart
     out = np.empty_like(traj.xs)
     for k in range(len(traj.taus)):
-        out[k] = rhs(float(traj.taus[k]), traj.xs[k], traj.vs[k])
+        out[k] = rhs(float(traj.taus[k]), traj.xs[k].tolist(), traj.vs[k].tolist())
     return out
 
 
@@ -674,10 +676,11 @@ def _outcome_on(fn):
 def test_column_law_matches_the_reference_rows():
     # a constant mass takes the column law; a table that is not finite goes
     # back to the row loop, which raises OverflowError for a power beyond the
-    # float range. The reference runs on numpy scalars, which give inf there
-    # instead, and whose NaN can differ from the row loop's in its sign bit:
+    # float range, as the reference does. The reference's NaN can differ
+    # from the row loop's in its sign bit, through its order of operations:
     # so NaN is compared bit for bit with the row loop and by position with
-    # the reference, and every other value bit for bit with both
+    # the reference, every other value bit for bit with both, and an error
+    # by type and message with both
     rng = random.Random("column law")
     finite = fallen_back = raised = 0
     for case in range(120):
@@ -692,12 +695,13 @@ def test_column_law_matches_the_reference_rows():
             rows = _outcome_on(lambda: np.array(
                 ode.sample(traj.taus.tolist(), traj.xs.tolist(), traj.vs.tolist())
             ).reshape(traj.xs.shape))
+            want = _outcome_on(lambda: reference_accelerations_on(traj, ref))
             if isinstance(rows, tuple):
-                assert got == rows, case
+                assert got == rows == want, case
                 raised += 1
                 continue
             assert _same(got, rows), case
-            want = _outcome_on(lambda: reference_accelerations_on(traj, ref))
+            assert not isinstance(want, tuple), case
             assert _same(np.nan_to_num(got, nan=7.0, posinf=8.0, neginf=9.0),
                          np.nan_to_num(want, nan=7.0, posinf=8.0, neginf=9.0)), case
             if np.isfinite(want).all():

@@ -7,7 +7,8 @@ and the difference of one-forms collect each component in one map. ``tests/refer
 keeps the compositions of ``partial`` and ``Expr`` arithmetic they replace.
 On seeded inputs with n = 1..4, exponents up to 6, parameters and signals,
 each operator must give the same terms as its reference, coefficient types
-included, in canonical order.
+included, in canonical order. ``homotopy_of_d1`` must give the terms of
+``homotopy_two_form(d1(phi), phi.n)``, which it fuses into one walk.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from jetmech.formcalc import (
     d0,
     d1,
     decompose,
+    homotopy_of_d1,
     homotopy_two_form,
     interior_radius,
     reconstruction_residual,
@@ -189,6 +191,25 @@ def test_homotopy_two_form_matches_reference():
     for case, rng, n in cases(6):
         eta = draw_two_form(rng, n)
         assert_same_form(homotopy_two_form(eta, n), reference_homotopy_two_form(eta, n))
+
+
+def test_homotopy_of_d1_is_the_composition():
+    # n = 1..3; forms with time, polynomial and sinusoid signals of orders
+    # 0..2, and verify's own draws
+    seen = {"time": 0, "poly": 0, "sine": 0, "zero": 0}
+    for case in range(CASES):
+        rng = random.Random(9 * 1_000_003 + case)
+        n = rng.randint(1, 3)
+        phi = draw_form(rng, n, sinusoids=rng.random() < 0.5)
+        got = homotopy_of_d1(phi)
+        assert_same_form(got, homotopy_two_form(d1(phi), n))
+        syms = set().union(*(e.symbols() for e in (*phi.F, *phi.Pi)))
+        seen["time"] += TAU in syms
+        seen["poly"] += any(s.signal is _POLY for s in syms)
+        seen["sine"] += any(s.signal is _SINE for s in syms)
+        seen["zero"] += got.is_zero
+    assert seen["time"] > CASES // 2, seen
+    assert min(seen["poly"], seen["sine"]) > CASES // 5 > seen["zero"], seen
 
 
 def test_homotopy_two_form_checks_what_is_not_a_differential():

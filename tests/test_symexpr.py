@@ -19,8 +19,9 @@ from jetmech.errors import (
     UnboundSymbolError,
 )
 from jetmech.dsl import ExprContext, parse_system, text_to_expr
-from jetmech.formcalc import VerticalOneForm, decompose, homotopy
-from jetmech.spencer import dual_spencer
+from jetmech.formcalc import VerticalOneForm, d0, decompose, homotopy
+from jetmech.spencer import dual_spencer, variational_derivative
+from jetmech.verify import random_expr
 from jetmech.symexpr import (
     TAU,
     ZERO,
@@ -32,6 +33,7 @@ from jetmech.symexpr import (
     compile_expr,
     coord,
     format_expr,
+    jet_partials,
     param,
     partial,
     polynomial_signal,
@@ -719,7 +721,8 @@ class TestSignalHash:
 
 
 # ---------------------------------------------------------------------------
-# an expression keeps its symbols and hash, and a pickle carries neither
+# an expression keeps its symbols, hash and vertical partials, and a pickle
+# or copy carries none of them
 # ---------------------------------------------------------------------------
 
 
@@ -758,14 +761,51 @@ class TestKeptSymbolsAndHash:
         assert param("k") is param("k") is K
 
     def test_pickle_carries_neither_hash_nor_symbols(self):
+        # nor the kept partials: a pickle or copy carries the terms alone
         used = kept_expr()
-        hash(used), used.symbols()
+        hash(used), used.symbols(), jet_partials(used, with_time=False)
         assert pickle.dumps(used) == pickle.dumps(kept_expr())
-        hash(ZERO), ZERO.symbols()
+        hash(ZERO), ZERO.symbols(), jet_partials(ZERO, with_time=False)
         assert pickle.dumps(ZERO) == pickle.dumps(Expr())
         for e in (used, ZERO):
+            kept = jet_partials(e, with_time=False)
             for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
                 assert clone == e and hash(clone) == hash(e) and clone.symbols() == e.symbols()
+                parts = jet_partials(clone, with_time=False)
+                assert parts is not kept and parts == kept
+
+    def test_vertical_partials_are_kept(self):
+        e = kept_expr() + var(K) * var(V) ** 3 * var(X)
+        parts = jet_partials(e, with_time=False)
+        assert jet_partials(e, with_time=False) is parts
+        assert parts == {X: partial(e, X), V: partial(e, V)}
+        # the partials with time are taken afresh on each call
+        every = jet_partials(e)
+        assert every is not jet_partials(e)
+        assert every == {**parts, TAU: partial(e, TAU)}
+
+    def test_d0_and_variational_derivative_cold_and_warm(self):
+        def typed(exprs):
+            return [[(m, c.__class__, c) for m, c in e.terms] for e in exprs]
+
+        rng = random.Random("kept partials")
+        for case in range(300):
+            n = rng.randint(1, 3)
+            e = random_expr(rng, n, with_signal=rng.random() < 0.3)
+            width = rng.choice((None, n, n + 1))
+            form = d0(Expr(e.terms), width)
+            want_d0 = typed((*form.F, *form.Pi))
+            want_el = typed(variational_derivative(Expr(e.terms), width))
+            warm = Expr(e.terms)
+            parts = jet_partials(warm, with_time=False)
+            held = list(parts.items())
+            for _ in range(2):
+                form = d0(warm, width)
+                assert typed((*form.F, *form.Pi)) == want_d0, case
+                assert typed(variational_derivative(warm, width)) == want_el, case
+            # the callers leave the kept map as it was
+            assert jet_partials(warm, with_time=False) is parts
+            assert len(parts) == len(held) and all(parts[s] is p for s, p in held)
 
     def test_pickled_expr_is_a_dict_key_under_another_hash_seed(self):
         # a kept hash would travel in the pickle and disagree with the str
