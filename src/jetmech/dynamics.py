@@ -11,6 +11,7 @@ along trajectories.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
@@ -28,6 +29,7 @@ from .symexpr import (
     ZERO,
     acc,
     compile_expr,
+    compile_exprs,
     expr_source,
     param_literals,
     partial,
@@ -167,17 +169,29 @@ _COLUMN_NAMES = {
 }
 
 
-def _define(template: str, n: int, law: str, names: dict = _FLOAT_NAMES, **fields):
+def _define(
+    template: str, n: int, law: str, names: dict = _FLOAT_NAMES, time: str = "", **fields
+):
     """The function ``kernel`` that ``template`` defines, its ``fields``
     filled in. A line holding {i} repeats once per coordinate, for ``n`` of
-    them; a line @law(S) becomes ``law`` at stage suffix S. The function
-    runs in a namespace of ``names``."""
+    them; a line @law(S) becomes ``law`` at stage suffix S, and @law(S, U)
+    the same with the stage time's suffix U; a line @time(U) becomes the
+    ``time`` lines at stage time U. A line that begins with @t is a stage
+    time, kept only when the law or ``time`` reads time. The function runs
+    in a namespace of ``names``."""
     lines = []
+    clock = re.search(r"\bt\{[su]\}", law + time) is not None  # reads its stage time
     for line in template.format(i="{i}", **fields).splitlines():
         body = line.lstrip()
+        indent = line[: len(line) - len(body)]
         if body.startswith("@law("):
-            indent = line[: len(line) - len(body)]
-            lines += [indent + stmt for stmt in law.format(s=body[5:-1]).splitlines()]
+            s, _, u = body[5:-1].partition(", ")
+            lines += [indent + stmt for stmt in law.format(s=s, u=u or s).splitlines()]
+        elif body.startswith("@time("):
+            lines += [indent + stmt for stmt in time.format(u=body[6:-1]).splitlines()]
+        elif body.startswith("@t "):
+            if clock:
+                lines.append(indent + body[3:])
         elif "{i}" in line:
             lines += [line.format(i=i) for i in range(n)]
         else:
@@ -212,6 +226,8 @@ def kernel(t, x, v):
 # The integration loops catch OverflowError/ValueError from the law (float
 # range exceeded: blow-up) and truncate, as they do for a non-finite state;
 # a truncated run returns its reason (Trajectory.truncation), a whole one None.
+# RK4 runs the staged law (ExplicitODE.staged_law): stage 3's time, t1 + h2,
+# is stage 2's bit for bit, so stage 3 reads stage 2's time and time terms.
 _RK4 = """\
 def kernel(taus, x, v, h):
     x1_{i} = x[{i}]
@@ -222,16 +238,18 @@ def kernel(taus, x, v, h):
     vs = list(v)
     for t1 in taus:
         try:
+            @time(1)
             @law(1)
-            t2 = t1 + h2
+            @t t2 = t1 + h2
+            @time(2)
             x2_{i} = x1_{i} + h2 * v1_{i}
             v2_{i} = v1_{i} + h2 * a1_{i}
             @law(2)
-            t3 = t1 + h2
             x3_{i} = x1_{i} + h2 * v2_{i}
             v3_{i} = v1_{i} + h2 * a2_{i}
-            @law(3)
-            t4 = t1 + h
+            @law(3, 2)
+            @t t4 = t1 + h
+            @time(4)
             x4_{i} = x1_{i} + h * v3_{i}
             v4_{i} = v1_{i} + h * a3_{i}
             @law(4)
@@ -270,7 +288,7 @@ _RKF45_STAGE0 = """\
             ak0_{i} = a_{i}
 """
 _RKF45_STAGE = """\
-            tk{s} = t + {c!r} * dt
+            @t tk{s} = t + {c!r} * dt
             xk{s}_{{i}} = x_{{i}} + dt * {a_vk}
             vk{s}_{{i}} = v_{{i}} + dt * {a_ak}
             @law(k{s})
@@ -348,13 +366,21 @@ class ExplicitODE:
     a ``float_power`` call, for a constant mass only (it is None
     otherwise): that law runs on whole columns of samples, in
     ``sample_columns``. Only ``accelerations_on`` asks for it, so the
-    integrating commands never emit it.
+    integrating commands never emit it. ``staged_law`` emits, when first
+    called, ``(time, law)`` for RK4: the same law with each time-only factor
+    (a signal, a power of t) read from a name ``T{u}_k`` and the stage time
+    read as ``t{u}``, and the ``time`` lines that bind those names at stage
+    time ``{u}``. A law given without it binds no time terms, and its stages
+    read ``t{s}`` as ``t{u}``.
     """
 
     n: int
     law: str
     column_law: Callable[[], str] | None = field(default=None, compare=False, repr=False)
     rhs: Callable | None = field(default=None, compare=False, repr=False)
+    staged_law: Callable[[], tuple[str, str]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.rhs is None:
@@ -384,7 +410,11 @@ class ExplicitODE:
         accepted states, starting with (x0, v0); ``truncation`` is why the
         run stopped early, or None."""
         finite = self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
-        return _define(_RK4, self.n, self.law, finite=finite)
+        if self.staged_law is None:
+            time, law = "", self.law.replace("t{s}", "t{u}")
+        else:
+            time, law = self.staged_law()
+        return _define(_RK4, self.n, law, time=time, finite=finite)
 
     @cached_property
     def rkf45(self):
@@ -481,21 +511,27 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     below PIVOT_THRESHOLD. A constant mass matrix is inverted once
     (``invert_mass``), a state-dependent one is solved inline at every law
     evaluation. The resulting law is emitted as source for the system's
-    ExplicitODE. A mass of more than MAX_MASS_COORDINATES coordinates raises
-    MechError before its elimination is emitted.
+    ExplicitODE, by ``emit`` from a source function of an expression and
+    the name of the stage time; the column and staged laws are emitted by
+    the same ``emit``, on first use. A mass of more than
+    MAX_MASS_COORDINATES coordinates raises MechError before its
+    elimination is emitted.
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
-    params = dict(params)  # the column law is emitted later, from these values
+    params = dict(params)  # the column and staged laws are emitted later, from these values
 
-    def source(e: Expr, power: str = "{}**{}") -> str:
-        return expr_source(e, params, t="t{s}", x="x{{s}}_{}", v="v{{s}}_{}", power=power)
+    def source(e: Expr, t: str = "t{s}", power: str = "{}**{}", time_factor=None) -> str:
+        return expr_source(
+            e, params, t=t, x="x{{s}}_{}", v="v{{s}}_{}", power=power, time_factor=time_factor
+        )
 
-    forces = [source(e) for e in force_sym]
+    column_law = None
     if constant:
         inverse = invert_mass(mass_sym, params)
 
-        def solved(forces: list) -> str:
+        def emit(src, t: str) -> str:
+            forces = [src(e) for e in force_sym]
             if n == 1:
                 # a unit mass leaves out the exact *1.0
                 scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
@@ -504,14 +540,27 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
             return "\n".join([f"r_{i} = {forces[i]}" for i in range(n)] + rows)
 
         def column_law() -> str:
-            return solved([source(e, power="float_power({}, {})") for e in force_sym])
+            return emit(lambda e: source(e, power="float_power({}, {})"), "t{s}")
 
-        return ExplicitODE(n, solved(forces), column_law)
-    law = [f"r_{i} = {forces[i]}" for i in range(n)]
-    law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
-    xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
-    law += _elimination(n, f"(t{{s}}, ({xs}), ({vs}))")
-    return ExplicitODE(n, "\n".join(law))
+    else:
+
+        def emit(src, t: str) -> str:
+            law = [f"r_{i} = {src(force_sym[i])}" for i in range(n)]
+            law += [f"m_{i}_{j} = {src(mass_sym[i][j])}" for i in range(n) for j in range(n)]
+            xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
+            law += _elimination(n, f"({t}, ({xs}), ({vs}))")
+            return "\n".join(law)
+
+    def staged_law() -> tuple[str, str]:
+        terms: dict = {}  # a time-only factor's source at t{u}: its name
+
+        def named(factor: str) -> str:
+            return terms.setdefault(factor, f"T{{u}}_{len(terms)}")
+
+        law = emit(lambda e: source(e, t="t{u}", time_factor=named), "t{u}")
+        return "\n".join(f"{name} = {factor}" for factor, name in terms.items()), law
+
+    return ExplicitODE(n, emit(source, "t{s}"), column_law, staged_law=staged_law)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +948,9 @@ class VariationField:
     def sample_on(self, taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(delta, delta_dot) arrays of shape (N, n) on the given grid.
 
-        A symbolic field is evaluated on each call; to use one on many
+        A symbolic component and its time derivative are compiled into one
+        function (``compile_exprs``). A symbolic field is evaluated on each
+        call; to use one on many
         trajectories, sample it once and pass ``VariationField(samples=...,
         dot_samples=...)``.
         """
@@ -915,9 +966,9 @@ class VariationField:
         cols = []
         dcols = []
         for e in self.exprs:
-            fn, dfn = compile_expr(e, {}), compile_expr(partial(e, TAU), {})
-            cols.append(np.broadcast_to(np.asarray(fn(taus, (), ()), float), taus.shape))
-            dcols.append(np.broadcast_to(np.asarray(dfn(taus, (), ()), float), taus.shape))
+            value, slope = compile_exprs((e, partial(e, TAU)), {})(taus, (), ())
+            cols.append(np.broadcast_to(np.asarray(value, float), taus.shape))
+            dcols.append(np.broadcast_to(np.asarray(slope, float), taus.shape))
         delta = np.column_stack(cols)
         ddot = np.column_stack(dcols)
         self._check_ends(delta)

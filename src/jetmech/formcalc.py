@@ -19,17 +19,17 @@ Each operator walks the terms of its input once. The exterior derivatives
 are derivations, applied by the Leibniz rule on the generators: every
 partial of a component, the time partial with the signal chain rule, comes
 from one walk (``symexpr.jet_partials``). The radius contraction and the
-two-form homotopy place each term of a component once, and
-``homotopy_of_d1`` places the two-form homotopy of ``d1`` straight from the
-terms of the one-form, with no two-form between. Terms are collected in
+two-form homotopy place each term of a component once; ``homotopy`` scales
+the radius contraction in the same walk, and ``homotopy_of_d1`` places the
+two-form homotopy of ``d1`` straight from the terms of the one-form, with
+no two-form between. Terms are collected in
 one {monomial: coefficient} map per output, which is made canonical once,
 at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ReconstructionError
 from .symexpr import (
@@ -49,7 +49,7 @@ from .symexpr import (
 
 # the kinds a walk compares with, as module constants: an attribute of the
 # enum class is looked up again at each comparison
-_COORD, _VEL = SymbolKind.COORD, SymbolKind.VEL
+_COORD, _VEL, _SIGNAL = SymbolKind.COORD, SymbolKind.VEL, SymbolKind.SIGNAL
 
 
 def _check_acceleration_free(e: Expr, what: str):
@@ -141,7 +141,7 @@ class VerticalOneForm:
                         continue
                     n0, d0 = acc[mono]
                     acc[mono] = (n0 - num, den) if d0 == den else (n0 * den - num * d0, d0 * den)
-            return _from_pairs(acc)
+            return Expr.from_pairs(acc)
 
         return VerticalOneForm._valid(
             tuple(map(component, self.F, *(o.F for o in others))),
@@ -153,21 +153,6 @@ class VerticalOneForm:
         for i in range(self.n):
             yield coord(i), self.F[i]
             yield vel(i), self.Pi[i]
-
-
-def _from_pairs(acc: dict) -> Expr:
-    """The expression of a {monomial: (numerator, denominator)} map of
-    positive denominators: each coefficient reduced once, a zero dropped and
-    an integral one an int."""
-    terms = []
-    for mono, (num, den) in acc.items():
-        if num:
-            if den != 1:
-                q = Fraction(num, den)
-                num = q if q.denominator != 1 else q.numerator
-            terms.append((mono, num))
-    terms.sort()
-    return Expr(tuple(terms))
 
 
 def _oriented(b1: Symbol, b2: Symbol):
@@ -183,22 +168,18 @@ class TwoForm:
 
     Basis covectors are keyed by the jet symbols TAU, coord(i) and vel(i);
     the ``Symbol`` tuple order puts dt < dx^0 < ... < dx^{n-1} < dv^0 < ...
-    and keys are strictly ordered pairs. ``n`` is set on the differential
-    ``d1`` takes of a form of ``n`` coordinates, whose keys and
-    coefficients hold no acceleration and no index >= n; it is None on a
-    two-form built by hand, and no part of equality.
+    and keys are strictly ordered pairs.
     """
 
     coeffs: tuple[tuple[tuple[Symbol, Symbol], Expr], ...]
-    n: int | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_dict(cls, data: dict, n: int | None = None) -> "TwoForm":
+    def from_dict(cls, data: dict) -> "TwoForm":
         items = tuple(sorted((pair, e) for pair, e in data.items() if not e.is_zero))
         for (b1, b2), _ in items:
             if not b1 < b2:
                 raise ValueError("two-form keys must be strictly ordered pairs")
-        return cls(items, n)
+        return cls(items)
 
     def coefficient(self, b1: Symbol, b2: Symbol) -> Expr:
         """Coefficient of db1 ^ db2, with antisymmetry applied."""
@@ -272,9 +253,7 @@ def d1(omega: VerticalOneForm) -> TwoForm:
                 if sign < 0:
                     c = -c
                 terms[mono] = terms[mono] + c if mono in terms else c
-    return TwoForm.from_dict(
-        {key: Expr.from_map(terms) for key, terms in acc.items()}, omega.n
-    )
+    return TwoForm.from_dict({key: Expr.from_map(terms) for key, terms in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +272,15 @@ def interior_radius(omega: VerticalOneForm) -> Expr:
 
 
 def _require_admissible(omega: VerticalOneForm):
+    """Raise AdmissibilityError naming the first sinusoid signal in the
+    terms of omega. The terms are read as they stand: a symbol set built
+    only for this check would hash every symbol for nothing, and its order
+    would follow the hash seed."""
     for e in (*omega.F, *omega.Pi):
-        for sym in e.symbols():
-            if sym.kind == SymbolKind.SIGNAL and not sym.signal.admissible:
-                raise AdmissibilityError(sym.signal.name)
+        for mono, _ in e.terms:
+            for sym, _ in mono:
+                if sym.kind == _SIGNAL and not sym.signal.admissible:
+                    raise AdmissibilityError(sym.signal.name)
 
 
 def homotopy(omega: VerticalOneForm) -> Expr:
@@ -307,21 +291,39 @@ def homotopy(omega: VerticalOneForm) -> Expr:
     [int_0^1 Pi_i(t, s x, s v) ds] v^i. That is the radius contraction
     ``interior_radius(omega)`` integrated along the ray with weight -1: a
     term of fiber degree d in a component has degree d + 1 in the
-    contraction and gets the factor 1/(d + 1). The result vanishes at the
-    fiber origin x = v = 0. Sinusoid signals are refused (admissibility
-    contract).
+    contraction and gets the factor 1/(d + 1). Both are one walk: each
+    summed coefficient of the contraction is divided by its degree once.
+    The result vanishes at the fiber origin x = v = 0. Sinusoid signals are
+    refused (admissibility contract) before any term is placed.
     """
     _require_admissible(omega)
-    return scaling_integral(interior_radius(omega), weight=-1)
+    # each term c*m of the component at y^i goes to m*y^i, as an unreduced
+    # (numerator, denominator) pair whose denominator carries the fiber
+    # degree of m*y^i; every term placed at one monomial has that degree
+    acc: dict = {}
+    for b, e in omega.components():
+        for mono, c in e.terms:
+            degree = 1
+            for sym, exp in mono:
+                kind = sym.kind
+                if kind == _COORD or kind == _VEL:
+                    degree += exp
+            m = times_symbol(mono, b)
+            num, den = c.numerator, c.denominator * degree
+            if m in acc:
+                n0, d0 = acc[m]
+                acc[m] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
+            else:
+                acc[m] = (num, den)
+    return Expr.from_pairs(acc)
 
 
 def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
     """Fiber homotopy on two-forms; dt^... blocks land in the dt slot and drop.
 
     For a fiber block coefficient a at dy^i ^ dy^j, contributes
-    [int_0^1 s a(t, s x, s v) ds] (y^i dy^j - y^j dy^i). The result of the
-    differential of a form of at most ``n`` coordinates is a valid one-form
-    by construction and is not checked again; any other is.
+    [int_0^1 s a(t, s x, s v) ds] (y^i dy^j - y^j dy^i). The result is
+    checked as a one-form of ``n`` coordinates.
     """
     comps: dict = {}
     for (b1, b2), a in eta.coeffs:
@@ -338,8 +340,7 @@ def homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:
             into2[m] = into2[m] + c if m in into2 else c
             m = times_symbol(mono, b2)
             into1[m] = into1[m] - c if m in into1 else -c
-    build = VerticalOneForm._valid if eta.n is not None and eta.n <= n else VerticalOneForm
-    return build(
+    return VerticalOneForm(
         tuple(Expr.from_map(comps.get(coord(i), {})) for i in range(n)),
         tuple(Expr.from_map(comps.get(vel(i), {})) for i in range(n)),
     )
@@ -401,8 +402,8 @@ def homotopy_of_d1(phi: VerticalOneForm) -> VerticalOneForm:
                     into[m] = (-q, den)
     n = phi.n
     return VerticalOneForm._valid(
-        tuple(_from_pairs(comps.get(coord(i), {})) for i in range(n)),
-        tuple(_from_pairs(comps.get(vel(i), {})) for i in range(n)),
+        tuple(Expr.from_pairs(comps.get(coord(i), {})) for i in range(n)),
+        tuple(Expr.from_pairs(comps.get(vel(i), {})) for i in range(n)),
     )
 
 

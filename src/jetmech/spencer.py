@@ -93,8 +93,15 @@ def total_time_derivative(e: Expr) -> Expr:
     the input already contains acceleration symbols (one total derivative
     raises jet order by exactly one).
     """
-    terms: dict = {}
+    return Expr.from_map(_add_time_derivative({}, e, 1))
+
+
+def _add_time_derivative(terms: dict, e: Expr, sign: int) -> dict:
+    """``terms``, a {monomial: coefficient} map, plus ``sign`` times the
+    total time derivative of ``e``, from one walk over its terms."""
     for mono, c in e.terms:
+        if sign < 0:
+            c = -c
         for k, (sym, exp) in enumerate(mono):
             kind = sym.kind
             if kind == _COORD:
@@ -116,20 +123,26 @@ def total_time_derivative(e: Expr) -> Expr:
             if image is not None:
                 rest = times_symbol(rest, image)
             terms[rest] = terms[rest] + q if rest in terms else q
-    return Expr.from_map(terms)
+    return terms
+
+
+def _residual(own: Expr, momentum: Expr) -> Expr:
+    """``own - total_time_derivative(momentum)``: the walk of the momentum
+    subtracts each term straight from a map seeded with the terms of
+    ``own``, which is made canonical once."""
+    return Expr.from_map(_add_time_derivative(dict(own.terms), momentum, -1))
 
 
 def dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
     """Dynamical residuals R_i = F_i - d(Pi_i)/dt (the momentum block itself
-    contributes nothing beyond its total derivative)."""
-    residuals = tuple(
-        phi.F[i] - total_time_derivative(phi.Pi[i]) for i in range(phi.n)
-    )
-    return EquationsOfMotion(residuals)
+    contributes nothing beyond its total derivative), each from one walk of
+    Pi_i into a map seeded with F_i."""
+    return EquationsOfMotion(tuple(map(_residual, phi.F, phi.Pi)))
 
 
 def variational_derivative(lagrangian: Expr, n: int | None = None) -> tuple[Expr, ...]:
-    """Euler-Lagrange components dL/dx^i - d/dt(dL/dv^i)."""
+    """Euler-Lagrange components dL/dx^i - d/dt(dL/dv^i), each as
+    ``dual_spencer`` forms a residual."""
     # a jet coordinate is in the Lagrangian iff its partial is
     partials = jet_partials(lagrangian, with_time=False)
     if any(s.kind == SymbolKind.ACC for s in partials):
@@ -137,9 +150,7 @@ def variational_derivative(lagrangian: Expr, n: int | None = None) -> tuple[Expr
     if n is None:
         n = max(max((s.index for s in partials), default=-1) + 1, 1)
     return tuple(
-        partials.get(coord(i), ZERO)
-        - total_time_derivative(partials.get(vel(i), ZERO))
-        for i in range(n)
+        _residual(partials.get(coord(i), ZERO), partials.get(vel(i), ZERO)) for i in range(n)
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, Context
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -338,6 +338,26 @@ class Expr:
         integral Fractions become ints.
         """
         terms = [(mono, _canonical(c)) for mono, c in acc.items() if c]
+        terms.sort()
+        return Expr(tuple(terms))
+
+    @staticmethod
+    def from_pairs(acc: Mapping[Monomial, tuple[int, int]]) -> "Expr":
+        """The expression of a {monomial: (numerator, denominator)} map of
+        canonical monomials and positive denominators: each coefficient
+        reduced once, a zero dropped and an integral one an int.
+
+        The one-walk operators keep their coefficients as such unreduced
+        pairs, to reduce each once instead of once per ``Fraction``
+        operation; the terms are those the ``Fraction`` sums would give.
+        """
+        terms = []
+        for mono, (num, den) in acc.items():
+            if num:
+                if den != 1:
+                    q = Fraction(num, den)
+                    num = q if q.denominator != 1 else q.numerator
+                terms.append((mono, num))
         terms.sort()
         return Expr(tuple(terms))
 
@@ -816,6 +836,7 @@ def expr_source(
     v: str = "v[{}]",
     a: str = "a[{}]",
     power: str = "{}**{}",
+    time_factor: Callable[[str], str] | None = None,
 ) -> str:
     """Python source of one expression, with parameters bound as literals.
 
@@ -832,6 +853,11 @@ def expr_source(
     unfolded product's bit for bit, up to the sign of a NaN. A literal base
     that begins with ``-`` is parenthesized, so ``(-2.0)**2`` squares the
     negative number.
+
+    ``time_factor``, when given, receives the source of each factor that
+    reads time only, a signal or a power of t above 1, and returns the
+    source emitted in its place: a name bound to the same value leaves every
+    float operation as it was.
     """
     pieces = []
     for mono, c in e.terms:
@@ -856,7 +882,12 @@ def expr_source(
                 base = _signal_code(sym, t)
             if base.startswith("-"):
                 base = f"({base})"
-            factors.append(base if exp == 1 else power.format(base, exp))
+            factor = base if exp == 1 else power.format(base, exp)
+            if time_factor is not None and (
+                sym.kind == SymbolKind.SIGNAL or (sym.kind == SymbolKind.TIME and exp > 1)
+            ):
+                factor = time_factor(factor)
+            factors.append(factor)
         if not factors or coefficient not in ("1.0", "-1.0"):
             factors.insert(0, coefficient)
         elif coefficient == "-1.0":
@@ -874,8 +905,21 @@ def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     evaluates to a Python float. Raises UnboundSymbolError for parameters
     missing from ``params``. Each call compiles afresh and keeps nothing.
     """
+    return _compiled(expr_source(e, params))
+
+
+def compile_exprs(exprs: Sequence[Expr], params: Mapping[str, float]) -> Callable:
+    """``compile_expr`` of several expressions as one function, from one
+    ``exec``: ``f(t, x, v, a=None)`` returns the tuple of their values, each
+    computed as ``compile_expr`` of it computes it."""
+    return _compiled("(" + "".join(expr_source(e, params) + ", " for e in exprs) + ")")
+
+
+def _compiled(body: str) -> Callable:
+    """``def compiled(t, x, v, a=None): return <body>``, with numpy's sin
+    and cos."""
     namespace = {"sin": np.sin, "cos": np.cos}
-    src = f"def compiled(t, x, v, a=None):\n    return {expr_source(e, params)}\n"
+    src = f"def compiled(t, x, v, a=None):\n    return {body}\n"
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["compiled"]
 

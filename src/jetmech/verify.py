@@ -98,9 +98,12 @@ _COEFFICIENTS = tuple(
 
 
 @cache
-def _pool(n: int, with_time: bool, with_signal: bool) -> tuple[tuple, tuple]:
-    """The symbols ``random_expr`` draws from, in canonical order, and the
-    place in that order of each symbol in draw order."""
+def _plan(n: int, max_degree: int, max_terms: int, with_time: bool, with_signal: bool) -> tuple:
+    """What ``random_expr`` needs for one set of arguments, made once: the
+    bit length of ``max_terms``, the other bounds it draws below with their
+    bit lengths, the pool of symbols in canonical order, the place in that
+    order of each symbol in draw order, and the one-factor monomial of each
+    symbol in draw order."""
     pool = [param("p"), param("q")]
     pool += [coord(i) for i in range(n)] + [vel(i) for i in range(n)]
     if with_time:
@@ -108,7 +111,12 @@ def _pool(n: int, with_time: bool, with_signal: bool) -> tuple[tuple, tuple]:
     if with_signal:
         pool.append(signal_symbol(_SIGNAL_POOL))
     ranked = sorted(pool)
-    return tuple(ranked), tuple(ranked.index(sym) for sym in pool)
+    degrees = max_degree + 1
+    return (
+        max_terms.bit_length(), degrees, degrees.bit_length(), len(pool), len(pool).bit_length(),
+        tuple(ranked), tuple(ranked.index(sym) for sym in pool),
+        tuple(((sym, 1),) for sym in pool),
+    )
 
 
 def random_expr(
@@ -124,17 +132,18 @@ def random_expr(
     Each draw is the one ``rng.randint`` or ``rng.choice`` makes: a value
     below a bound ``m``, taken as ``Random._randbelow`` takes it, from
     ``rng.getrandbits(m.bit_length())`` until one falls below ``m``. The
-    loop runs here, with each bound's bit length computed once per call, so
-    a seed gives the same expression and leaves ``rng`` in the same state
-    as those calls would.
+    loop runs here, with the bounds, their bit lengths and the pool taken
+    from one plan per set of arguments (``_plan``), so a seed gives the same
+    expression and leaves ``rng`` in the same state as those calls would.
+    Drawn coefficients are canonical and nonzero, so unless two terms share
+    a monomial the terms only need sorting.
     """
-    symbols, ranks = _pool(n, with_time, with_signal)
-    bits = rng.getrandbits
-    size, degrees = len(ranks), max_degree + 1
-    k_terms, k_degree, k_pool = (
-        max_terms.bit_length(), degrees.bit_length(), size.bit_length()
+    k_terms, degrees, k_degree, size, k_pool, symbols, ranks, singles = _plan(
+        n, max_degree, max_terms, with_time, with_signal
     )
+    bits = rng.getrandbits
     terms: dict = {}
+    merged = False
     count = bits(k_terms)
     while count >= max_terms:  # randint(1, max_terms) - 1
         count = bits(k_terms)
@@ -142,14 +151,22 @@ def random_expr(
         degree = bits(k_degree)
         while degree >= degrees:  # randint(0, max_degree)
             degree = bits(k_degree)
-        powers: dict = {}
-        for _ in range(degree):
+        if degree == 0:
+            mono = ()
+        elif degree == 1:
             r = bits(k_pool)
-            while r >= size:  # choice(pool), by canonical place
+            while r >= size:  # choice(pool)
                 r = bits(k_pool)
-            r = ranks[r]
-            powers[r] = powers.get(r, 0) + 1
-        mono = tuple([(symbols[r], k) for r, k in sorted(powers.items())])
+            mono = singles[r]
+        else:
+            powers: dict = {}
+            for _ in range(degree):
+                r = bits(k_pool)
+                while r >= size:  # choice(pool), by canonical place
+                    r = bits(k_pool)
+                r = ranks[r]
+                powers[r] = powers.get(r, 0) + 1
+            mono = tuple([(symbols[r], k) for r, k in sorted(powers.items())])
         num = bits(4)
         while num >= 13:  # randint(-6, 6), before its "or 1"
             num = bits(4)
@@ -157,8 +174,14 @@ def random_expr(
         while den >= 3:  # randint(1, 3) - 1
             den = bits(2)
         q = _COEFFICIENTS[num][den]
-        terms[mono] = terms[mono] + q if mono in terms else q
-    return Expr.from_map(terms)
+        if mono in terms:
+            terms[mono] += q
+            merged = True
+        else:
+            terms[mono] = q
+    if merged:
+        return Expr.from_map(terms)
+    return Expr(tuple(sorted(terms.items())))
 
 
 def random_vertical_form(
@@ -266,15 +289,26 @@ def check_split_invariance(seed: int) -> CheckResult:
     )
 
 
-def _fixed_boundary_variation(rng: random.Random, a: float, b: float) -> VariationField:
-    # (t - a)(b - t) * (c0 + c1 t + c2 t^2), exact zero at both endpoints
+def _envelope(a: float, b: float) -> Expr:
+    """(t - a)(b - t), with a and b as exact fractions: zero at both ends."""
     t = Expr.var(TAU)
     af, bf = Fraction(a).limit_denominator(10**6), Fraction(b).limit_denominator(10**6)
-    env = (t - Expr.const(af)) * (Expr.const(bf) - t)
+    return (t - Expr.const(af)) * (Expr.const(bf) - t)
+
+
+def _fixed_boundary_variation(
+    rng: random.Random, a: float, b: float, envelope: Expr | None = None
+) -> VariationField:
+    """(t - a)(b - t) * (c0 + c1 t + c2 t^2), exact zero at both endpoints,
+    with random c0, c1, c2. ``envelope`` is ``_envelope(a, b)``, when the
+    caller has built it once for many fields."""
+    if envelope is None:
+        envelope = _envelope(a, b)
+    t = Expr.var(TAU)
     poly = ZERO
     for k in range(3):
         poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))) * t**k
-    return VariationField(exprs=(env * poly,), vanishes_at_a=True, vanishes_at_b=True)
+    return VariationField(exprs=(envelope * poly,), vanishes_at_a=True, vanishes_at_b=True)
 
 
 def check_first_variation(seed: int) -> CheckResult:
@@ -287,12 +321,14 @@ def check_first_variation(seed: int) -> CheckResult:
     solution = integrate(assemble_explicit(eom, params), x0, v0, (a, b), h)
     perturbed_params = dict(params, k=params["k"] * 1.1)
     perturbed = integrate(assemble_explicit(eom, perturbed_params), x0, v0, (a, b), h)
+    envelope = _envelope(a, b)
 
     for i in range(VARIATION_CASES):
         case_seed = seed + 30_000 + i
         rng = random.Random(case_seed)
         # sampled once, for the norm and the four first_variation calls
-        delta, ddot = _fixed_boundary_variation(rng, a, b).sample_on(solution.taus, solution.h)
+        field = _fixed_boundary_variation(rng, a, b, envelope=envelope)
+        delta, ddot = field.sample_on(solution.taus, solution.h)
         variation = VariationField(
             samples=delta, dot_samples=ddot, vanishes_at_a=True, vanishes_at_b=True
         )

@@ -3,7 +3,9 @@ and ``verify``'s case generators as calls of ``random.Random``'s methods.
 
 ``spencer`` and ``formcalc`` apply each operator in one walk over the terms
 of its input, and take the difference of one-forms in one map per
-component. ``verify`` draws its cases with ``getrandbits`` and the
+component; the homotopy scales the radius contraction in the walk that
+forms it, and the dual-Spencer residuals subtract the walk of each momentum
+from a map of its force. ``verify`` draws its cases with ``getrandbits`` and the
 rejection loop ``Random._randbelow`` runs. These are the compositions and
 the generators they replace, kept verbatim but for names: the tests
 compare the two on seeded inputs, terms and coefficient types included,
@@ -22,6 +24,7 @@ from jetmech.formcalc import (
     _check_acceleration_free,
     _oriented,
 )
+from jetmech.spencer import EquationsOfMotion
 from jetmech.symexpr import (
     TAU,
     Expr,
@@ -97,6 +100,18 @@ def reference_interior_radius(omega: VerticalOneForm) -> Expr:
     for b, e in omega.components():
         out = out + e * Expr.var(b)
     return out
+
+
+def reference_homotopy(omega: VerticalOneForm) -> Expr:
+    """Poincare contraction of a vertical one-form into a function."""
+    return scaling_integral(reference_interior_radius(omega), weight=-1)
+
+
+def reference_dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
+    """Dynamical residuals R_i = F_i - d(Pi_i)/dt."""
+    return EquationsOfMotion(
+        tuple(phi.F[i] - reference_total_time_derivative(phi.Pi[i]) for i in range(phi.n))
+    )
 
 
 def reference_homotopy_two_form(eta: TwoForm, n: int) -> VerticalOneForm:

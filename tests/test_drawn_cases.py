@@ -76,7 +76,9 @@ RECORDERS = {
     "variation": (
         verify.check_first_variation,
         "_fixed_boundary_variation",
-        lambda field, rng, a, b: f"[{a}, {b}]: {format_expr(field.exprs[0])}",
+        lambda field, rng, a, b, envelope=None: (
+            f"[{a}, {b}]: {format_expr(field.exprs[0])}"
+        ),
     ),
 }
 

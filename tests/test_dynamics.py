@@ -466,20 +466,20 @@ class TestVariation:
 
     def test_a_symbolic_field_is_evaluated_on_each_call(self, monkeypatch):
         # the field keeps nothing: each call compiles and evaluates its
-        # components afresh
+        # components afresh, each with its time derivative in one function
         compiled = []
-        original = dynamics.compile_expr
+        original = dynamics.compile_exprs
 
-        def counting(e, *args, **kwargs):
-            compiled.append(e)
-            return original(e, *args, **kwargs)
+        def counting(exprs, *args, **kwargs):
+            compiled.append(tuple(exprs))
+            return original(exprs, *args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "compile_expr", counting)
+        monkeypatch.setattr(dynamics, "compile_exprs", counting)
         t = Expr.var(TAU)
         variation = VariationField(exprs=(t * t / 10,))
         delta, ddot = variation.sample_on(self.traj.taus, self.traj.h)
         again = variation.sample_on(self.traj.taus, self.traj.h)
-        assert compiled == [t * t / 10, t / 5] * 2
+        assert compiled == [(t * t / 10, t / 5)] * 2
         assert again[0] is not delta and again[1] is not ddot
         assert again[0].tobytes() == delta.tobytes() and again[1].tobytes() == ddot.tobytes()
         assert vars(variation).keys() == {f.name for f in dataclasses.fields(VariationField)}

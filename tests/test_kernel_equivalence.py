@@ -16,10 +16,12 @@ compensates rounding, so the reference itself changes and the module is
 skipped there.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -34,6 +36,7 @@ from jetmech.dynamics import (
     _RKF_ERR,
     PIVOT_THRESHOLD,
     BalanceReport,
+    ExplicitODE,
     Trajectory,
     _solver,
     accelerations_on,
@@ -713,6 +716,175 @@ def test_column_law_matches_the_reference_rows():
 
 def test_state_mass_has_no_column_law():
     assert _ode(parse_system(STATE_MASS_3)).column_law is None
+
+
+# ---------------------------------------------------------------------------
+# time terms: RK4 binds each time-only factor once per stage time, and its
+# stage 3 reads stage 2's time and time terms
+# ---------------------------------------------------------------------------
+
+# a state-dependent mass whose first pivot is exactly zero at t = 5/8, the
+# time of stages 2 and 3 of the step from t = 1/2
+SINGULAR_AT_STAGE_2 = """\
+system "stage2singular" {
+  parameter m = 2
+  coordinate x
+  coordinate y
+  signal w = polynomial(-5/8, 1)
+  force x: -x + sig(w)*y/4
+  momentum x: sig(w)*x'
+  force y: -y + x^2/4
+  momentum y: (m + x^2)*y'
+  init x = 1, y = 1/2, x' = 0, y' = 0
+  time 0 .. 1 step 1/4
+}
+"""
+
+
+def _drawn_time_system(rng, n, state_mass):
+    """A seeded system of ``n`` coordinates whose forces repeat time-only
+    factors, t^2, t^3, a sinusoid, a polynomial signal and a squared signal,
+    alone and times coordinates and velocities. With ``state_mass`` the
+    first momentum is (m + c*sig(f))*x', so a mass entry reads the signal
+    and the solve runs inside the law; otherwise the mass is constant."""
+    names = "xyz"[:n]
+    timed = ["t", "t^2", "t^3", "sig(f)", "sig(w)", "sig(f)^2", "sig(w)^3"]
+    states = [*names, *(f"{q}'" for q in names)]
+    lines = [
+        'system "timed" {',
+        "  parameter m = 9/4", "  parameter c = 1/3", "  parameter k = -3/2",
+        *(f"  coordinate {q}" for q in names),
+        "  signal f = sinusoid(2/5, 7/5, 1/3)",
+        "  signal w = polynomial(1/2, -1/4, 1/8)",
+    ]
+    for i, q in enumerate(names):
+        terms = [f"-{q}", f"-{q}'/10"]
+        for _ in range(rng.randint(2, 5)):
+            factors = [rng.choice(("1", "k", "3/7", "-2")), *rng.sample(timed, rng.randint(1, 2))]
+            if rng.random() < 0.6:
+                base = rng.choice(states)
+                factors.append(base if rng.random() < 0.5 else f"{base}^{rng.randint(2, 3)}")
+            terms.append("*".join(factors))
+        own = f"(m + c*sig(f))*{q}'" if state_mass and i == 0 else f"m*{q}'"
+        coupled = [f"c*{p}'" for j, p in enumerate(names) if abs(i - j) == 1]
+        lines.append(f"  force {q}: " + " + ".join(terms))
+        lines.append(f"  momentum {q}: " + " + ".join([own, *coupled]))
+    return parse_system("\n".join(lines + ["}"]) + "\n")
+
+
+def _integrated(ode, ref, x0, v0, interval, h, method):
+    """What the kernel and the reference give for one integration: each
+    (taus, xs, vs, truncated), or the type and message of what it raises.
+    The reference steps from numpy's grid times, so the values it names are
+    written as np.float64(...); they are compared as the floats they are."""
+
+    def outcome(run):
+        try:
+            with np.errstate(all="ignore"):
+                return run()
+        except (OverflowError, ValueError, SingularMassError) as exc:
+            return type(exc), re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(exc))
+
+    def kernel():
+        traj = integrate(ode, x0, v0, interval, h, method)
+        return traj.taus, traj.xs, traj.vs, traj.truncated
+
+    return outcome(kernel), outcome(
+        lambda: reference_integrate(ref, ode.n, x0, v0, interval, h, method)
+    )
+
+
+def _same_outcome(got, want):
+    """Equal errors, or bitwise equal arrays and the same truncation."""
+    if len(want) == 2 or len(got) == 2:
+        return got == want
+    return all(_same(a, b) for a, b in zip(got[:3], want[:3])) and got[3] == want[3]
+
+
+def test_time_terms_match_the_reference():
+    # trajectories bitwise, truncation included, on both integrators (RK4
+    # alone from the states that blow up, where the reference RKF45 takes
+    # seconds to shrink its step); the per-sample and column laws as the
+    # column-law test compares them
+    rng = random.Random("time terms")
+    truncated = whole = state_masses = 0
+    for case in range(36):
+        n = 1 + case % 3
+        state_mass = case % 4 == 3
+        system = _drawn_time_system(rng, n, state_mass)
+        ode, ref = _ode(system), _reference_rhs(system)
+        assert (ode.column_law is None) == state_mass, case
+        state_masses += state_mass
+        scale = rng.choice((0.5, 2.0, 40.0))  # the last one often blows up
+        x0 = [rng.uniform(-scale, scale) for _ in range(n)]
+        v0 = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        for method in ("rk4",) if scale == 40.0 else ("rk4", "rkf45"):
+            got, want = _integrated(ode, ref, x0, v0, (0.0, 1.5), 1e-2, method)
+            assert _same_outcome(got, want), (case, method)
+            truncated += want[3] is True
+            whole += want[3] is False
+        for kind in ("moderate", "special", "huge"):
+            traj = _drawn_rows(rng, n, kind)
+            got = _outcome_on(lambda: accelerations_on(traj, ode))
+            want = _outcome_on(lambda: reference_accelerations_on(traj, ref))
+            if isinstance(want, tuple):
+                assert got == want, case
+                continue
+            assert not isinstance(got, tuple), case
+            assert _same(np.nan_to_num(got, nan=7.0, posinf=8.0, neginf=9.0),
+                         np.nan_to_num(want, nan=7.0, posinf=8.0, neginf=9.0)), case
+    assert truncated >= 5 and whole > 40 and state_masses == 9
+
+
+def test_stage_times_are_emitted_only_for_a_law_that_reads_time():
+    # a law's locals name what its kernels bind: a time-free law binds no
+    # stage time; a timed one binds t2 and t4 and its time terms at stages
+    # 1, 2 and 4, and never a stage-3 time
+    def stage_locals(kernel):
+        return {
+            name for name in kernel.__code__.co_varnames
+            if re.fullmatch(r"t[0-9]|tk[0-9]|T[0-9]_[0-9]+", name)
+        }
+
+    free = _ode(preset("harmonic"))
+    assert stage_locals(free.rk4) == {"t1"}
+    assert stage_locals(free.rkf45) == set()
+    timed = _ode(parse_system(FORCED))
+    assert stage_locals(timed.rk4) == {
+        "t1", "t2", "t4", *(f"T{s}_{k}" for s in (1, 2, 4) for k in range(3))
+    }
+    assert stage_locals(timed.rkf45) == {f"tk{s}" for s in range(1, 6)}
+    time, law = timed.staged_law()
+    assert time.splitlines()[0] == "T{u}_0 = t{u}**2" and "T{u}_" in law and "t{s}" not in law
+
+
+def test_a_replaced_rhs_keeps_the_staged_law():
+    # the tracer's contract: dataclasses.replace(ode, rhs=...) is the same
+    # law, and integrates to the same trajectory; so does the law given by
+    # hand, which binds no time terms
+    system = parse_system(FORCED)
+    ode = _ode(system)
+    traced = dataclasses.replace(ode, rhs=lambda t, x, v: ode.rhs(t, x, v))
+    assert traced == ode and traced.staged_law is ode.staged_law
+    hand = ExplicitODE(ode.n, ode.law)
+    assert hand == ode and hand.staged_law is None
+    a, b, h = system.time
+    want = integrate(ode, *system.init, (a, b), h)
+    for law in (traced, hand):
+        got = integrate(law, *system.init, (a, b), h)
+        assert _same(got.xs, want.xs) and _same(got.vs, want.vs)
+
+
+def test_a_singular_pivot_at_a_shared_stage_time():
+    # the pivot vanishes at t = 5/8, RK4's stage-2 time; the kernel names the
+    # state as the reference does
+    system = parse_system(SINGULAR_AT_STAGE_2)
+    a, b, h = system.time
+    got, want = _integrated(
+        _ode(system), _reference_rhs(system), *system.init, (a, b), h, "rk4"
+    )
+    assert want[0] is SingularMassError and "at t=0.625, " in want[1]
+    assert got == want
 
 
 def _entry(rng, specials):

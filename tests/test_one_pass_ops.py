@@ -1,9 +1,10 @@
 """The one-pass jet operators equal the compositions they replace.
 
 ``total_time_derivative``, ``variational_derivative``, ``d0``, ``d1``,
-``interior_radius`` and ``homotopy_two_form`` each walk the terms of their
-input once and make every output canonical once; ``reconstruction_residual``
-and the difference of one-forms collect each component in one map. ``tests/reference_ops.py``
+``interior_radius``, ``homotopy``, ``dual_spencer`` and ``homotopy_two_form``
+each walk the terms of their input once and make every output canonical
+once; ``reconstruction_residual`` and the difference of one-forms collect
+each component in one map. ``tests/reference_ops.py``
 keeps the compositions of ``partial`` and ``Expr`` arithmetic they replace.
 On seeded inputs with n = 1..4, exponents up to 6, parameters and signals,
 each operator must give the same terms as its reference, coefficient types
@@ -13,11 +14,14 @@ included, in canonical order. ``homotopy_of_d1`` must give the terms of
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from jetmech import formcalc
+from jetmech.errors import AdmissibilityError
 from jetmech.formcalc import (
     Decomposition,
     TwoForm,
@@ -25,12 +29,13 @@ from jetmech.formcalc import (
     d0,
     d1,
     decompose,
+    homotopy,
     homotopy_of_d1,
     homotopy_two_form,
     interior_radius,
     reconstruction_residual,
 )
-from jetmech.spencer import total_time_derivative, variational_derivative
+from jetmech.spencer import dual_spencer, total_time_derivative, variational_derivative
 from jetmech.symexpr import (
     TAU,
     Expr,
@@ -50,6 +55,8 @@ from jetmech.verify import random_expr, random_vertical_form
 from reference_ops import (
     reference_d0,
     reference_d1,
+    reference_dual_spencer,
+    reference_homotopy,
     reference_homotopy_two_form,
     reference_interior_radius,
     reference_reconstruction_residual,
@@ -187,6 +194,78 @@ def test_interior_radius_matches_reference():
         assert same(got, reference_interior_radius(omega)), case
 
 
+def _signals(phi: VerticalOneForm) -> dict:
+    """Whether phi holds time, a polynomial signal and a sinusoid."""
+    syms = set().union(*(e.symbols() for e in (*phi.F, *phi.Pi)))
+    return {
+        "time": TAU in syms,
+        "poly": any(s.signal is _POLY for s in syms),
+        "sine": any(s.signal is _SINE for s in syms),
+    }
+
+
+def test_homotopy_matches_reference(monkeypatch):
+    # a sinusoid is refused before a term is placed; every other form gives
+    # the scaled radius contraction
+    placed = []
+    real = formcalc.times_symbol
+    monkeypatch.setattr(formcalc, "times_symbol", lambda *a: placed.append(a) or real(*a))
+    seen = {"time": 0, "poly": 0, "sine": 0}
+    for case, rng, n in cases(10):
+        omega = draw_form(rng, n, sinusoids=rng.random() < 0.5)
+        held = _signals(omega)
+        for key in seen:
+            seen[key] += held[key]
+        placed.clear()
+        if held["sine"]:
+            with pytest.raises(AdmissibilityError):
+                homotopy(omega)
+            assert placed == [], case
+            continue
+        got = homotopy(omega)
+        assert_canonical(got)
+        assert same(got, reference_homotopy(omega)), case
+    assert seen["time"] > CASES // 2 and min(seen["poly"], seen["sine"]) > CASES // 5, seen
+
+
+def test_homotopy_names_the_first_sinusoid_in_term_order():
+    # the refusal reads the terms, not a symbol set whose order follows the
+    # hash seed: the x term comes first, so it names b, not a
+    x0, v0 = Expr.var(coord(0)), Expr.var(vel(0))
+    late, early = (
+        Expr.var(signal_symbol(sinusoid_signal(name, 1, omega, 0)))
+        for name, omega in (("b", 1), ("a", 2))
+    )
+    phi = VerticalOneForm((late * x0 + early * v0,), (ZERO,))
+    with pytest.raises(AdmissibilityError) as err:
+        homotopy(phi)
+    assert err.value.signal_name == "b"
+
+
+def test_dual_spencer_matches_reference():
+    seen = {"time": 0, "poly": 0, "sine": 0}
+    for case, rng, n in cases(11):
+        phi = draw_form(rng, n, sinusoids=True)
+        for key, held in _signals(phi).items():
+            seen[key] += held
+        got = dual_spencer(phi).residuals
+        want = reference_dual_spencer(phi).residuals
+        assert len(got) == len(want) == n, case
+        for a, b in zip(got, want):
+            assert_canonical(a)
+            assert same(a, b), case
+    assert seen["time"] > CASES // 2 and min(seen["poly"], seen["sine"]) > CASES // 5, seen
+
+
+def test_dual_spencer_refuses_an_acceleration():
+    x0, a0 = Expr.var(coord(0)), Expr.var(acc(0))
+    phi = VerticalOneForm._valid((x0,), (x0 * a0,))
+    with pytest.raises(ValueError, match="acceleration-free"):
+        dual_spencer(phi)
+    with pytest.raises(ValueError, match="acceleration-free"):
+        reference_dual_spencer(phi)
+
+
 def test_homotopy_two_form_matches_reference():
     for case, rng, n in cases(6):
         eta = draw_two_form(rng, n)
@@ -212,7 +291,7 @@ def test_homotopy_of_d1_is_the_composition():
     assert min(seen["poly"], seen["sine"]) > CASES // 5 > seen["zero"], seen
 
 
-def test_homotopy_two_form_checks_what_is_not_a_differential():
+def test_homotopy_two_form_checks_what_is_not_a_differential(monkeypatch):
     x1, a0 = Expr.var(coord(1)), Expr.var(acc(0))
     for coefficient in (x1, a0):
         eta = TwoForm.from_dict({(coord(0), vel(0)): coefficient})
@@ -223,6 +302,17 @@ def test_homotopy_two_form_checks_what_is_not_a_differential():
     with pytest.raises(ValueError, match="index >= n"):
         homotopy_two_form(eta, 1)
     assert homotopy_two_form(eta, 3).n == 3
+    # a two-form carries its blocks alone, and every result is checked,
+    # a differential's too
+    assert [f.name for f in dataclasses.fields(TwoForm)] == ["coeffs"]
+    checked = []
+    real = VerticalOneForm.__post_init__
+    monkeypatch.setattr(
+        VerticalOneForm, "__post_init__", lambda form: checked.append(form) or real(form)
+    )
+    phi = VerticalOneForm._valid((x1, ZERO), (ZERO, ZERO))
+    assert homotopy_two_form(eta, 2) == homotopy_of_d1(phi)
+    assert len(checked) == 1
 
 
 def test_reconstruction_residual_matches_reference():
