@@ -11,7 +11,6 @@ along trajectories.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
@@ -127,7 +126,8 @@ def _solver(n: int):
     law = [f"m_{r}_{c} = M[{r}][{c}]" for r in range(n) for c in range(n)]
     law += [f"r_{r} = b[{r}]" for r in range(n)] + _elimination(n, "None")
     answer = ", ".join(f"a_{r}" for r in range(n))
-    return _define(f"def kernel(M, b):\n    @law()\n    return [{answer}]\n", n, "\n".join(law))
+    template = f"def kernel(M, b):\n    @law()\n    return [{answer}]\n"
+    return _define(template, n, ("", "\n".join(law)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +169,27 @@ _COLUMN_NAMES = {
 }
 
 
-def _define(
-    template: str, n: int, law: str, names: dict = _FLOAT_NAMES, time: str = "", **fields
-):
+def _define(template: str, n: int, law: tuple[str, str], names: dict = _FLOAT_NAMES, **fields):
     """The function ``kernel`` that ``template`` defines, its ``fields``
-    filled in. A line holding {i} repeats once per coordinate, for ``n`` of
-    them; a line @law(S) becomes ``law`` at stage suffix S, and @law(S, U)
-    the same with the stage time's suffix U; a line @time(U) becomes the
-    ``time`` lines at stage time U. A line that begins with @t is a stage
-    time, kept only when the law or ``time`` reads time. The function runs
-    in a namespace of ``names``."""
+    filled in. ``law`` is a ``(time, law)`` pair as ExplicitODE holds it. A
+    line holding {i} repeats once per coordinate, for ``n`` of them; a line
+    @law(S) becomes the time lines at stage S and then the law at stage S,
+    and @law(S, U) the law alone at stage S, reading the time and time terms
+    that an earlier @law(U) bound. A line that begins with @t is a stage
+    time, kept only when the law reads time. The function runs in a
+    namespace of ``names``."""
+    time, law = law
+    clock = "t{u}" in time + law  # the law reads its stage time
     lines = []
-    clock = re.search(r"\bt\{[su]\}", law + time) is not None  # reads its stage time
     for line in template.format(i="{i}", **fields).splitlines():
         body = line.lstrip()
         indent = line[: len(line) - len(body)]
         if body.startswith("@law("):
             s, _, u = body[5:-1].partition(", ")
-            lines += [indent + stmt for stmt in law.format(s=s, u=u or s).splitlines()]
-        elif body.startswith("@time("):
-            lines += [indent + stmt for stmt in time.format(u=body[6:-1]).splitlines()]
+            stmts = law.format(s=s, u=u or s).splitlines()
+            if not u:
+                stmts = time.format(u=s).splitlines() + stmts
+            lines += [indent + stmt for stmt in stmts]
         elif body.startswith("@t "):
             if clock:
                 lines.append(indent + body[3:])
@@ -226,8 +227,8 @@ def kernel(t, x, v):
 # The integration loops catch OverflowError/ValueError from the law (float
 # range exceeded: blow-up) and truncate, as they do for a non-finite state;
 # a truncated run returns its reason (Trajectory.truncation), a whole one None.
-# RK4 runs the staged law (ExplicitODE.staged_law): stage 3's time, t1 + h2,
-# is stage 2's bit for bit, so stage 3 reads stage 2's time and time terms.
+# Stage 3's time, t1 + h2, is stage 2's bit for bit, so stage 3 reads stage
+# 2's time and time terms.
 _RK4 = """\
 def kernel(taus, x, v, h):
     x1_{i} = x[{i}]
@@ -238,10 +239,8 @@ def kernel(taus, x, v, h):
     vs = list(v)
     for t1 in taus:
         try:
-            @time(1)
             @law(1)
             @t t2 = t1 + h2
-            @time(2)
             x2_{i} = x1_{i} + h2 * v1_{i}
             v2_{i} = v1_{i} + h2 * a1_{i}
             @law(2)
@@ -249,7 +248,6 @@ def kernel(taus, x, v, h):
             v3_{i} = v1_{i} + h2 * a2_{i}
             @law(3, 2)
             @t t4 = t1 + h
-            @time(4)
             x4_{i} = x1_{i} + h * v3_{i}
             v4_{i} = v1_{i} + h * a3_{i}
             @law(4)
@@ -350,37 +348,32 @@ def kernel(x, v, a_t, b_t, atol, rtol, max_step, max_attempts):
 class ExplicitODE:
     """One system's explicit law x' = v, a = M^-1 c, as generated source.
 
-    ``law`` is emitted once by ``assemble_explicit``. It reads ``t{s}``,
-    ``x{s}_i``, ``v{s}_i`` and assigns ``a{s}_i``, where ``{s}`` is a stage
-    suffix, so each loop inlines it per stage instead of calling a function;
-    a state-dependent mass is solved by the straight-line elimination inside
-    the law, whose work locals (``m_r_c``, ``r_r``) are shared by the stages.
-    The three loops built from it are compiled on first use and run on
+    ``law`` and ``time`` are emitted once by ``assemble_explicit``. ``law``
+    reads the stage time ``t{u}``, ``x{s}_i``, ``v{s}_i`` and the time terms
+    ``T{u}_k``, and assigns ``a{s}_i``, where ``{s}`` is a stage suffix and
+    ``{u}`` the suffix of the stage's time; ``time`` binds each time term,
+    a time-only factor (a signal, a power of t), once per stage time. So
+    each loop inlines the law per stage instead of calling a function; a
+    state-dependent mass is solved by the straight-line elimination inside
+    the law, whose work locals (``m_r_c``, ``r_r``) are shared by the
+    stages. The loops built from it are compiled on first use and run on
     Python floats and ``math`` only, doing the same float operations in the
     same order as a per-coordinate loop around a law callable would; RKF45's
     first stage takes the knot's law value instead of evaluating the law
     again at the same point. Two laws are equal, and hash equal, when their
-    ``n`` and ``law`` are. ``rhs`` evaluates the law at one state and returns
-    a list; it defaults to ``sample`` on one row, and the loops never call it.
-    ``column_law`` emits, when first called, the same law with every power
-    a ``float_power`` call, for a constant mass only (it is None
-    otherwise): that law runs on whole columns of samples, in
-    ``sample_columns``. Only ``accelerations_on`` asks for it, so the
-    integrating commands never emit it. ``staged_law`` emits, when first
-    called, ``(time, law)`` for RK4: the same law with each time-only factor
-    (a signal, a power of t) read from a name ``T{u}_k`` and the stage time
-    read as ``t{u}``, and the ``time`` lines that bind those names at stage
-    time ``{u}``. A law given without it binds no time terms, and its stages
-    read ``t{s}`` as ``t{u}``.
+    ``n``, ``law`` and ``time`` are. ``column_law`` is the ``(time, law)``
+    pair of the same law with every power a ``float_power`` call, for a
+    constant mass only (it is None otherwise): that law runs on whole
+    columns of samples, in ``sample_columns``. ``rhs`` evaluates the law at
+    one state and returns a list; it defaults to ``sample`` on one row, and
+    the loops never call it.
     """
 
     n: int
     law: str
-    column_law: Callable[[], str] | None = field(default=None, compare=False, repr=False)
+    time: str
+    column_law: tuple[str, str] | None = field(default=None, compare=False, repr=False)
     rhs: Callable | None = field(default=None, compare=False, repr=False)
-    staged_law: Callable[[], tuple[str, str]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.rhs is None:
@@ -393,7 +386,7 @@ class ExplicitODE:
     def sample(self):
         """``sample(taus, xs, vs) -> accels``: the law at each (t, x, v)
         row, as one flat row-major list."""
-        return _define(_SAMPLE, self.n, self.law)
+        return _define(_SAMPLE, self.n, (self.time, self.law))
 
     @cached_property
     def sample_columns(self):
@@ -401,7 +394,7 @@ class ExplicitODE:
         (N,) grid and the (n, N) columns of x and v, as n columns (an array,
         or a float for a law that holds no sample)."""
         answer = self._join("a_{i}", ", ")
-        return _define(_SAMPLE_COLUMNS, self.n, self.column_law(), _COLUMN_NAMES, answer=answer)
+        return _define(_SAMPLE_COLUMNS, self.n, self.column_law, _COLUMN_NAMES, answer=answer)
 
     @cached_property
     def rk4(self):
@@ -410,11 +403,7 @@ class ExplicitODE:
         accepted states, starting with (x0, v0); ``truncation`` is why the
         run stopped early, or None."""
         finite = self._join("isfinite(x1_{i}) and isfinite(v1_{i})", " and ")
-        if self.staged_law is None:
-            time, law = "", self.law.replace("t{s}", "t{u}")
-        else:
-            time, law = self.staged_law()
-        return _define(_RK4, self.n, law, time=time, finite=finite)
+        return _define(_RK4, self.n, (self.time, self.law), finite=finite)
 
     @cached_property
     def rkf45(self):
@@ -435,7 +424,8 @@ class ExplicitODE:
         if self.n > 1:
             abs_x, abs_v = f"max({abs_x})", f"max({abs_v})"
         return _define(
-            _RKF45, self.n, self.law, stages=stages.rstrip("\n"), abs_x=abs_x, abs_v=abs_v,
+            _RKF45, self.n, (self.time, self.law), stages=stages.rstrip("\n"),
+            abs_x=abs_x, abs_v=abs_v,
             err_vk=_dot(_RKF_ERR, "vk{}_{{i}}"), err_ak=_dot(_RKF_ERR, "ak{}_{{i}}"),
             b4_vk=_dot(_RKF_B4, "vk{}_{{i}}"), b4_ak=_dot(_RKF_B4, "ak{}_{{i}}"),
             finite=self._join("isfinite(x_{i}) and isfinite(v_{i})", " and "),
@@ -510,57 +500,42 @@ def assemble_explicit(eom: EquationsOfMotion, params: Mapping[str, float]) -> Ex
     (``_elimination``); it reports the offending state when a pivot falls
     below PIVOT_THRESHOLD. A constant mass matrix is inverted once
     (``invert_mass``), a state-dependent one is solved inline at every law
-    evaluation. The resulting law is emitted as source for the system's
-    ExplicitODE, by ``emit`` from a source function of an expression and
-    the name of the stage time; the column and staged laws are emitted by
-    the same ``emit``, on first use. A mass of more than
-    MAX_MASS_COORDINATES coordinates raises MechError before its
+    evaluation. ``emit`` writes the resulting law as source, with the
+    template of a power: the system's ``(time, law)`` with ``**``, and for
+    a constant mass its column law with ``float_power``. A mass of more
+    than MAX_MASS_COORDINATES coordinates raises MechError before its
     elimination is emitted.
     """
     n = eom.n
     mass_sym, force_sym, constant = mass_and_force(eom)
-    params = dict(params)  # the column and staged laws are emitted later, from these values
-
-    def source(e: Expr, t: str = "t{s}", power: str = "{}**{}", time_factor=None) -> str:
-        return expr_source(
-            e, params, t=t, x="x{{s}}_{}", v="v{{s}}_{}", power=power, time_factor=time_factor
-        )
-
-    column_law = None
     if constant:
         inverse = invert_mass(mass_sym, params)
 
-        def emit(src, t: str) -> str:
-            forces = [src(e) for e in force_sym]
-            if n == 1:
-                # a unit mass leaves out the exact *1.0
-                scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
-                return f"a{{s}}_0 = ({forces[0]}){scale}"
-            rows = [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
-            return "\n".join([f"r_{i} = {forces[i]}" for i in range(n)] + rows)
+    def emit(power: str) -> tuple[str, str]:
+        terms: dict = {}  # a time-only factor's source: its name
 
-        def column_law() -> str:
-            return emit(lambda e: source(e, power="float_power({}, {})"), "t{s}")
+        def source(e: Expr) -> str:
+            return expr_source(
+                e, params, t="t{u}", x="x{{s}}_{}", v="v{{s}}_{}", power=power,
+                time_factor=lambda factor: terms.setdefault(factor, f"T{{u}}_{len(terms)}"),
+            )
 
-    else:
-
-        def emit(src, t: str) -> str:
-            law = [f"r_{i} = {src(force_sym[i])}" for i in range(n)]
-            law += [f"m_{i}_{j} = {src(mass_sym[i][j])}" for i in range(n) for j in range(n)]
+        if constant and n == 1:
+            # a unit mass leaves out the exact *1.0
+            scale = "" if inverse[0][0] == 1.0 else f"*{inverse[0][0]!r}"
+            law = [f"a{{s}}_0 = ({source(force_sym[0])}){scale}"]
+        elif constant:
+            law = [f"r_{i} = {source(e)}" for i, e in enumerate(force_sym)]
+            law += [f"a{{s}}_{i} = {_dot(inverse[i], 'r_{}')}" for i in range(n)]
+        else:
+            law = [f"r_{i} = {source(e)}" for i, e in enumerate(force_sym)]
+            law += [f"m_{i}_{j} = {source(mass_sym[i][j])}" for i in range(n) for j in range(n)]
             xs, vs = ("".join(f"{kind}{{s}}_{i}, " for i in range(n)) for kind in "xv")
-            law += _elimination(n, f"({t}, ({xs}), ({vs}))")
-            return "\n".join(law)
+            law += _elimination(n, f"(t{{u}}, ({xs}), ({vs}))")
+        return "\n".join(f"{name} = {factor}" for factor, name in terms.items()), "\n".join(law)
 
-    def staged_law() -> tuple[str, str]:
-        terms: dict = {}  # a time-only factor's source at t{u}: its name
-
-        def named(factor: str) -> str:
-            return terms.setdefault(factor, f"T{{u}}_{len(terms)}")
-
-        law = emit(lambda e: source(e, t="t{u}", time_factor=named), "t{u}")
-        return "\n".join(f"{name} = {factor}" for factor, name in terms.items()), law
-
-    return ExplicitODE(n, emit(source, "t{s}"), column_law, staged_law=staged_law)
+    time, law = emit("{}**{}")
+    return ExplicitODE(n, law, time, emit("float_power({}, {})") if constant else None)
 
 
 # ---------------------------------------------------------------------------

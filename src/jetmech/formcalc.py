@@ -33,6 +33,9 @@ from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ReconstructionError
 from .symexpr import (
+    _COORD,
+    _SIGNAL,
+    _VEL,
     TAU,
     Expr,
     Symbol,
@@ -45,11 +48,6 @@ from .symexpr import (
     times_symbol,
     vel,
 )
-
-
-# the kinds a walk compares with, as module constants: an attribute of the
-# enum class is looked up again at each comparison
-_COORD, _VEL, _SIGNAL = SymbolKind.COORD, SymbolKind.VEL, SymbolKind.SIGNAL
 
 
 def _check_acceleration_free(e: Expr, what: str):

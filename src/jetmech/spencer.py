@@ -21,6 +21,11 @@ import numpy as np
 from .errors import MechError
 from .formcalc import Decomposition, VerticalOneForm, accept_user_split
 from .symexpr import (
+    _COORD,
+    _PARAM,
+    _SIGNAL,
+    _TIME,
+    _VEL,
     ZERO,
     Expr,
     SymbolKind,
@@ -30,12 +35,6 @@ from .symexpr import (
     next_order,
     times_symbol,
     vel,
-)
-
-# the kinds D_t compares with, as module constants: an attribute of the enum
-# class is looked up again at each comparison
-_TIME, _COORD, _VEL, _PARAM, _SIGNAL = (
-    SymbolKind.TIME, SymbolKind.COORD, SymbolKind.VEL, SymbolKind.PARAM, SymbolKind.SIGNAL
 )
 
 

@@ -160,6 +160,14 @@ class SymbolKind(IntEnum):
     SIGNAL = 5
 
 
+# the kinds a walk compares with, as module constants (imported by formcalc
+# and spencer): an attribute of the enum class is looked up again at each
+# comparison
+_TIME, _COORD, _VEL, _PARAM, _SIGNAL = (
+    SymbolKind.TIME, SymbolKind.COORD, SymbolKind.VEL, SymbolKind.PARAM, SymbolKind.SIGNAL
+)
+
+
 class Symbol(namedtuple("Symbol", "kind index name order shape signal")):
     """One coordinate of the symbolic vocabulary.
 
@@ -685,11 +693,6 @@ def times_symbol(mono: Monomial, s: Symbol) -> Monomial:
 def next_order(sym: Symbol) -> Symbol:
     """The time derivative of a signal symbol: the same signal one order up."""
     return signal_symbol(sym.signal, sym.order + 1)
-
-
-# the kinds a walk compares with, as module constants: an attribute of the
-# enum class is looked up again at each comparison
-_TIME, _PARAM, _SIGNAL = SymbolKind.TIME, SymbolKind.PARAM, SymbolKind.SIGNAL
 
 
 def jet_partials(e: Expr, with_time: bool = True) -> dict[Symbol, Expr]:

@@ -103,7 +103,13 @@ def _plan(n: int, max_degree: int, max_terms: int, with_time: bool, with_signal:
     bit length of ``max_terms``, the other bounds it draws below with their
     bit lengths, the pool of symbols in canonical order, the place in that
     order of each symbol in draw order, and the one-factor monomial of each
-    symbol in draw order."""
+    symbol in draw order. Raises ValueError for ``max_terms < 1`` or
+    ``max_degree < 0``, whose draws would have no value to fall below."""
+    if max_terms < 1 or max_degree < 0:
+        raise ValueError(
+            "random_expr needs max_terms >= 1 and max_degree >= 0, "
+            f"not {max_terms} and {max_degree}"
+        )
     pool = [param("p"), param("q")]
     pool += [coord(i) for i in range(n)] + [vel(i) for i in range(n)]
     if with_time:
@@ -297,13 +303,11 @@ def _envelope(a: float, b: float) -> Expr:
 
 
 def _fixed_boundary_variation(
-    rng: random.Random, a: float, b: float, envelope: Expr | None = None
+    rng: random.Random, a: float, b: float, envelope: Expr
 ) -> VariationField:
     """(t - a)(b - t) * (c0 + c1 t + c2 t^2), exact zero at both endpoints,
-    with random c0, c1, c2. ``envelope`` is ``_envelope(a, b)``, when the
-    caller has built it once for many fields."""
-    if envelope is None:
-        envelope = _envelope(a, b)
+    with random c0, c1, c2. ``envelope`` is ``_envelope(a, b)``, built once
+    by the caller for many fields."""
     t = Expr.var(TAU)
     poly = ZERO
     for k in range(3):

@@ -596,8 +596,9 @@ class TestSimulate:
 
 
 class TestOutputDigests:
-    """The CSV bytes of two preset runs and four JSON reports, pinned by
-    sha256. CI checks the same digests on the installed console script."""
+    """The CSV bytes of three preset runs (RKF45 on a law without time
+    terms and on one with them) and four JSON reports, pinned by sha256. CI
+    checks the same digests on the installed console script."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -609,6 +610,10 @@ class TestOutputDigests:
             (
                 ("duffing", "--method", "rkf45"),
                 "1927633ee09867900c49fa5e75a39cd4f4539196055fae2792e4f6db381cdb77",
+            ),
+            (
+                ("damped_ho", "--method", "rkf45"),
+                "b1186c36c3ecd4c33f85857707623eeebbe121eeb581431220e9c346c7afa9ba",
             ),
         ],
     )

@@ -76,7 +76,7 @@ RECORDERS = {
     "variation": (
         verify.check_first_variation,
         "_fixed_boundary_variation",
-        lambda field, rng, a, b, envelope=None: (
+        lambda field, rng, a, b, envelope: (
             f"[{a}, {b}]: {format_expr(field.exprs[0])}"
         ),
     ),
@@ -138,6 +138,29 @@ def test_random_expr_draws_the_reference_stream():
             want = reference_random_expr(ref, n, max_degree, max_terms, with_time, with_signal)
             assert _typed(got) == _typed(want), (seed, n, max_degree, max_terms)
         assert rng.getstate() == ref.getstate(), seed
+
+
+class _FewWords(random.Random):
+    """A generator that raises instead of drawing a 1,001st word, so a draw
+    that never falls below its bound fails instead of spinning."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        if self.words > 1000:
+            raise RuntimeError("drew 1,000 words")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("max_degree, max_terms", [(4, 0), (-1, 4), (-1, 0)])
+def test_random_expr_refuses_an_empty_bound(max_degree, max_terms):
+    # randint(1, 0) and randint(0, -1) have no value to draw; a draw below a
+    # bound of 0 would never end
+    with pytest.raises(ValueError, match="empty range"):
+        reference_random_expr(random.Random(1), 1, max_degree, max_terms)
+    with pytest.raises(ValueError, match="max_terms >= 1 and max_degree >= 0"):
+        verify.random_expr(_FewWords(1), 1, max_degree, max_terms)
 
 
 def test_random_vertical_form_draws_the_reference_stream():

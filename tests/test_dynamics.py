@@ -43,7 +43,7 @@ from jetmech.symexpr import (
     sinusoid_signal,
     vel,
 )
-from jetmech.verify import _fixed_boundary_variation
+from jetmech.verify import _envelope, _fixed_boundary_variation
 
 X, V = Expr.var(coord(0)), Expr.var(vel(0))
 K, M, B = Expr.var(param("k")), Expr.var(param("m")), Expr.var(param("b"))
@@ -554,7 +554,7 @@ class TestKeptSamples:
     def test_a_sampled_symbolic_field_gives_the_same_values(self):
         # sampling a symbolic field once and passing the samples, as verify
         # does, changes no bit of the functional or the boundary pairing
-        symbolic = _fixed_boundary_variation(random.Random(30_007), 0.0, 1.0)
+        symbolic = _fixed_boundary_variation(random.Random(30_007), 0.0, 1.0, _envelope(0.0, 1.0))
         delta, ddot = symbolic.sample_on(self.traj.taus, self.traj.h)
         sampled = VariationField(
             samples=delta, dot_samples=ddot, vanishes_at_a=True, vanishes_at_b=True
@@ -583,8 +583,9 @@ class TestKeptSamples:
             for p in (params, dict(params, k=params["k"] * 1.1))
         ]
         values = []
+        envelope = _envelope(0.0, 10.0)
         for case_seed in range(30_007, 30_011):
-            variation = _fixed_boundary_variation(random.Random(case_seed), 0.0, 10.0)
+            variation = _fixed_boundary_variation(random.Random(case_seed), 0.0, 10.0, envelope)
             for form in ("pre", "post"):
                 for traj in trajs:
                     values.append(first_variation(traj, system.phi, variation, params, form))
@@ -769,7 +770,7 @@ class TestLawObject:
         )
         assert first is not second
         assert first == second and hash(first) == hash(second)
-        assert ExplicitODE(first.n, first.law) == first
+        assert ExplicitODE(first.n, first.law, first.time) == first
 
     def test_an_extra_oracle_term_is_another_law(self):
         derived_ode, oracle_ode = TestOracleShortcut.laws(TestOracleShortcut.tiny_extra_term())

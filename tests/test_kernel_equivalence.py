@@ -556,9 +556,17 @@ def test_generated_systems_cover_every_law_form():
         assert not mass[0][1].is_zero
 
 
+def _unnamed(ode):
+    """The law with each time term put back as the factor it names and the
+    stage time read as ``t{s}``: the form the pinned digests were taken of."""
+    factors = dict(line.split(" = ", 1) for line in ode.time.splitlines())
+    law = re.sub(r"T\{u\}_[0-9]+", lambda name: factors[name.group()], ode.law)
+    return law.replace("t{u}", "t{s}")
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(GENERATED))
 def test_law_source_is_pinned(name):
-    law = _ode(_system(name)).law
+    law = _unnamed(_ode(_system(name)))
     assert hashlib.sha256(law.encode()).hexdigest() == LAW_SHA256[name], law
 
 
@@ -836,14 +844,28 @@ def test_time_terms_match_the_reference():
     assert truncated >= 5 and whole > 40 and state_masses == 9
 
 
+# reads time as t alone, so its law has no time terms
+LINEAR_IN_T = """\
+system "linear" {
+  coordinate x
+  force x: -x + t/3
+  momentum x: x'
+  init x = 1, x' = 0
+  time 0 .. 1 step 1e-2
+}
+"""
+
+
 def test_stage_times_are_emitted_only_for_a_law_that_reads_time():
     # a law's locals name what its kernels bind: a time-free law binds no
-    # stage time; a timed one binds t2 and t4 and its time terms at stages
-    # 1, 2 and 4, and never a stage-3 time
+    # stage time; a timed one binds t2 and t4 and its time terms at RK4's
+    # stages 1, 2 and 4, and never a stage-3 time, and its time terms at
+    # RKF45's knot and stages 1 to 5; a law that reads t alone binds the
+    # stage times and no time term, and runs as the reference does
     def stage_locals(kernel):
         return {
             name for name in kernel.__code__.co_varnames
-            if re.fullmatch(r"t[0-9]|tk[0-9]|T[0-9]_[0-9]+", name)
+            if re.fullmatch(r"t[0-9]|tk[0-9]|T(k?[0-9])?_[0-9]+", name)
         }
 
     free = _ode(preset("harmonic"))
@@ -853,21 +875,33 @@ def test_stage_times_are_emitted_only_for_a_law_that_reads_time():
     assert stage_locals(timed.rk4) == {
         "t1", "t2", "t4", *(f"T{s}_{k}" for s in (1, 2, 4) for k in range(3))
     }
-    assert stage_locals(timed.rkf45) == {f"tk{s}" for s in range(1, 6)}
-    time, law = timed.staged_law()
-    assert time.splitlines()[0] == "T{u}_0 = t{u}**2" and "T{u}_" in law and "t{s}" not in law
+    assert stage_locals(timed.rkf45) == {
+        *(f"tk{s}" for s in range(1, 6)),
+        *(f"T{u}_{k}" for u in ("", *(f"k{s}" for s in range(1, 6))) for k in range(3)),
+    }
+    assert timed.time.splitlines()[0] == "T{u}_0 = t{u}**2"
+    assert "T{u}_" in timed.law and "t{s}" not in timed.law
+    system = parse_system(LINEAR_IN_T)
+    linear = _ode(system)
+    assert linear.time == "" and "t{u}" in linear.law
+    assert stage_locals(linear.rk4) == {"t1", "t2", "t4"}
+    assert stage_locals(linear.rkf45) == {f"tk{s}" for s in range(1, 6)}
+    a, b, h = system.time
+    for method in ("rk4", "rkf45"):
+        got, want = _integrated(linear, _reference_rhs(system), *system.init, (a, b), h, method)
+        assert want[3] is False and _same_outcome(got, want), method
 
 
 def test_a_replaced_rhs_keeps_the_staged_law():
     # the tracer's contract: dataclasses.replace(ode, rhs=...) is the same
     # law, and integrates to the same trajectory; so does the law given by
-    # hand, which binds no time terms
+    # hand, without its column law
     system = parse_system(FORCED)
     ode = _ode(system)
     traced = dataclasses.replace(ode, rhs=lambda t, x, v: ode.rhs(t, x, v))
-    assert traced == ode and traced.staged_law is ode.staged_law
-    hand = ExplicitODE(ode.n, ode.law)
-    assert hand == ode and hand.staged_law is None
+    assert traced == ode and traced.column_law is ode.column_law
+    hand = ExplicitODE(ode.n, ode.law, ode.time)
+    assert hand == ode and hand.column_law is None
     a, b, h = system.time
     want = integrate(ode, *system.init, (a, b), h)
     for law in (traced, hand):
