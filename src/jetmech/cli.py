@@ -113,27 +113,18 @@ def _same_file(path: str, target) -> bool:
         return False
 
 
-def _report_dict(system=None, dec=None, eom=None, checks=()):
-    coords = system.coords if system is not None else ()
-    out = {
+def _report_dict(system=None, lagrangian=None, anti_exact=None, residuals=None, checks=()):
+    """The JSON report: the expressions come rendered, as the command printed
+    them, so each is rendered once."""
+    return {
         "system": system.name if system is not None else None,
-        "lagrangian": format_expr(dec.lagrangian, coords) if dec is not None else None,
-        "anti_exact": (
-            {
-                "F": [format_expr(e, coords) for e in dec.anti_exact.F],
-                "Pi": [format_expr(e, coords) for e in dec.anti_exact.Pi],
-            }
-            if dec is not None
-            else None
-        ),
-        "residuals": (
-            [format_expr(r, coords) for r in eom.normalized()] if eom is not None else None
-        ),
+        "lagrangian": lagrangian,
+        "anti_exact": anti_exact,
+        "residuals": residuals,
         "checks": [
             {"name": c.name, "pass": bool(c.passed), "detail": c.detail} for c in checks
         ],
     }
-    return out
 
 
 def _write_json(path, payload):
@@ -157,8 +148,10 @@ def cmd_decompose(args) -> int:
         dec = decompose(system.phi)
     print(f"system: {system.name}")
     print(f"mode: {dec.mode}")
-    print(f"L = {format_expr(dec.lagrangian, coords)}")
-    print(f"phi_a = {format_one_form(dec.anti_exact, coords)}")
+    lagrangian = format_expr(dec.lagrangian, coords)
+    print(f"L = {lagrangian}")
+    anti = [format_expr(e, coords) for _, e in dec.anti_exact.components()]
+    print(f"phi_a = {format_one_form(dec.anti_exact, coords, anti)}")
     differential = d1(dec.anti_exact)
     if dec.anti_exact.is_zero:
         print("phi_a = 0: form is exact")
@@ -175,9 +168,9 @@ def cmd_decompose(args) -> int:
     print("reconstruction: exact" if ok else "reconstruction: FAILED")
     checks.append(CheckResult("reconstruction", ok, format_one_form(residual, coords)))
     if args.json:
-        _write_json(
-            args.json, _report_dict(system, dec, dual_spencer(system.phi), checks)
-        )
+        residuals = [format_expr(r, coords) for r in dual_spencer(system.phi).normalized()]
+        anti_exact = {"F": anti[0::2], "Pi": anti[1::2]}
+        _write_json(args.json, _report_dict(system, lagrangian, anti_exact, residuals, checks))
         print(f"wrote {args.json}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -186,9 +179,10 @@ def cmd_derive(args) -> int:
     system = _load_system(args.target)
     coords = system.coords
     eom = dual_spencer(system.phi)
-    normalized = eom.normalized()
-    for i, r in enumerate(normalized):
-        print(f"{format_expr(r, coords)} = 0")
+    residuals = []
+    for r in eom.normalized():
+        residuals.append(format_expr(r, coords))
+        print(f"{residuals[-1]} = 0")
     mass, force, constant = mass_and_force(eom)
     reason = None if constant else "the mass matrix depends on the state"
     if constant:
@@ -203,7 +197,7 @@ def cmd_derive(args) -> int:
     else:
         print(f"warning: residuals left implicit: {reason}")
     if args.json:
-        _write_json(args.json, _report_dict(system, None, eom, ()))
+        _write_json(args.json, _report_dict(system, residuals=residuals))
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -234,10 +228,14 @@ def cmd_simulate(args) -> int:
             # before main reports the refusal
             refusal = exc
         else:
+            drift = (
+                f"absolute energy drift {report.absolute_drift:.6e}"
+                if report.drift_is_absolute
+                else f"energy drift {report.relative_drift:.6e}"
+            )
             print(
                 f"energy audit: max |rho| = {report.max_residual:.6e}, "
-                f"rms = {report.rms_residual:.6e}, "
-                f"energy drift {report.relative_drift:.6e}"
+                f"rms = {report.rms_residual:.6e}, {drift}"
             )
 
     write_trajectory_csv(traj, args.out, report)
@@ -300,7 +298,7 @@ def cmd_verify(args) -> int:
         suffix = f" (seed={c.seed})" if c.seed is not None else ""
         print(f"[{mark}] {c.name:<{width}}  {c.detail}{suffix}")
     if args.json:
-        _write_json(args.json, _report_dict(system, None, None, checks))
+        _write_json(args.json, _report_dict(system, checks=checks))
         print(f"wrote {args.json}")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFICATION
 

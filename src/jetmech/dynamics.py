@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -711,12 +711,14 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * s + tail)
 
 
-def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
+def _eval_on_trajectory(e: Expr, traj: Trajectory, params, literals=None) -> np.ndarray:
     """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
     if ``e`` has accelerations. The array is kept on ``traj``, keyed by the
     expression and its ``param_literals``, so each expression and set of
-    parameter literals is compiled and evaluated once per trajectory."""
-    key = (e, param_literals(params))
+    parameter literals is compiled and evaluated once per trajectory. A
+    caller that looks up several expressions passes ``literals``, the
+    ``param_literals(params)`` it built once."""
+    key = (e, param_literals(params) if literals is None else literals)
     out = traj._evaluated.get(key)
     if out is None:
         a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
@@ -848,9 +850,21 @@ class BalanceReport:
 
     @property
     @np.errstate(all="ignore")
+    def absolute_drift(self) -> float:
+        """max |E - E(0)|."""
+        return float(np.abs(self.E - self.E[0]).max())
+
+    @property
     def relative_drift(self) -> float:
-        base = max(abs(float(self.E[0])), 1e-300)
-        return float(np.abs(self.E - self.E[0]).max() / base)
+        """``absolute_drift`` / |E(0)|, with |E(0)| floored at 1e-300."""
+        return self.absolute_drift / max(abs(float(self.E[0])), 1e-300)
+
+    @property
+    def drift_is_absolute(self) -> bool:
+        """Whether |E(0)| is below 1e-300, the floor ``relative_drift``
+        divides by: a drift relative to it would say nothing, so it is
+        reported as ``absolute_drift``."""
+        return abs(float(self.E[0])) < 1e-300
 
 
 @np.errstate(all="ignore")
@@ -921,33 +935,13 @@ class VariationField:
                         )
 
     def sample_on(self, taus: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """(delta, delta_dot) arrays of shape (N, n) on the given grid.
-
-        A symbolic component and its time derivative are compiled into one
-        function (``compile_exprs``). A symbolic field is evaluated on each
-        call; to use one on many
-        trajectories, sample it once and pass ``VariationField(samples=...,
-        dot_samples=...)``.
+        """(delta, delta_dot) arrays of shape (N, n) on the given grid:
+        ``sample_fields`` of this one field. A symbolic field is compiled and
+        evaluated on each call; to use one on many trajectories, sample it
+        once and pass ``VariationField(samples=..., dot_samples=...)``.
         """
-        if self.exprs is None:
-            N = len(taus)
-            delta = as_samples(self.samples, N)
-            if self.dot_samples is not None:
-                ddot = as_samples(self.dot_samples, N, delta.shape[1])
-            else:
-                ddot = diff_order2(delta, h)
-            self._check_ends(delta)
-            return delta, ddot
-        cols = []
-        dcols = []
-        for e in self.exprs:
-            value, slope = compile_exprs((e, partial(e, TAU)), {})(taus, (), ())
-            cols.append(np.broadcast_to(np.asarray(value, float), taus.shape))
-            dcols.append(np.broadcast_to(np.asarray(slope, float), taus.shape))
-        delta = np.column_stack(cols)
-        ddot = np.column_stack(dcols)
-        self._check_ends(delta)
-        return delta, ddot
+        (sampled,) = sample_fields((self,), taus, h)
+        return sampled
 
     def _check_ends(self, delta: np.ndarray):
         if self.vanishes_at_a and np.abs(delta[0]).max() > 1e-12:
@@ -956,11 +950,48 @@ class VariationField:
             raise ValueError("variation flagged as vanishing at b does not")
 
 
-def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
+def sample_fields(
+    fields: Sequence[VariationField], taus: np.ndarray, h: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(delta, delta_dot) arrays of shape (N, n) of each field on the grid,
+    one field at a time, in order.
+
+    Every symbolic component of every field, each followed by its time
+    derivative, is compiled into one function (``compile_exprs``), so a
+    time factor that components share is evaluated once. A field's values
+    are evaluated when the field is reached, so only one field's samples
+    are held at a time. A sampled field brings its derivative samples, or
+    they are differenced at second order. Raises ValueError when a field
+    flagged as vanishing at an end does not, as that field is reached.
+    """
+    exprs = [
+        d for f in fields if f.exprs is not None for e in f.exprs for d in (e, partial(e, TAU))
+    ]
+    values = compile_exprs(exprs, {})(taus, (), ()) if exprs else iter(())
+    for variation in fields:
+        if variation.exprs is None:
+            delta = as_samples(variation.samples, len(taus))
+            if variation.dot_samples is not None:
+                ddot = as_samples(variation.dot_samples, len(taus), delta.shape[1])
+            else:
+                ddot = diff_order2(delta, h)
+        else:
+            # value and slope of each component, in turn
+            cols = [
+                np.broadcast_to(np.asarray(next(values), float), taus.shape)
+                for _ in range(2 * len(variation.exprs))
+            ]
+            delta, ddot = np.column_stack(cols[0::2]), np.column_stack(cols[1::2])
+        variation._check_ends(delta)
+        yield delta, ddot
+
+
+def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params, literals):
     """(Pi_i delta^i) at the first and the last sample, for (N, n) ``delta``."""
     ends = [0, -1]
     pairing = sum(
-        _eval_on_trajectory(phi.Pi[i], traj, params)[ends] * delta[ends, i] for i in range(traj.n)
+        _eval_on_trajectory(phi.Pi[i], traj, params, literals)[ends] * delta[ends, i]
+        for i in range(traj.n)
     )
     return float(pairing[0]), float(pairing[1])
 
@@ -970,7 +1001,7 @@ def transversality_term(
 ) -> tuple[float, float]:
     """Boundary pairing (Pi_i delta-x^i) at the two interval endpoints."""
     delta, _ = variation.sample_on(traj.taus, traj.h)
-    return _boundary_pairing(traj, phi, delta, params)
+    return _boundary_pairing(traj, phi, delta, params, param_literals(params))
 
 
 def first_variation(
@@ -989,20 +1020,21 @@ def first_variation(
     tolerance on any integrated trajectory.
     """
     delta, ddot = variation.sample_on(traj.taus, traj.h)
+    literals = param_literals(params)
     if form == "pre":
         integrand = np.zeros_like(traj.taus)
         for i in range(traj.n):
-            integrand += _eval_on_trajectory(phi.F[i], traj, params) * delta[:, i]
-            integrand += _eval_on_trajectory(phi.Pi[i], traj, params) * ddot[:, i]
+            integrand += _eval_on_trajectory(phi.F[i], traj, params, literals) * delta[:, i]
+            integrand += _eval_on_trajectory(phi.Pi[i], traj, params, literals) * ddot[:, i]
         return simpson_uniform(integrand, traj.h)
     if form != "post":
         raise ValueError("form must be 'pre' or 'post'")
     residuals = dual_spencer(phi).residuals
     integrand = np.zeros_like(traj.taus)
     for i in range(traj.n):
-        integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]
+        integrand += _eval_on_trajectory(residuals[i], traj, params, literals) * delta[:, i]
     total = simpson_uniform(integrand, traj.h)
-    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
+    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params, literals)
     return total + (theta_b - theta_a)
 
 

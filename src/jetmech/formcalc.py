@@ -30,6 +30,7 @@ at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import AdmissibilityError, ReconstructionError
 from .symexpr import (
@@ -450,11 +451,17 @@ def accept_user_split(
     return dec
 
 
-def format_one_form(omega: VerticalOneForm, coords: tuple[str, ...] = ()) -> str:
-    """Readable rendering like '(-b*x' + sig(f)) dx + m*x' dx''."""
+def format_one_form(
+    omega: VerticalOneForm, coords: tuple[str, ...] = (), texts: Sequence[str] | None = None
+) -> str:
+    """Readable rendering like '(-b*x' + sig(f)) dx + m*x' dx''. ``texts``,
+    when given, are the components' ``format_expr`` renderings in
+    ``components()`` order, which a caller that also reports them made."""
+    if texts is None:
+        texts = [format_expr(e, coords) for _, e in omega.components()]
     parts = [
-        f"({format_expr(e, coords)}) d{b.display(coords)}"
-        for b, e in omega.components()
+        f"({text}) d{b.display(coords)}"
+        for (b, e), text in zip(omega.components(), texts)
         if not e.is_zero
     ]
     return " + ".join(parts) if parts else "0"

@@ -908,21 +908,32 @@ def compile_expr(e: Expr, params: Mapping[str, float]) -> Callable:
     evaluates to a Python float. Raises UnboundSymbolError for parameters
     missing from ``params``. Each call compiles afresh and keeps nothing.
     """
-    return _compiled(expr_source(e, params))
+    return _compiled([f"return {expr_source(e, params)}"])
 
 
 def compile_exprs(exprs: Sequence[Expr], params: Mapping[str, float]) -> Callable:
-    """``compile_expr`` of several expressions as one function, from one
-    ``exec``: ``f(t, x, v, a=None)`` returns the tuple of their values, each
-    computed as ``compile_expr`` of it computes it."""
-    return _compiled("(" + "".join(expr_source(e, params) + ", " for e in exprs) + ")")
+    """``compile_expr`` of several expressions as one generator function,
+    from one ``exec``: ``f(t, x, v, a=None)`` yields their values in order,
+    each computed as ``compile_expr`` of it computes it, and each only when
+    it is asked for, so a caller that takes one value at a time holds one
+    at a time. Each distinct time-only factor (a signal, or a power of t
+    above 1) is bound to a name ``T_k`` once per call, before the first
+    value, and read from there by every expression that has it."""
+    terms: dict = {}  # a time-only factor's source: its name
+
+    def bind(factor: str) -> str:
+        return terms.setdefault(factor, f"T_{len(terms)}")
+
+    values = [f"yield {expr_source(e, params, time_factor=bind)}" for e in exprs]
+    lines = [f"{name} = {factor}" for factor, name in terms.items()] + values
+    return _compiled(lines or ["yield from ()"])
 
 
-def _compiled(body: str) -> Callable:
-    """``def compiled(t, x, v, a=None): return <body>``, with numpy's sin
-    and cos."""
+def _compiled(lines: Sequence[str]) -> Callable:
+    """``def compiled(t, x, v, a=None)`` with the given body lines, and
+    numpy's sin and cos."""
     namespace = {"sin": np.sin, "cos": np.cos}
-    src = f"def compiled(t, x, v, a=None):\n    return {body}\n"
+    src = "def compiled(t, x, v, a=None):\n" + "".join(f"    {line}\n" for line in lines)
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["compiled"]
 

@@ -580,6 +580,24 @@ class TestSimulate:
             "numeric failure: trajectory truncated (law overflow); partial CSV written",
         ]
 
+    @pytest.mark.parametrize("init, absolute", [("x = 1, x' = 0", False), ("x = 0, x' = 0", True)])
+    def test_audit_drift_from_zero_energy_is_absolute(self, capsys, tmp_path, init, absolute):
+        # from E(0) = 0 a relative drift would only divide by its 1e-300
+        # floor, so the line gives max |E - E(0)| and names it absolute
+        path = tmp_path / "ho.mech"
+        path.write_text(PRESETS["damped_ho"].replace("init x = 1, x' = 0", f"init {init}"))
+        out_csv = tmp_path / "ho.csv"
+        assert main(["simulate", str(path), "--out", str(out_csv), "--audit"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        energies = [float(row.split(",")[3]) for row in out_csv.read_text().splitlines()[1:]]
+        change = max(abs(e - energies[0]) for e in energies)
+        assert (energies[0] == 0.0) == absolute
+        if absolute:
+            assert line.endswith(f", absolute energy drift {change:.6e}")
+            assert 0.0 < change < 1.0
+        else:
+            assert line.endswith(f", energy drift {change / abs(energies[0]):.6e}")
+
     def test_negative_parameter_squared(self, capsys, tmp_path):
         # (-2)^2 = 4 is the stiffness: x(t) = cos 2t
         path = tmp_path / "neg.mech"

@@ -23,6 +23,7 @@ from jetmech.dynamics import (
     mass_and_force,
     newton_oracle_eom,
     oracle_compare,
+    sample_fields,
     simpson_uniform,
     transversality_term,
     write_trajectory_csv,
@@ -43,7 +44,12 @@ from jetmech.symexpr import (
     sinusoid_signal,
     vel,
 )
-from jetmech.verify import _envelope, _fixed_boundary_variation
+from jetmech.verify import (
+    VARIATION_CASES,
+    _envelope,
+    _fixed_boundary_variation,
+    check_first_variation,
+)
 
 X, V = Expr.var(coord(0)), Expr.var(vel(0))
 K, M, B = Expr.var(param("k")), Expr.var(param("m")), Expr.var(param("b"))
@@ -501,6 +507,67 @@ class TestVariation:
         )
         with pytest.raises(ValueError):
             bad.sample_on(self.traj.taus, self.traj.h)
+
+    def test_a_flagged_field_that_does_not_vanish_raises_in_a_batch(self):
+        t = Expr.var(TAU)
+        good = VariationField(
+            exprs=(t * (Expr.const(10) - t),), vanishes_at_a=True, vanishes_at_b=True
+        )
+        for bad in (
+            VariationField(exprs=(t + 1,), vanishes_at_a=True),
+            VariationField(exprs=(t,), vanishes_at_b=True),
+        ):
+            # each field is checked as it is reached, as a case would be
+            sampled = sample_fields([good, bad], self.traj.taus, self.traj.h)
+            assert next(sampled)[0][0, 0] == 0.0
+            with pytest.raises(ValueError, match="does not"):
+                next(sampled)
+            with pytest.raises(ValueError, match="does not"):
+                bad.sample_on(self.traj.taus, self.traj.h)
+
+    def test_a_batch_of_mixed_fields_matches_each_field_alone(self):
+        # symbolic fields of one and two components around a sampled one:
+        # each field reads its own columns of the one compiled function
+        t = Expr.var(TAU)
+        f = Expr.var(signal_symbol(sinusoid_signal("f", Fraction(3, 10), Fraction(6, 5), 1)))
+        fields = [
+            VariationField(exprs=(t**3 * f, t**2 / 7)),
+            self.sine_variation(),
+            VariationField(exprs=(t**3 - t**2 + f,)),
+        ]
+        batched = list(sample_fields(fields, self.traj.taus, self.traj.h))
+        for field, sampled in zip(fields, batched, strict=True):
+            alone = field.sample_on(self.traj.taus, self.traj.h)
+            assert [a.tobytes() for a in sampled] == [a.tobytes() for a in alone]
+        assert batched[0][0].shape == (len(self.traj.taus), 2)
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_the_suites_fields_at_once_match_each_field_alone(self, seed):
+        # the 20 fields of check_first_variation on its grid, with the time
+        # factors they share evaluated once, bit for bit as one at a time
+        envelope = _envelope(0.0, 10.0)
+        fields = [
+            _fixed_boundary_variation(random.Random(seed + 30_000 + i), 0.0, 10.0, envelope)
+            for i in range(VARIATION_CASES)
+        ]
+        batched = list(sample_fields(fields, self.traj.taus, self.traj.h))
+        assert len(batched) == VARIATION_CASES == 20
+        for field, (delta, ddot) in zip(fields, batched, strict=True):
+            alone_delta, alone_ddot = field.sample_on(self.traj.taus, self.traj.h)
+            assert delta.tobytes() == alone_delta.tobytes()
+            assert ddot.tobytes() == alone_ddot.tobytes()
+
+    def test_the_suite_compiles_its_fields_in_one_function(self, monkeypatch):
+        compiled = []
+        original = dynamics.compile_exprs
+
+        def counting(exprs, params):
+            compiled.append(len(exprs))
+            return original(exprs, params)
+
+        monkeypatch.setattr(dynamics, "compile_exprs", counting)
+        assert check_first_variation(7).passed
+        assert compiled == [2 * VARIATION_CASES]
 
 
 class TestKeptSamples:

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -561,6 +562,65 @@ class TestCompile:
                 assert got == evaluate(e, {X: x, V: v, K: k})
         square = compile_expr(var(K) ** 2, {"k": -0.0})
         assert math.copysign(1.0, float(square(0.0, [], []))) == 1.0
+
+
+class TestCompileExprs:
+    """``compile_exprs`` binds each distinct time-only factor to a name once;
+    every value it yields is ``compile_expr``'s, bit for bit."""
+
+    SINE = sinusoid_signal("f", Fraction(3, 10), Fraction(6, 5), Fraction(1, 4))
+    POLY = polynomial_signal("g", 1, -2, Fraction(1, 3))
+
+    def exprs(self):
+        t, f = var(TAU), var(signal_symbol(self.SINE))
+        g, dg = var(signal_symbol(self.POLY)), var(signal_symbol(self.POLY, 1))
+        return [
+            t**2 * var(X) - t**3 + Fraction(1, 3) * t**4,
+            -(t**3) * f + t**2 * var(V) ** 2,
+            Fraction(2, 7) * t**4 * g - dg * t,
+            f * var(signal_symbol(self.SINE, 1)) + g * dg - f,
+            var(K) * var(X) * var(V) - var(X) ** 3,  # no t
+            Expr.const(Fraction(3, 7)),  # a constant
+            -var(TAU),
+            t**2,
+        ]
+
+    def test_values_match_compile_expr_bitwise(self):
+        import numpy as np
+
+        params = {"k": 1.7}
+        exprs = self.exprs()
+        fn = symexpr.compile_exprs(exprs, params)
+        ts = np.linspace(-3.0, 10.0, 1001)
+        xs, vs = np.sin(ts).reshape(1, -1), np.cos(3 * ts).reshape(1, -1)
+        for slots in ((ts, xs, vs), (0.7, [0.3], [-1.1]), (-2.5, [4.0], [0.0])):
+            together = fn(*slots)
+            for e, got in zip(exprs, together, strict=True):
+                want = compile_expr(e, params)(*slots)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_each_time_factor_is_bound_once(self, monkeypatch):
+        sources = []
+
+        def recording(src, namespace):
+            sources.append(src)
+            exec(src, namespace)  # noqa: S102 - the source under test
+
+        monkeypatch.setattr(symexpr, "exec", recording, raising=False)
+        symexpr.compile_exprs(self.exprs(), {"k": 1.7})
+        (src,) = sources
+        body = [line.strip() for line in src.splitlines()[1:]]
+        factors = [line.split(" = ", 1) for line in body[:-8]]
+        values = " ".join(body[-8:])
+        names = [name for name, _ in factors]
+        # seven factors: t^2, t^3, t^4, the sine and its derivative, g and dg
+        assert names == [f"T_{k}" for k in range(7)]
+        assert len({factor for _, factor in factors}) == 7
+        assert all(line.startswith("yield ") for line in body[-8:])
+        # every factor is read by name, and no time factor is computed there
+        assert "t**" not in values and "sin(" not in values and "cos(" not in values
+        assert all(re.search(rf"\b{name}\b", values) for name in names)
 
 
 # ---------------------------------------------------------------------------
