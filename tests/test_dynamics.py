@@ -40,6 +40,7 @@ from jetmech.symexpr import (
     compile_expr,
     coord,
     param,
+    partial,
     signal_symbol,
     sinusoid_signal,
     vel,
@@ -556,6 +557,11 @@ class TestVariation:
             alone_delta, alone_ddot = field.sample_on(self.traj.taus, self.traj.h)
             assert delta.tobytes() == alone_delta.tobytes()
             assert ddot.tobytes() == alone_ddot.tobytes()
+            # and as compile_expr gives each, with no factor bound to a name
+            (e,) = field.exprs
+            for got, want in ((delta, e), (ddot, partial(e, TAU))):
+                reference = compile_expr(want, {})(self.traj.taus, (), ())
+                assert got[:, 0].tobytes() == reference.tobytes()
 
     def test_the_suite_compiles_its_fields_in_one_function(self, monkeypatch):
         compiled = []
