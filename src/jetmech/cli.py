@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
     if args.oracle:
         oracle_report = oracle_compare(system, method, traj)
         print(f"max divergence {oracle_report.max_divergence:.6e}")
-        if oracle_report.max_divergence > args.tol:
+        if not oracle_report.within(args.tol):
             print(
                 f"FAIL oracle divergence {oracle_report.max_divergence:.3e} "
                 f"exceeds tol {args.tol:.3e}"
@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
             checks.append(
                 CheckResult(
                     "oracle-equivalence",
-                    rep.max_divergence <= ORACLE_TOL,
+                    rep.within(ORACLE_TOL),
                     f"max divergence {rep.max_divergence:.3e}",
                 )
             )

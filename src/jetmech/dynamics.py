@@ -761,6 +761,10 @@ def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
 class OracleReport:
     max_divergence: float
 
+    def within(self, tol: float) -> bool:
+        """Whether the divergence passes ``tol``; a NaN divergence does not."""
+        return self.max_divergence <= tol
+
 
 def newton_oracle_eom(oracle_forces: Sequence[Expr], n: int) -> EquationsOfMotion:
     """Hand-written second law m a_i = F_i as residuals, bypassing any
@@ -789,8 +793,9 @@ def oracle_compare(
     both sides alike, and the parser guarantees the finite ``init`` and
     valid ``time`` that ``integrate`` would check. Otherwise what is
     missing is integrated: the oracle, and the derived law when no
-    ``derived`` is given. A derived trajectory that is truncated, given or
-    integrated here, raises TruncationError: a divergence measured on part
+    ``derived`` is given. A truncated trajectory raises TruncationError,
+    whether it is the derived one, given or integrated here, or the
+    oracle's, whose message names the oracle: a divergence measured on part
     of the grid would look like a verdict on the whole.
 
     ``system`` is a parsed SystemSpec (duck-typed: phi, oracle_forces,
@@ -822,10 +827,9 @@ def oracle_compare(
     if derived.truncated:
         raise TruncationError(f"trajectory truncated ({derived.truncation})")
     oracle = integrate(oracle_ode, x0, v0, (a, b), h, method)
-    m = min(len(derived.taus), len(oracle.taus))
-    div = np.abs(derived.xs[:m] - oracle.xs[:m]).sum(axis=1) + np.abs(
-        derived.vs[:m] - oracle.vs[:m]
-    ).sum(axis=1)
+    if oracle.truncated:
+        raise TruncationError(f"oracle trajectory truncated ({oracle.truncation})")
+    div = np.abs(derived.xs - oracle.xs).sum(axis=1) + np.abs(derived.vs - oracle.vs).sum(axis=1)
     return OracleReport(float(div.max()))
 
 
@@ -944,9 +948,9 @@ class VariationField:
         return sampled
 
     def _check_ends(self, delta: np.ndarray):
-        if self.vanishes_at_a and np.abs(delta[0]).max() > 1e-12:
+        if self.vanishes_at_a and not np.abs(delta[0]).max() <= 1e-12:
             raise ValueError("variation flagged as vanishing at a does not")
-        if self.vanishes_at_b and np.abs(delta[-1]).max() > 1e-12:
+        if self.vanishes_at_b and not np.abs(delta[-1]).max() <= 1e-12:
             raise ValueError("variation flagged as vanishing at b does not")
 
 

@@ -17,11 +17,26 @@ structural identities of the engine, and reports a pass/fail result:
   solution and the perturbed trajectory;
 - Spencer integrability: integrated trajectories are integrable sections
   at second order; a non-prolonged section reports a unit residual.
+
+A comparison that decides a pass is written so that NaN fails it.
+
+``run_builtin_suites`` runs the suites in two processes where ``os.fork``
+exists and the process may use more than one CPU: a forked child runs the
+cochain-contraction and split-invariance suites, the two heaviest, while
+this process runs the other three. The child holds only these symbolic
+suites because they are exact algebra in pure Python: they call no numpy,
+whose OpenBLAS worker thread does not exist in a forked child, and write
+nothing but their pickled results to a pipe. The report is the same
+either way.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import warnings
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -340,7 +355,7 @@ def check_first_variation(seed: int) -> CheckResult:
         )
         norm = float(np.abs(delta).max())
         sol_value = first_variation(solution, system.phi, variation, params, "pre")
-        if abs(sol_value) > 1e-5 * norm:
+        if not abs(sol_value) <= 1e-5 * norm:
             return CheckResult(
                 "first-variation",
                 False,
@@ -348,7 +363,7 @@ def check_first_variation(seed: int) -> CheckResult:
                 case_seed,
             )
         pert_value = first_variation(perturbed, system.phi, variation, params, "pre")
-        if abs(pert_value) < max(100.0 * abs(sol_value), 1e-6 * norm):
+        if not abs(pert_value) >= max(100.0 * abs(sol_value), 1e-6 * norm):
             return CheckResult(
                 "first-variation",
                 False,
@@ -359,7 +374,7 @@ def check_first_variation(seed: int) -> CheckResult:
         for traj, pre_value in ((solution, sol_value), (perturbed, pert_value)):
             post_value = first_variation(traj, system.phi, variation, params, "post")
             scale = 1.0 + abs(pre_value) + abs(post_value) + norm
-            if abs(pre_value - post_value) > 1e-8 * scale:
+            if not abs(pre_value - post_value) <= 1e-8 * scale:
                 return CheckResult(
                     "first-variation",
                     False,
@@ -384,14 +399,14 @@ def check_spencer_residual(seed: int) -> CheckResult:
         traj = integrate(ode, system.init[0], system.init[1], (0.0, 10.0), h)
         maxima.append(float(np.abs(spencer_residual(traj)).max()))
     ratio = maxima[0] / maxima[1]
-    if ratio < 3.5:
+    if not ratio >= 3.5:
         return CheckResult(
             "spencer-residual", False, f"halving ratio {ratio:.2f} < 3.5", seed
         )
     taus = np.linspace(0.0, 1.0, 101)
     broken = Trajectory(taus, taus.reshape(-1, 1), np.zeros((101, 1)), taus[1] - taus[0])
     r = spencer_residual(broken)
-    if np.abs(r - 1.0).max() > 1e-9:
+    if not np.abs(r - 1.0).max() <= 1e-9:
         return CheckResult(
             "spencer-residual", False, "non-integrable section not flagged", seed
         )
@@ -412,5 +427,106 @@ ALL_SUITES = (
 )
 
 
+# places in ALL_SUITES of the suites a forked child runs: cochain
+# contraction and split invariance, the heaviest two, neither of which calls
+# numpy (see the module docstring)
+FORKED_SUITES = (0, 2)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_child(suites, seed: int):
+    """(pid, read end of its pipe) of a forked child that runs ``suites`` and
+    writes the pickled list of their results to the pipe, exiting 0 only
+    when all of it is written; None when no child can be started."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork in a process with threads, and
+            # numpy's OpenBLAS starts one; the child runs only symbolic code
+            # and leaves through os._exit
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(pickle.dumps([suite(seed) for suite in suites]))
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller, nor flush its buffers
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _outcome(suite, seed: int):
+    try:
+        return suite(seed)
+    except Exception as exc:  # raised in suite order, once the child is reaped
+        return exc
+
+
 def run_builtin_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    return [suite(seed) for suite in ALL_SUITES]
+    """The result of every suite in ``ALL_SUITES``, in that order.
+
+    Where ``os.fork`` exists and ``usable_cpus()`` is above 1, a forked
+    child runs the suites at ``FORKED_SUITES`` while this process runs the
+    others; otherwise, or when no child can be started, every suite runs
+    here, one after another. The child is always reaped, and killed first
+    when this process raises. When it exits non-zero or its results do not
+    unpickle, its suites run here. A suite that raises surfaces in suite
+    order, as it does when the suites run one after another, so the
+    results, and the exception, are the same either way.
+    """
+    suites = ALL_SUITES
+    child = None
+    if hasattr(os, "fork") and usable_cpus() > 1:
+        child = _start_child([suites[i] for i in FORKED_SUITES], seed)
+    if child is None:
+        return [suite(seed) for suite in suites]
+    pid, read_fd = child
+    with open(read_fd, "rb") as pipe:
+        try:
+            try:
+                outcomes = {
+                    i: _outcome(suite, seed)
+                    for i, suite in enumerate(suites)
+                    if i not in FORKED_SUITES
+                }
+                data = pipe.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    received = None
+    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            received = iter(pickle.loads(data))
+        except Exception:  # the child's bytes, cut short or unreadable
+            pass
+    results = []
+    for i, suite in enumerate(suites):
+        if i in FORKED_SUITES:
+            result = next(received) if received is not None else suite(seed)
+        else:
+            result = outcomes[i]
+            if isinstance(result, Exception):
+                raise result
+        results.append(result)
+    return results

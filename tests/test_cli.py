@@ -750,6 +750,35 @@ class TestVerify:
         assert out.splitlines() == [line]
         assert integrations == ["rk4", "rk4"]  # simulate's run, then verify's derived run
 
+    def test_truncated_oracle_is_a_numeric_failure(self, capsys, tmp_path, integrations):
+        # the oracle's x^40 overflows in its first step while the derived law
+        # runs the whole grid; a divergence over the one shared sample would
+        # read 0
+        path = tmp_path / "ot.mech"
+        path.write_text(
+            'system "ot" { parameter m = 1; coordinate x; force x: -x; momentum x: m*x\'; '
+            "oracle x: -x + 1/1000000*x^40; init x = 10, x' = 0; time 0 .. 10 step 1e-3 }"
+        )
+        line = "numeric failure: oracle trajectory truncated (law overflow)"
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "o.csv"), "--oracle")
+        assert code == 3
+        assert out.splitlines() == [f"wrote {tmp_path / 'o.csv'} (10001 samples)", line]
+        code, out = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out.splitlines() == [line]
+        assert integrations == ["rk4", "rk4", "rk4", "rk4"]
+
+    def test_a_nan_oracle_divergence_fails(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_compare", lambda *args: dynamics.OracleReport(math.nan))
+        path = tmp_path / "lab.mech"
+        path.write_text(DAMPED)
+        code, out = run(capsys, "simulate", str(path), "--out", str(tmp_path / "d.csv"), "--oracle")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL oracle divergence nan exceeds tol 1.000e-08"
+        code, out = run(capsys, "verify", str(path))
+        assert code == 1
+        assert re.search(r"^\[FAIL\] oracle-equivalence +max divergence nan$", out, re.M)
+
     def test_empty_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "empty.mech"
         path.write_text("")

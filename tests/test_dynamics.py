@@ -509,6 +509,17 @@ class TestVariation:
         with pytest.raises(ValueError):
             bad.sample_on(self.traj.taus, self.traj.h)
 
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_a_nan_end_does_not_pass_a_vanishing_flag(self, end):
+        taus = np.linspace(0.0, 1.0, 11)
+        samples = np.linspace(0.5, 0.0, 11) if end == "a" else np.linspace(0.0, 0.5, 11)
+        samples[0 if end == "a" else -1] = np.nan
+        field = VariationField(
+            samples=samples, dot_samples=np.zeros(11), **{f"vanishes_at_{end}": True}
+        )
+        with pytest.raises(ValueError, match=f"vanishing at {end} does not"):
+            field.sample_on(taus, taus[1])
+
     def test_a_flagged_field_that_does_not_vanish_raises_in_a_batch(self):
         t = Expr.var(TAU)
         good = VariationField(
