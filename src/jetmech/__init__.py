@@ -49,7 +49,6 @@ from .formcalc import (
     format_one_form,
     format_two_form,
     homotopy,
-    interior_radius,
 )
 from .spencer import (
     EquationsOfMotion,

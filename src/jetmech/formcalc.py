@@ -260,16 +260,6 @@ def d1(omega: VerticalOneForm) -> TwoForm:
 # ---------------------------------------------------------------------------
 
 
-def interior_radius(omega: VerticalOneForm) -> Expr:
-    """Contraction with the radius field: sum_i F_i x^i + Pi_i v^i."""
-    terms: dict = {}
-    for b, e in omega.components():
-        for mono, c in e.terms:
-            m = times_symbol(mono, b)
-            terms[m] = terms[m] + c if m in terms else c
-    return Expr.from_map(terms)
-
-
 def _require_admissible(omega: VerticalOneForm):
     """Raise AdmissibilityError naming the first sinusoid signal in the
     terms of omega. The terms are read as they stand: a symbol set built
@@ -288,7 +278,7 @@ def homotopy(omega: VerticalOneForm) -> Expr:
     Integrates the components along the fiber ray (s*x, s*v) against the
     unscaled radius: H(omega) = sum_i [int_0^1 F_i(t, s x, s v) ds] x^i +
     [int_0^1 Pi_i(t, s x, s v) ds] v^i. That is the radius contraction
-    ``interior_radius(omega)`` integrated along the ray with weight -1: a
+    sum_i F_i x^i + Pi_i v^i integrated along the ray with weight -1: a
     term of fiber degree d in a component has degree d + 1 in the
     contraction and gets the factor 1/(d + 1). Both are one walk: each
     summed coefficient of the contraction is divided by its degree once.

@@ -20,23 +20,18 @@ structural identities of the engine, and reports a pass/fail result:
 
 A comparison that decides a pass is written so that NaN fails it.
 
-``run_builtin_suites`` runs the suites in two processes where ``os.fork``
-exists and the process may use more than one CPU: a forked child runs the
-cochain-contraction and split-invariance suites, the two heaviest, while
-this process runs the other three. The child holds only these symbolic
-suites because they are exact algebra in pure Python: they call no numpy,
-whose OpenBLAS worker thread does not exist in a forked child, and write
-nothing but their pickled results to a pipe. The report is the same
+``run_builtin_suites`` runs the suites in two processes through
+``forking.child_stream``: a forked child runs the cochain-contraction and
+split-invariance suites, the two heaviest, while this process runs the
+other three. The child holds only these symbolic suites because they are
+exact algebra in pure Python that calls no numpy. The report is the same
 either way.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
-import signal
-import warnings
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -53,6 +48,7 @@ from .dynamics import (
 )
 from .dsl import preset
 from .errors import MechError
+from .forking import child_stream, usable_cpus  # usable_cpus: re-exported
 from .formcalc import (
     Decomposition,
     VerticalOneForm,
@@ -433,45 +429,8 @@ ALL_SUITES = (
 FORKED_SUITES = (0, 2)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _start_child(suites, seed: int):
-    """(pid, read end of its pipe) of a forked child that runs ``suites`` and
-    writes the pickled list of their results to the pipe, exiting 0 only
-    when all of it is written; None when no child can be started."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork in a process with threads, and
-            # numpy's OpenBLAS starts one; the child runs only symbolic code
-            # and leaves through os._exit
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            data = memoryview(pickle.dumps([suite(seed) for suite in suites]))
-            while data:
-                data = data[os.write(write_fd, data):]
-            code = 0
-        finally:
-            os._exit(code)  # never return into the caller, nor flush its buffers
-    os.close(write_fd)
-    return pid, read_fd
+def _send_results(send, suites, seed: int):
+    send(pickle.dumps([suite(seed) for suite in suites]))
 
 
 def _outcome(suite, seed: int):
@@ -484,41 +443,27 @@ def _outcome(suite, seed: int):
 def run_builtin_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The result of every suite in ``ALL_SUITES``, in that order.
 
-    Where ``os.fork`` exists and ``usable_cpus()`` is above 1, a forked
-    child runs the suites at ``FORKED_SUITES`` while this process runs the
-    others; otherwise, or when no child can be started, every suite runs
-    here, one after another. The child is always reaped, and killed first
-    when this process raises. When it exits non-zero or its results do not
-    unpickle, its suites run here. A suite that raises surfaces in suite
-    order, as it does when the suites run one after another, so the
-    results, and the exception, are the same either way.
+    Where ``forking.child_stream`` can start a child, the child runs the
+    suites at ``FORKED_SUITES`` while this process runs the others. Suites
+    the child does not deliver, because none was started, it failed or its
+    results do not unpickle, run here after the others. The child is always
+    reaped, and killed first when this process raises. A suite that raises
+    surfaces in suite order, as it does when the suites run one after
+    another, so the results, and the exception, are the same either way.
     """
     suites = ALL_SUITES
-    child = None
-    if hasattr(os, "fork") and usable_cpus() > 1:
-        child = _start_child([suites[i] for i in FORKED_SUITES], seed)
-    if child is None:
-        return [suite(seed) for suite in suites]
-    pid, read_fd = child
-    with open(read_fd, "rb") as pipe:
-        try:
-            try:
-                outcomes = {
-                    i: _outcome(suite, seed)
-                    for i, suite in enumerate(suites)
-                    if i not in FORKED_SUITES
-                }
-                data = pipe.read()
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-        finally:
-            _, status = os.waitpid(pid, 0)
+    with child_stream(_send_results, [suites[i] for i in FORKED_SUITES], seed) as stream:
+        outcomes = {
+            i: _outcome(suite, seed)
+            for i, suite in enumerate(suites)
+            if i not in FORKED_SUITES
+        }
+        data = next(stream, None)
     received = None
-    if os.waitstatus_to_exitcode(status) == 0:
+    if data is not None:
         try:
             received = iter(pickle.loads(data))
-        except Exception:  # the child's bytes, cut short or unreadable
+        except Exception:  # the child's bytes, unreadable
             pass
     results = []
     for i, suite in enumerate(suites):

@@ -10,6 +10,9 @@ rejection loop ``Random._randbelow`` runs. These are the compositions and
 the generators they replace, kept verbatim but for names: the tests
 compare the two on seeded inputs, terms and coefficient types included,
 and, for the generators, the state they leave the generator in.
+
+``interior_radius`` is the one-walk radius contraction ``formcalc`` held
+while a program path called it; its tests still run against it here.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from jetmech.symexpr import (
     partial,
     scaling_integral,
     signal_symbol,
+    times_symbol,
     vel,
 )
 from jetmech.verify import _SIGNAL_POOL
@@ -100,6 +104,17 @@ def reference_interior_radius(omega: VerticalOneForm) -> Expr:
     for b, e in omega.components():
         out = out + e * Expr.var(b)
     return out
+
+
+def interior_radius(omega: VerticalOneForm) -> Expr:
+    """Contraction with the radius field in one walk over the terms, as
+    ``formcalc`` had it while a program path called it."""
+    terms: dict = {}
+    for b, e in omega.components():
+        for mono, c in e.terms:
+            m = times_symbol(mono, b)
+            terms[m] = terms[m] + c if m in terms else c
+    return Expr.from_map(terms)
 
 
 def reference_homotopy(omega: VerticalOneForm) -> Expr:

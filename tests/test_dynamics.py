@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jetmech import dynamics
+from jetmech import dynamics, forking
+from jetmech.cli import main
 from jetmech.dynamics import (
+    CSV_FORK_VALUES,
     ExplicitODE,
     OracleReport,
     Trajectory,
@@ -940,3 +944,123 @@ class TestCsv:
         path = tmp_path / "audit.csv"
         write_trajectory_csv(traj, path, report)
         assert path.read_text().splitlines()[0] == "tau,x0,v0,E,P,rho"
+
+
+def _forking_table():
+    """A one-coordinate trajectory just large enough for its CSV to fork:
+    14 blocks, the last short."""
+    rows = CSV_FORK_VALUES // 3 + 1
+    rng = np.random.default_rng(rows)
+    xs, vs = rng.normal(size=(2, rows, 1)) * 10.0 ** rng.integers(-9, 9, size=(2, rows, 1))
+    return Trajectory(np.arange(rows) * 1e-3, xs, vs, 1e-3)
+
+
+def _expected_csv(traj) -> bytes:
+    rows = np.hstack([traj.taus[:, None], traj.xs, traj.vs]).tolist()
+    lines = ["tau,x0,v0"] + [",".join(f"{value:.17g}" for value in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestForkedCsv:
+    """A large table's odd blocks come from a forked child; every way the
+    child can be missing or fail gives the same bytes."""
+
+    def written(self, tmp_path, traj):
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        return path.read_bytes()
+
+    def test_two_cpus_fork_one_child(self, cpus, forks, tmp_path):
+        cpus(2)
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+        assert len(forks) == 1
+
+    def test_one_cpu_writes_serially(self, cpus, forks, tmp_path):
+        cpus(1)
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+        assert forks == []
+
+    def test_no_fork_writes_serially(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+        monkeypatch.delattr(os, "fork")
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+
+    def test_a_fork_that_fails_writes_serially(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+
+        def refused():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+
+    @pytest.mark.parametrize("sent", [0, 1, 3])
+    def test_a_child_killed_after_some_blocks_gives_the_same_bytes(
+        self, sent, cpus, forks, monkeypatch, tmp_path
+    ):
+        cpus(2)
+
+        def killed_after(send, block, starts):
+            for start in starts[:sent]:
+                send(block(start))
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(dynamics, "_send_blocks", killed_after)
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("whole", [0, 2])
+    def test_a_block_cut_short_gives_the_same_bytes(
+        self, whole, cpus, forks, monkeypatch, tmp_path
+    ):
+        # the child sends ``whole`` blocks, then half of the next one
+        cpus(2)
+        real = forking._write_all
+        count = []
+
+        def cut(fd, data):
+            if len(count) == whole:
+                real(fd, data[: len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+            count.append(1)
+            real(fd, data)
+
+        monkeypatch.setattr(forking, "_write_all", cut)
+        traj = _forking_table()
+        assert self.written(tmp_path, traj) == _expected_csv(traj)
+        assert len(forks) == 1
+
+    def test_a_write_that_raises_kills_and_reaps_the_child(
+        self, cpus, forks, monkeypatch
+    ):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cpus(2)
+        kills = []
+        real = os.kill
+
+        def recorded(pid, sig):
+            kills.append((pid, sig))
+            real(pid, sig)
+
+        monkeypatch.setattr(os, "kill", recorded)
+        with pytest.raises(OSError):
+            write_trajectory_csv(_forking_table(), "/dev/full")
+        assert kills == [(forks[0], signal.SIGKILL)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_simulate_to_a_full_device_exits_2(self, cpus, forks, capsys):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cpus(2)
+        code = main(["simulate", "damped_ho", "--audit", "--out", "/dev/full"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "No space left on device" in err
+        assert len(forks) == 1

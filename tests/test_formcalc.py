@@ -14,7 +14,6 @@ from jetmech.formcalc import (
     format_one_form,
     homotopy,
     homotopy_two_form,
-    interior_radius,
     reconstruction_residual,
 )
 from jetmech.symexpr import (
@@ -32,6 +31,7 @@ from jetmech.symexpr import (
     vel,
 )
 from jetmech.verify import random_expr, random_vertical_form
+from reference_ops import interior_radius
 
 X, V = Expr.var(coord(0)), Expr.var(vel(0))
 K, M, B, C, F0 = (Expr.var(param(p)) for p in ("k", "m", "b", "c", "f0"))

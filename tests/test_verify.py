@@ -1,9 +1,10 @@
 """How verify runs its suites, and its verdicts on non-finite values.
 
 ``run_builtin_suites`` forks one child for two suites where it may use
-more than one CPU. Each test here sets the CPU count the runner reads, so
-that it takes the forked or the serial path whatever the machine, and ends
-by checking that no child process is left.
+more than one CPU. Each test here sets the CPU count the runner reads
+(the ``cpus`` fixture of conftest), so that it takes the forked or the
+serial path whatever the machine; every test ends by checking that no
+child process is left.
 """
 
 import os
@@ -18,42 +19,6 @@ from jetmech import verify
 from jetmech.cli import main
 from jetmech.dynamics import OracleReport
 from jetmech.verify import DEFAULT_SEED, FORKED_SUITES, run_builtin_suites
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs ``verify.usable_cpus`` reads."""
-
-    def use(count):
-        mask = set(range(count))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert verify.usable_cpus() == count
-
-    return use
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid ``os.fork`` returned to this process, one per fork."""
-    pids = []
-    real = os.fork
-
-    def counted():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def serial(cpus, seed):
