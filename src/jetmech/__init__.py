@@ -6,81 +6,10 @@ a non-conservative remainder via the homotopy operator, derive the
 equations of motion with the dual Spencer operator, and verify the result
 numerically against direct Newtonian oracles, energy balance laws and
 first-variation quadrature.
-"""
 
-from .errors import (
-    AdmissibilityError,
-    AuditUnsupportedError,
-    DifferentiationError,
-    MechError,
-    ReconstructionError,
-    SingularMassError,
-    TruncationError,
-    UnboundSymbolError,
-)
-from .symexpr import (
-    TAU,
-    Expr,
-    ForcingSignal,
-    PolynomialSignal,
-    SinusoidSignal,
-    Symbol,
-    SymbolKind,
-    acc,
-    compile_expr,
-    coord,
-    param,
-    partial,
-    polynomial_signal,
-    scaling_integral,
-    signal_symbol,
-    sinusoid_signal,
-    substitute,
-    vel,
-)
-from .formcalc import (
-    Decomposition,
-    TwoForm,
-    VerticalOneForm,
-    accept_user_split,
-    d0,
-    d1,
-    decompose,
-    format_one_form,
-    format_two_form,
-    homotopy,
-)
-from .spencer import (
-    EquationsOfMotion,
-    assemble_with_split,
-    dual_spencer,
-    spencer_residual,
-    total_time_derivative,
-    variational_derivative,
-)
-from .dynamics import (
-    BalanceReport,
-    ExplicitODE,
-    Trajectory,
-    VariationField,
-    assemble_explicit,
-    energy_audit,
-    first_variation,
-    integrate,
-    oracle_compare,
-    transversality_term,
-    write_trajectory_csv,
-)
-from .dsl import (
-    ExprContext,
-    ParseError,
-    PRESETS,
-    SystemSpec,
-    format_expr,
-    parse_expr,
-    parse_system,
-    preset,
-    text_to_expr,
-)
+Each public name is imported from its one home module, such as
+``jetmech.symexpr`` or ``jetmech.dynamics``. The package re-exports none of
+them, so importing a layer loads only the layers it builds on.
+"""
 
 __version__ = "0.1.0"

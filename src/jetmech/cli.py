@@ -51,7 +51,6 @@ from .dsl import (
     ParseError,
     PRESETS,
     SystemSpec,
-    format_expr,
     parse_system,
 )
 from .dynamics import (
@@ -79,7 +78,7 @@ from .formcalc import (
     reconstruction_residual,
 )
 from .spencer import dual_spencer
-from .symexpr import ZERO, Expr, acc
+from .symexpr import ZERO, Expr, acc, format_expr
 from .verify import DEFAULT_SEED, CheckResult, run_builtin_suites
 
 EXIT_OK = 0
@@ -131,6 +130,7 @@ def _write_json(path, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,6 @@ def cmd_decompose(args) -> int:
         residuals = [format_expr(r, coords) for r in dual_spencer(system.phi).normalized()]
         anti_exact = {"F": anti[0::2], "Pi": anti[1::2]}
         _write_json(args.json, _report_dict(system, lagrangian, anti_exact, residuals, checks))
-        print(f"wrote {args.json}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -198,7 +197,6 @@ def cmd_derive(args) -> int:
         print(f"warning: residuals left implicit: {reason}")
     if args.json:
         _write_json(args.json, _report_dict(system, residuals=residuals))
-        print(f"wrote {args.json}")
     return EXIT_OK
 
 
@@ -299,7 +297,6 @@ def cmd_verify(args) -> int:
         print(f"[{mark}] {c.name:<{width}}  {c.detail}{suffix}")
     if args.json:
         _write_json(args.json, _report_dict(system, checks=checks))
-        print(f"wrote {args.json}")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFICATION
 
 

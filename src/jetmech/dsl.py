@@ -36,7 +36,6 @@ from .symexpr import (
     acc,
     coefficient_bits,
     coord,
-    format_expr,  # re-exported: the DSL's rendering of canonical expressions
     param,
     signal_symbol,
     vel,
@@ -658,6 +657,11 @@ class _SystemParser(_ExprParser):
             )
         self.declared.add(name)
 
+    def claim(self, key: tuple, tok: Token, message: str):
+        """Refuse a second clause for ``key``, at ``tok``, with ``message``."""
+        if key in self.clauses:
+            raise DuplicateDeclarationError(tok.line, tok.col, message)
+
     # statement dispatch ----------------------------------------------------
 
     def parse_system(self) -> SystemSpec:
@@ -745,17 +749,13 @@ class _SystemParser(_ExprParser):
         if tok.primes > (keyword.value == "antiexact"):
             self.fail("unexpected primes on coordinate reference", tok)
         key = (keyword.value, tok.value, tok.primes)
-        if key in self.clauses:
-            raise DuplicateDeclarationError(
-                tok.line, tok.col, f"duplicate {keyword.value} clause for '{tok.value}'"
-            )
+        self.claim(key, tok, f"duplicate {keyword.value} clause for '{tok.value}'")
         self.expect(":", "expected ':'")
         self.clauses[key] = (tok, self.parse())
 
     def stmt_lagrangian(self, tok):
         key = ("lagrangian", "", 0)
-        if key in self.clauses:
-            raise DuplicateDeclarationError(tok.line, tok.col, "duplicate lagrangian clause")
+        self.claim(key, tok, "duplicate lagrangian clause")
         self.expect(":", "expected ':'")
         self.clauses[key] = (tok, self.parse())
 
@@ -767,10 +767,7 @@ class _SystemParser(_ExprParser):
             self.expect("=", "expected '='")
             literal = self.number_node()
             key = ("init", tok.value, tok.primes)
-            if key in self.clauses:
-                raise DuplicateDeclarationError(
-                    tok.line, tok.col, f"duplicate init for '{tok.value}'"
-                )
+            self.claim(key, tok, f"duplicate init for '{tok.value}'")
             self.clauses[key] = (tok, literal)
             if self.peek().type != ",":
                 break

@@ -180,17 +180,6 @@ class TwoForm:
                 raise ValueError("two-form keys must be strictly ordered pairs")
         return cls(items)
 
-    def coefficient(self, b1: Symbol, b2: Symbol) -> Expr:
-        """Coefficient of db1 ^ db2, with antisymmetry applied."""
-        oriented = _oriented(b1, b2)
-        if oriented is None:
-            return ZERO
-        key, sign = oriented
-        for pair, e in self.coeffs:
-            if pair == key:
-                return e if sign == 1 else -e
-        return ZERO
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

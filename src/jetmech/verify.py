@@ -48,7 +48,7 @@ from .dynamics import (
 )
 from .dsl import preset
 from .errors import MechError
-from .forking import child_stream, usable_cpus  # usable_cpus: re-exported
+from .forking import child_stream
 from .formcalc import (
     Decomposition,
     VerticalOneForm,

@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from jetmech import verify
+from jetmech import forking
 
 settings.register_profile(
     "ci",
@@ -33,7 +33,7 @@ def cpus(monkeypatch):
         mask = set(range(count))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert verify.usable_cpus() == count
+        assert forking.usable_cpus() == count
 
     return use
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jetmech.cli import main as cli_main
-from jetmech.dsl import ExprContext, PRESETS, format_expr, parse_system, preset, text_to_expr
+from jetmech.dsl import ExprContext, PRESETS, parse_system, preset, text_to_expr
 from jetmech.dynamics import (
     Trajectory,
     VariationField,
@@ -32,6 +32,7 @@ from jetmech.symexpr import (
     ZERO,
     acc,
     coord,
+    format_expr,
     param,
     signal_symbol,
     sinusoid_signal,

@@ -10,9 +10,9 @@ import pytest
 
 from jetmech import cli, dynamics, spencer
 from jetmech.cli import main
-from jetmech.dsl import MAX_POWER, PRESETS, format_expr, parse_system
+from jetmech.dsl import MAX_POWER, PRESETS, parse_system
 from jetmech.formcalc import format_one_form
-from jetmech.symexpr import MAX_COEFFICIENT_DIGITS, MAX_TERM_PRODUCT, ZERO, Expr, coord
+from jetmech.symexpr import MAX_COEFFICIENT_DIGITS, MAX_TERM_PRODUCT, ZERO, Expr, coord, format_expr
 from jetmech.verify import DEFAULT_SEED, check_split_invariance
 
 DAMPED = """

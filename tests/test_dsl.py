@@ -23,7 +23,6 @@ from jetmech.dsl import (
     SigRef,
     SystemSpec,
     UndeclaredSymbolError,
-    format_expr,
     parse_expr,
     parse_system,
     preset,
@@ -43,6 +42,7 @@ from jetmech.symexpr import (
     SinusoidSignal,
     ZERO,
     coord,
+    format_expr,
     param,
     polynomial_signal,
     signal_symbol,

@@ -121,11 +121,6 @@ class TestD1:
         L = -Expr.const(half) * K * X**2 + Expr.const(half) * M * V**2
         assert d1(d0(L)).is_zero
 
-    def test_antisymmetry_access(self):
-        eta = d1(VerticalOneForm((ZERO,), (X,)))
-        assert eta.coefficient(vel(0), coord(0)) == Expr.const(-1)
-        assert eta.coefficient(coord(0), coord(0)).is_zero
-
 
 class TestInteriorRadius:
     def test_oscillator(self):

@@ -17,9 +17,10 @@ import tempfile
 from pathlib import Path
 
 from jetmech.cli import main
-from jetmech.dsl import PRESETS, format_expr
+from jetmech.dsl import PRESETS
 from jetmech.formcalc import decompose
 from jetmech.spencer import dual_spencer
+from jetmech.symexpr import format_expr
 from jetmech.verify import random_vertical_form
 
 DATA = Path(__file__).parent / "data" / "golden_algebra.json"
