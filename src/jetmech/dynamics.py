@@ -712,14 +712,12 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * s + tail)
 
 
-def _eval_on_trajectory(e: Expr, traj: Trajectory, params, literals=None) -> np.ndarray:
+def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
     """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
     if ``e`` has accelerations. The array is kept on ``traj``, keyed by the
     expression and its ``param_literals``, so each expression and set of
-    parameter literals is compiled and evaluated once per trajectory. A
-    caller that looks up several expressions passes ``literals``, the
-    ``param_literals(params)`` it built once."""
-    key = (e, param_literals(params) if literals is None else literals)
+    parameter literals is compiled and evaluated once per trajectory."""
+    key = (e, param_literals(params))
     out = traj._evaluated.get(key)
     if out is None:
         a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
@@ -991,11 +989,11 @@ def sample_fields(
         yield delta, ddot
 
 
-def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params, literals):
+def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
     """(Pi_i delta^i) at the first and the last sample, for (N, n) ``delta``."""
     ends = [0, -1]
     pairing = sum(
-        _eval_on_trajectory(phi.Pi[i], traj, params, literals)[ends] * delta[ends, i]
+        _eval_on_trajectory(phi.Pi[i], traj, params)[ends] * delta[ends, i]
         for i in range(traj.n)
     )
     return float(pairing[0]), float(pairing[1])
@@ -1006,7 +1004,7 @@ def transversality_term(
 ) -> tuple[float, float]:
     """Boundary pairing (Pi_i delta-x^i) at the two interval endpoints."""
     delta, _ = variation.sample_on(traj.taus, traj.h)
-    return _boundary_pairing(traj, phi, delta, params, param_literals(params))
+    return _boundary_pairing(traj, phi, delta, params)
 
 
 def first_variation(
@@ -1025,21 +1023,20 @@ def first_variation(
     tolerance on any integrated trajectory.
     """
     delta, ddot = variation.sample_on(traj.taus, traj.h)
-    literals = param_literals(params)
     if form == "pre":
         integrand = np.zeros_like(traj.taus)
         for i in range(traj.n):
-            integrand += _eval_on_trajectory(phi.F[i], traj, params, literals) * delta[:, i]
-            integrand += _eval_on_trajectory(phi.Pi[i], traj, params, literals) * ddot[:, i]
+            integrand += _eval_on_trajectory(phi.F[i], traj, params) * delta[:, i]
+            integrand += _eval_on_trajectory(phi.Pi[i], traj, params) * ddot[:, i]
         return simpson_uniform(integrand, traj.h)
     if form != "post":
         raise ValueError("form must be 'pre' or 'post'")
     residuals = dual_spencer(phi).residuals
     integrand = np.zeros_like(traj.taus)
     for i in range(traj.n):
-        integrand += _eval_on_trajectory(residuals[i], traj, params, literals) * delta[:, i]
+        integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]
     total = simpson_uniform(integrand, traj.h)
-    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params, literals)
+    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
     return total + (theta_b - theta_a)
 
 
@@ -1059,12 +1056,6 @@ _CSV_BLOCK_ROWS = 512
 CSV_FORK_VALUES = 20_000
 
 
-def _send_blocks(send, block, starts):
-    """The forked child's share of write_trajectory_csv, sent in order."""
-    for start in starts:
-        send(block(start))
-
-
 def write_trajectory_csv(traj: Trajectory, path, report: BalanceReport | None = None):
     """One row per sample, 17 significant digits, deterministic.
 
@@ -1072,10 +1063,11 @@ def write_trajectory_csv(traj: Trajectory, path, report: BalanceReport | None = 
     format, repeated once per row, to the block's values as one flat tuple,
     and the block is written at once. A table of at least
     ``CSV_FORK_VALUES`` values has its odd blocks formatted by a forked
-    child (``forking.child_stream``) while this process formats the even
-    ones and writes each block in row order; a block the child does not
-    deliver is formatted here. Each process holds about one block at a
-    time, and the bytes are the same either way.
+    child, ``forking.child_stream`` mapping ``block`` over their starts and
+    sending each block's bytes as it is done, while this process formats
+    the even ones and writes each block in row order; a block the child
+    does not deliver is formatted here. Each process holds about one block
+    at a time, and the bytes are the same either way.
     """
     n = traj.n
     header = ["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
@@ -1092,7 +1084,7 @@ def write_trajectory_csv(traj: Trajectory, path, report: BalanceReport | None = 
 
     starts = range(0, len(table), _CSV_BLOCK_ROWS)
     with open(path, "wb") as fh, child_stream(
-        _send_blocks, block, starts[1::2], fork=table.size >= CSV_FORK_VALUES
+        block, starts[1::2], fork=table.size >= CSV_FORK_VALUES
     ) as received:
         fh.write((",".join(header) + "\n").encode())
         for i, start in enumerate(starts):

@@ -1,13 +1,13 @@
 """One forked child that shares a command's work with this process.
 
-``child_stream`` forks a child that runs a function and sends byte strings
-back through a pipe, each after its length, while this process does its
-own share of the work and takes the child's strings in the order sent.
-Two commands use it, each only where ``os.fork`` exists and the process
-may use more than one CPU:
+``child_stream(fn, items)`` is a map run in a forked child: the child
+computes ``fn(item)`` for each item in order and pickles each result into a
+pipe as it finishes, while this process does its own share of the work and
+takes the child's results in the same order. Two commands use it, each only
+where ``os.fork`` exists and the process may use more than one CPU:
 
 - ``verify.run_builtin_suites``: the child runs the two symbolic suites,
-  pure-Python exact algebra, and sends their pickled results;
+  pure-Python exact algebra, and sends each one's ``CheckResult``;
 - ``dynamics.write_trajectory_csv``, for a table of at least
   ``dynamics.CSV_FORK_VALUES`` values: the child formats every odd block of
   rows and sends each one's bytes, using only numpy slicing and ``tolist``
@@ -23,13 +23,11 @@ buffers it shares with this process and runs no exit hook.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Iterator
-
-# bytes of the little-endian length sent before each string
-_LENGTH_BYTES = 8
+from typing import Callable, Iterable, Iterator
 
 
 def usable_cpus() -> int:
@@ -40,16 +38,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_all(fd: int, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _start_child(work: Callable, args: tuple):
-    """(pid, read end of its pipe) of a forked child that runs
-    ``work(send, *args)`` and exits 0 once it returns; None when no pipe or
-    no child can be made. ``os.fork`` is looked up here, at each call."""
+def _start_child(fn: Callable, items: Iterable):
+    """(pid, read end of its pipe) of a forked child that pickles
+    ``fn(item)`` for each item into the pipe, flushing each, and exits 0
+    once all are sent; None when no pipe or no child can be made.
+    ``os.fork`` is looked up here, at each call."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -68,11 +61,10 @@ def _start_child(work: Callable, args: tuple):
         code = 1
         try:
             os.close(read_fd)
-
-            def send(data: bytes):
-                _write_all(write_fd, len(data).to_bytes(_LENGTH_BYTES, "little") + data)
-
-            work(send, *args)
+            with open(write_fd, "wb") as pipe:
+                for item in items:
+                    pickle.dump(fn(item), pipe)
+                    pipe.flush()
             code = 0
         finally:
             os._exit(code)  # never return into the caller, nor flush its buffers
@@ -80,35 +72,32 @@ def _start_child(work: Callable, args: tuple):
     return pid, read_fd
 
 
-def _received(pipe) -> Iterator[bytes]:
-    """The strings the child sent whole, in order; a string cut short ends
+def _received(pipe) -> Iterator:
+    """The results the child sent whole, in order; a result cut short ends
     the stream."""
     while True:
-        head = pipe.read(_LENGTH_BYTES)
-        if len(head) < _LENGTH_BYTES:
+        try:
+            result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
             return
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) < size:
-            return
-        yield data
+        yield result
 
 
 @contextmanager
-def child_stream(work: Callable, *args, fork: bool = True) -> Iterator[Iterator[bytes]]:
-    """An iterator over the byte strings a forked child passes to ``send``
-    as it runs ``work(send, *args)``, in the order sent.
+def child_stream(fn: Callable, items: Iterable, fork: bool = True) -> Iterator[Iterator]:
+    """An iterator over ``fn(item)`` for each of ``items``, in order, each
+    computed in a forked child and sent as soon as it is done.
 
     What the iterator does not deliver, the caller does itself. It
     delivers nothing when no child runs: ``fork`` is false, ``os.fork`` is
     missing, ``usable_cpus()`` is 1, or the pipe or the fork fails. It
-    ends early, after the last string sent whole, when the child raises,
+    ends early, after the last result sent whole, when the child raises,
     dies or is killed. The child is killed when the body of the ``with``
     raises, and is always reaped before the ``with`` ends.
     """
     child = None
     if fork and hasattr(os, "fork") and usable_cpus() > 1:
-        child = _start_child(work, args)
+        child = _start_child(fn, items)
     if child is None:
         yield iter(())
         return

@@ -837,17 +837,16 @@ def expr_source(
     t: str = "t",
     x: str = "x[{}]",
     v: str = "v[{}]",
-    a: str = "a[{}]",
     power: str = "{}**{}",
     time_factor: Callable[[str], str] | None = None,
 ) -> str:
     """Python source of one expression, with parameters bound as literals.
 
-    ``t`` names the time variable; ``x``, ``v`` and ``a`` are format
-    templates that name coordinate ``i`` of each kind, and ``power`` the
-    template of a factor's base and its exponent above 1. Signals call
-    ``sin`` and ``cos``, which the caller's namespace supplies. Raises
-    UnboundSymbolError for parameters missing from ``params``.
+    ``t`` names the time variable; ``x`` and ``v`` are format templates that
+    name coordinate ``i`` of each kind, an acceleration is ``a[i]``, and
+    ``power`` is the template of a factor's base and its exponent above 1.
+    Signals call ``sin`` and ``cos``, which the caller's namespace supplies.
+    Raises UnboundSymbolError for parameters missing from ``params``.
 
     A term leaves out the factors that change nothing: a coefficient whose
     literal is ``1.0``, one of ``-1.0`` (a unary minus on the first factor
@@ -874,7 +873,7 @@ def expr_source(
             elif sym.kind == SymbolKind.VEL:
                 base = v.format(sym.index)
             elif sym.kind == SymbolKind.ACC:
-                base = a.format(sym.index)
+                base = f"a[{sym.index}]"
             elif sym.kind == SymbolKind.PARAM:
                 if sym.name not in params:
                     raise UnboundSymbolError(f"parameter '{sym.name}' has no value")

@@ -22,15 +22,14 @@ A comparison that decides a pass is written so that NaN fails it.
 
 ``run_builtin_suites`` runs the suites in two processes through
 ``forking.child_stream``: a forked child runs the cochain-contraction and
-split-invariance suites, the two heaviest, while this process runs the
-other three. The child holds only these symbolic suites because they are
-exact algebra in pure Python that calls no numpy. The report is the same
-either way.
+split-invariance suites, the two heaviest, and sends each one's pickled
+result as it finishes, while this process runs the other three. The child
+holds only these symbolic suites because they are exact algebra in pure
+Python that calls no numpy. The report is the same either way.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 from functools import cache
@@ -429,10 +428,6 @@ ALL_SUITES = (
 FORKED_SUITES = (0, 2)
 
 
-def _send_results(send, suites, seed: int):
-    send(pickle.dumps([suite(seed) for suite in suites]))
-
-
 def _outcome(suite, seed: int):
     try:
         return suite(seed)
@@ -444,34 +439,26 @@ def run_builtin_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The result of every suite in ``ALL_SUITES``, in that order.
 
     Where ``forking.child_stream`` can start a child, the child runs the
-    suites at ``FORKED_SUITES`` while this process runs the others. Suites
-    the child does not deliver, because none was started, it failed or its
-    results do not unpickle, run here after the others. The child is always
-    reaped, and killed first when this process raises. A suite that raises
-    surfaces in suite order, as it does when the suites run one after
-    another, so the results, and the exception, are the same either way.
+    suites at ``FORKED_SUITES`` in order, sending each ``CheckResult`` as
+    the suite finishes, while this process runs the others. Suites the
+    child does not deliver, because none was started or it failed first,
+    run here after the others. The child is always reaped, and killed
+    first when this process raises. A suite that raises surfaces in suite
+    order, as it does when the suites run one after another, so the
+    results, and the exception, are the same either way.
     """
     suites = ALL_SUITES
-    with child_stream(_send_results, [suites[i] for i in FORKED_SUITES], seed) as stream:
+    with child_stream(lambda suite: suite(seed), [suites[i] for i in FORKED_SUITES]) as stream:
         outcomes = {
             i: _outcome(suite, seed)
             for i, suite in enumerate(suites)
             if i not in FORKED_SUITES
         }
-        data = next(stream, None)
-    received = None
-    if data is not None:
-        try:
-            received = iter(pickle.loads(data))
-        except Exception:  # the child's bytes, unreadable
-            pass
+        outcomes.update(zip(FORKED_SUITES, stream))
     results = []
     for i, suite in enumerate(suites):
-        if i in FORKED_SUITES:
-            result = next(received) if received is not None else suite(seed)
-        else:
-            result = outcomes[i]
-            if isinstance(result, Exception):
-                raise result
+        result = outcomes[i] if i in outcomes else suite(seed)
+        if isinstance(result, Exception):
+            raise result
         results.append(result)
     return results

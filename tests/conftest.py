@@ -1,4 +1,6 @@
 import os
+import pickle
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -52,3 +54,27 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@pytest.fixture
+def child_killed(monkeypatch):
+    """``child_killed(whole, part)`` makes each forked child of
+    ``forking.child_stream`` send ``whole`` results, then the first ``part``
+    (a fraction) of the next one's pickled bytes, and SIGKILL itself."""
+
+    def arm(whole: int, part: float = 0.0):
+        real = pickle.dump
+        sent = []
+
+        def dump(result, pipe):
+            if len(sent) == whole:
+                data = pickle.dumps(result)
+                pipe.write(data[: int(len(data) * part)])
+                pipe.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(1)
+            real(result, pipe)
+
+        monkeypatch.setattr(forking.pickle, "dump", dump)
+
+    return arm

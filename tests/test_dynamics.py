@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmech import dynamics, forking
+from jetmech import dynamics
 from jetmech.cli import main
 from jetmech.dynamics import (
     CSV_FORK_VALUES,
@@ -35,7 +35,7 @@ from jetmech.dynamics import (
 from jetmech.dsl import PRESETS, parse_system, preset
 from jetmech.errors import AuditUnsupportedError, MechError, SingularMassError
 from jetmech.formcalc import Decomposition, VerticalOneForm, decompose
-from jetmech.spencer import EquationsOfMotion, dual_spencer, spencer_residual
+from jetmech.spencer import dual_spencer, spencer_residual
 from jetmech.symexpr import (
     TAU,
     Expr,
@@ -1000,37 +1000,21 @@ class TestForkedCsv:
 
     @pytest.mark.parametrize("sent", [0, 1, 3])
     def test_a_child_killed_after_some_blocks_gives_the_same_bytes(
-        self, sent, cpus, forks, monkeypatch, tmp_path
+        self, sent, cpus, forks, child_killed, tmp_path
     ):
         cpus(2)
-
-        def killed_after(send, block, starts):
-            for start in starts[:sent]:
-                send(block(start))
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(dynamics, "_send_blocks", killed_after)
+        child_killed(sent)
         traj = _forking_table()
         assert self.written(tmp_path, traj) == _expected_csv(traj)
         assert len(forks) == 1
 
     @pytest.mark.parametrize("whole", [0, 2])
     def test_a_block_cut_short_gives_the_same_bytes(
-        self, whole, cpus, forks, monkeypatch, tmp_path
+        self, whole, cpus, forks, child_killed, tmp_path
     ):
         # the child sends ``whole`` blocks, then half of the next one
         cpus(2)
-        real = forking._write_all
-        count = []
-
-        def cut(fd, data):
-            if len(count) == whole:
-                real(fd, data[: len(data) // 2])
-                os.kill(os.getpid(), signal.SIGKILL)
-            count.append(1)
-            real(fd, data)
-
-        monkeypatch.setattr(forking, "_write_all", cut)
+        child_killed(whole, 0.5)
         traj = _forking_table()
         assert self.written(tmp_path, traj) == _expected_csv(traj)
         assert len(forks) == 1

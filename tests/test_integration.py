@@ -8,7 +8,7 @@ from jetmech.cli import main
 from jetmech.dsl import parse_system
 from jetmech.dynamics import assemble_explicit, energy_audit, integrate, oracle_compare
 from jetmech.spencer import dual_spencer, spencer_residual
-from jetmech.symexpr import Expr, acc, coord, param, vel
+from jetmech.symexpr import Expr, acc, coord, param
 
 COUPLED = """
 system "coupled" {

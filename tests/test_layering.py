@@ -1,10 +1,12 @@
-"""Each layer loads only the layers beneath it.
+"""Each layer loads only the layers beneath it, and no module imports a
+name it never uses.
 
 The package root re-exports nothing, so importing one module of jetmech
 leaves in ``sys.modules`` that module and the modules it builds on, and no
 other. Each import runs in a fresh interpreter.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import jetmech
 
 PACKAGE = Path(jetmech.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
+ROOT = PACKAGE.parent.parent
 
 SYMEXPR = {"errors", "symexpr"}
 FORMCALC = SYMEXPR | {"formcalc"}
@@ -58,3 +61,25 @@ def test_a_module_loads_only_the_layers_beneath_it(module):
 def test_the_package_root_re_exports_nothing():
     public = run_fresh("import jetmech\nprint(*(n for n in vars(jetmech) if not n.startswith('_')))")
     assert public.split() == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads or writes."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for folder in (PACKAGE, ROOT / "tests", ROOT / "tools")
+        for path in sorted(folder.rglob("*.py"))
+        if (names := unused_imports(path))
+    }
+    assert unused == {}

@@ -97,19 +97,12 @@ class TestForkedSuites:
         assert len(forks) == 1
 
     def test_results_that_do_not_unpickle_give_the_serial_results(
-        self, cpus, forks, monkeypatch
+        self, cpus, forks, child_killed
     ):
+        # the child sends its first suite's result, then half of the second's
         cpus(2)
         expected = serial(cpus, 7)
-
-        class Unreadable:
-            dumps = staticmethod(verify.pickle.dumps)
-
-            @staticmethod
-            def loads(data):
-                raise verify.pickle.UnpicklingError("truncated")
-
-        monkeypatch.setattr(verify, "pickle", Unreadable)
+        child_killed(1, 0.5)
         assert run_builtin_suites(7) == expected
         assert len(forks) == 1
 
