@@ -31,7 +31,6 @@ from .symexpr import (
     compile_expr,
     compile_exprs,
     expr_source,
-    param_literals,
     partial,
     vel,
 )
@@ -556,9 +555,9 @@ class Trajectory:
     and "RKF45_MAX_ATTEMPTS reached" from the kernels, or "resampled grid
     ends early" when RKF45's knots stop short of the grid with none of
     those. ``law`` is the ExplicitODE that ``integrate`` ran to make
-    it; it is None on a trajectory built by hand. What is computed from the
-    samples (``accels``, and each expression evaluated on them) is kept on
-    the trajectory, so its samples must not be written after first use.
+    it; it is None on a trajectory built by hand. The one thing computed
+    from the samples and kept on the trajectory is ``accels``, so the
+    samples must not be written after its first use.
     """
 
     taus: np.ndarray
@@ -599,12 +598,6 @@ class Trajectory:
         if self.law is None:
             raise MechError("a trajectory built without a law has no accelerations")
         return accelerations_on(self, self.law)
-
-    @cached_property
-    def _evaluated(self) -> dict:
-        """The read-only samples ``_eval_on_trajectory`` computed on this
-        trajectory, keyed by expression and parameter literals."""
-        return {}
 
 
 def _hermite_resample(taus, knot_ts, kx, kv, ka, n, span):
@@ -713,19 +706,12 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
 
 
 def _eval_on_trajectory(e: Expr, traj: Trajectory, params) -> np.ndarray:
-    """``e`` at every sample, as a read-only array; reads ``traj.accels`` only
-    if ``e`` has accelerations. The array is kept on ``traj``, keyed by the
-    expression and its ``param_literals``, so each expression and set of
-    parameter literals is compiled and evaluated once per trajectory."""
-    key = (e, param_literals(params))
-    out = traj._evaluated.get(key)
-    if out is None:
-        a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
-        values = compile_expr(e, params)(traj.taus, traj.xs.T, traj.vs.T, a_rows)
-        out = np.broadcast_to(np.asarray(values, dtype=float), traj.taus.shape).copy()
-        out.flags.writeable = False
-        traj._evaluated[key] = out
-    return out
+    """``e`` at every sample, as a read-only (N,) array; reads ``traj.accels``
+    only if ``e`` has accelerations. Each call compiles and evaluates ``e``
+    afresh and keeps nothing."""
+    a_rows = traj.accels.T if e.contains_kind(SymbolKind.ACC) else None
+    values = compile_expr(e, params)(traj.taus, traj.xs.T, traj.vs.T, a_rows)
+    return np.broadcast_to(np.asarray(values, dtype=float), traj.taus.shape)
 
 
 def accelerations_on(traj: Trajectory, ode: ExplicitODE) -> np.ndarray:
@@ -930,6 +916,8 @@ class VariationField:
         if (self.exprs is None) == (self.samples is None):
             raise ValueError("provide exactly one of exprs or samples")
         if self.exprs is not None:
+            if not self.exprs:
+                raise ValueError("a symbolic variation needs at least one component")
             for e in self.exprs:
                 for s in e.symbols():
                     if s.kind not in (SymbolKind.TIME, SymbolKind.SIGNAL):
@@ -962,8 +950,9 @@ def sample_fields(
     Every symbolic component of every field, each followed by its time
     derivative, is compiled into one function (``compile_exprs``), so a
     time factor that components share is evaluated once. A field's values
-    are evaluated when the field is reached, so only one field's samples
-    are held at a time. A sampled field brings its derivative samples, or
+    are evaluated when the caller reaches the field, so a caller that takes
+    one field at a time, as ``first_variation`` does, holds one field's
+    samples at a time. A sampled field brings its derivative samples, or
     they are differenced at second order. Raises ValueError when a field
     flagged as vanishing at an end does not, as that field is reached.
     """
@@ -989,13 +978,20 @@ def sample_fields(
         yield delta, ddot
 
 
-def _boundary_pairing(traj: Trajectory, phi: VerticalOneForm, delta, params):
-    """(Pi_i delta^i) at the first and the last sample, for (N, n) ``delta``."""
+def _fields_on(traj: Trajectory, variations: Sequence[VariationField]):
+    """``sample_fields`` on the trajectory's grid; a field whose component
+    count is not the trajectory's raises ValueError as it is reached."""
+    for delta, ddot in sample_fields(variations, traj.taus, traj.h):
+        if delta.shape[1] != traj.n:
+            raise ValueError(f"a variation of {delta.shape[1]} components on {traj.n} coordinates")
+        yield delta, ddot
+
+
+def _boundary_pairing(Pi: Sequence[np.ndarray], delta: np.ndarray) -> tuple[float, float]:
+    """(Pi_i delta^i) at the first and the last sample, for the evaluated
+    momenta ``Pi`` and (N, n) ``delta``."""
     ends = [0, -1]
-    pairing = sum(
-        _eval_on_trajectory(phi.Pi[i], traj, params)[ends] * delta[ends, i]
-        for i in range(traj.n)
-    )
+    pairing = sum(P[ends] * delta[ends, i] for i, P in enumerate(Pi))
     return float(pairing[0]), float(pairing[1])
 
 
@@ -1003,41 +999,47 @@ def transversality_term(
     traj: Trajectory, phi: VerticalOneForm, variation: VariationField, params
 ) -> tuple[float, float]:
     """Boundary pairing (Pi_i delta-x^i) at the two interval endpoints."""
-    delta, _ = variation.sample_on(traj.taus, traj.h)
-    return _boundary_pairing(traj, phi, delta, params)
+    ((delta, _),) = _fields_on(traj, (variation,))
+    return _boundary_pairing([_eval_on_trajectory(e, traj, params) for e in phi.Pi], delta)
 
 
 def first_variation(
     traj: Trajectory,
     phi: VerticalOneForm,
-    variation: VariationField,
+    variations: Sequence[VariationField],
     params,
     form: str = "pre",
-) -> float:
-    """First-variation functional along a prolonged trajectory, by Simpson.
+) -> list[float]:
+    """First-variation functional of each variation along a prolonged
+    trajectory, by Simpson: one float per variation, in order.
 
     form="pre" integrates F_i d^i + Pi_i d(d^i)/dt. form="post" integrates
     the integrated-by-parts density (F_i - d(Pi_i)/dt) d^i, with the
     accelerations of the trajectory's own law (``traj.accels``), and adds
     the transversality boundary term. The two forms agree to quadrature
-    tolerance on any integrated trajectory.
+    tolerance on any integrated trajectory. Each call evaluates each
+    component it needs once, F_i and Pi_i or R_i and Pi_i, for all the
+    variations; one whose component count is not n raises ValueError.
     """
-    delta, ddot = variation.sample_on(traj.taus, traj.h)
-    if form == "pre":
+    if form not in ("pre", "post"):
+        raise ValueError("form must be 'pre' or 'post'")
+    Pi = [_eval_on_trajectory(e, traj, params) for e in phi.Pi]
+    # the factor of d^i in the density: F_i, or R_i in the post form
+    on_delta = phi.F if form == "pre" else dual_spencer(phi).residuals
+    on_delta = [_eval_on_trajectory(e, traj, params) for e in on_delta]
+    values = []
+    for delta, ddot in _fields_on(traj, variations):
         integrand = np.zeros_like(traj.taus)
         for i in range(traj.n):
-            integrand += _eval_on_trajectory(phi.F[i], traj, params) * delta[:, i]
-            integrand += _eval_on_trajectory(phi.Pi[i], traj, params) * ddot[:, i]
-        return simpson_uniform(integrand, traj.h)
-    if form != "post":
-        raise ValueError("form must be 'pre' or 'post'")
-    residuals = dual_spencer(phi).residuals
-    integrand = np.zeros_like(traj.taus)
-    for i in range(traj.n):
-        integrand += _eval_on_trajectory(residuals[i], traj, params) * delta[:, i]
-    total = simpson_uniform(integrand, traj.h)
-    theta_a, theta_b = _boundary_pairing(traj, phi, delta, params)
-    return total + (theta_b - theta_a)
+            integrand += on_delta[i] * delta[:, i]
+            if form == "pre":
+                integrand += Pi[i] * ddot[:, i]
+        value = simpson_uniform(integrand, traj.h)
+        if form == "post":
+            theta_a, theta_b = _boundary_pairing(Pi, delta)
+            value += theta_b - theta_a
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------

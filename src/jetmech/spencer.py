@@ -19,19 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MechError
-from .formcalc import Decomposition, VerticalOneForm, accept_user_split
+from .formcalc import Decomposition, VerticalOneForm, accept_user_split, d0
 from .symexpr import (
     _COORD,
     _PARAM,
     _SIGNAL,
     _TIME,
     _VEL,
-    ZERO,
     Expr,
     SymbolKind,
     acc,
-    coord,
-    jet_partials,
     next_order,
     times_symbol,
     vel,
@@ -140,17 +137,13 @@ def dual_spencer(phi: VerticalOneForm) -> EquationsOfMotion:
 
 
 def variational_derivative(lagrangian: Expr, n: int | None = None) -> tuple[Expr, ...]:
-    """Euler-Lagrange components dL/dx^i - d/dt(dL/dv^i), each as
-    ``dual_spencer`` forms a residual."""
-    # a jet coordinate is in the Lagrangian iff its partial is
-    partials = jet_partials(lagrangian, with_time=False)
-    if any(s.kind == SymbolKind.ACC for s in partials):
+    """Euler-Lagrange components dL/dx^i - d/dt(dL/dv^i): the dual-Spencer
+    residuals of the exact form ``d0(L)`` on ``n`` coordinates (``d0``'s
+    default when None), which raises when ``L`` holds a coordinate index
+    >= n."""
+    if lagrangian.contains_kind(SymbolKind.ACC):
         raise ValueError("Lagrangian must be acceleration-free")
-    if n is None:
-        n = max(max((s.index for s in partials), default=-1) + 1, 1)
-    return tuple(
-        _residual(partials.get(coord(i), ZERO), partials.get(vel(i), ZERO)) for i in range(n)
-    )
+    return dual_spencer(d0(lagrangian, n=n)).residuals
 
 
 def assemble_with_split(dec: Decomposition, phi: VerticalOneForm) -> EquationsOfMotion:

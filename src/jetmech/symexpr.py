@@ -936,9 +936,3 @@ def _compiled(lines: Sequence[str]) -> Callable:
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["compiled"]
 
-
-def param_literals(params: Mapping[str, float]) -> frozenset:
-    """The parameters as ``dynamics._eval_on_trajectory`` keys them: by each
-    value's emitted literal, not by ==, as -0.0 and 0.0 are equal but emit
-    different source."""
-    return frozenset((name, repr(float(value))) for name, value in params.items())

@@ -192,11 +192,11 @@ def test_criterion_8_first_variation_extremality():
         )
         delta, _ = variation.sample_on(solution.taus, solution.h)
         norm = float(np.abs(delta).max())
-        sigma_sol = first_variation(solution, system.phi, variation, params, "pre")
+        (sigma_sol,) = first_variation(solution, system.phi, [variation], params, "pre")
         assert abs(sigma_sol) <= 1e-5 * norm
-        sigma_pert = first_variation(perturbed, system.phi, variation, params, "pre")
+        (sigma_pert,) = first_variation(perturbed, system.phi, [variation], params, "pre")
         assert abs(sigma_pert) >= 100.0 * abs(sigma_sol)
-        sigma_post = first_variation(solution, system.phi, variation, params, "post")
+        (sigma_post,) = first_variation(solution, system.phi, [variation], params, "post")
         scale = 1.0 + abs(sigma_sol) + abs(sigma_post) + norm
         assert abs(sigma_sol - sigma_post) <= 1e-8 * scale
         worst_sol = max(worst_sol, abs(sigma_sol) / norm)

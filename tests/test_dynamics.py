@@ -379,14 +379,14 @@ class TestVariation:
     def test_vanishes_on_solutions(self):
         variation = self.sine_variation()
         norm = 1.0
-        value = first_variation(self.traj, self.phi, variation, self.params, "pre")
+        (value,) = first_variation(self.traj, self.phi, [variation], self.params, "pre")
         assert abs(value) <= 1e-5 * norm
 
     def test_zero_variation_gives_zero(self):
         variation = VariationField(
             samples=np.zeros_like(self.traj.taus), dot_samples=np.zeros_like(self.traj.taus)
         )
-        assert first_variation(self.traj, self.phi, variation, self.params, "pre") == 0.0
+        assert first_variation(self.traj, self.phi, [variation], self.params, "pre") == [0.0]
 
     def test_detects_perturbed_dynamics(self):
         # negative control: harmonic oscillator trajectory generated with k
@@ -396,8 +396,8 @@ class TestVariation:
         perturbed = integrate(perturbed_ode, [1.0], [0.0], (0.0, 10.0), 1e-3)
         variation = self.sine_variation()
         solution = integrate(ho_ode(), [1.0], [0.0], (0.0, 10.0), 1e-3)
-        on_solution = first_variation(solution, phi, variation, HO_PARAMS, "pre")
-        on_perturbed = first_variation(perturbed, phi, variation, HO_PARAMS, "pre")
+        (on_solution,) = first_variation(solution, phi, [variation], HO_PARAMS, "pre")
+        (on_perturbed,) = first_variation(perturbed, phi, [variation], HO_PARAMS, "pre")
         assert abs(on_perturbed) >= 1e-2  # norm of the sine variation is 1
         assert abs(on_perturbed) >= 100.0 * abs(on_solution)
 
@@ -414,8 +414,8 @@ class TestVariation:
                 poly = poly + Expr.const(Fraction(rng.randint(-3, 3) or 1, 2)) * t**k
             variation = VariationField(exprs=(t * (Expr.const(10) - t) * poly / 25,))
             for traj in (self.traj, perturbed):
-                pre = first_variation(traj, self.phi, variation, self.params, "pre")
-                post = first_variation(traj, self.phi, variation, self.params, "post")
+                (pre,) = first_variation(traj, self.phi, [variation], self.params, "pre")
+                (post,) = first_variation(traj, self.phi, [variation], self.params, "post")
                 scale = 1.0 + abs(pre) + abs(post)
                 assert abs(pre - post) <= 1e-8 * scale
 
@@ -431,7 +431,7 @@ class TestVariation:
         for i, r in enumerate(dual_spencer(self.phi).residuals):
             fn = compile_expr(r, self.params)
             integrand += fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, accels.T) * delta[:, i]
-        post = first_variation(self.traj, self.phi, variation, self.params, "post")
+        (post,) = first_variation(self.traj, self.phi, [variation], self.params, "post")
         ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
         assert post == simpson_uniform(integrand, self.traj.h) + (tb - ta)
 
@@ -440,16 +440,18 @@ class TestVariation:
         traj = Trajectory(taus, np.zeros((11, 1)), np.ones((11, 1)), 0.1)
         variation = VariationField(exprs=(Expr.var(TAU),))
         # the pre form never needs them
-        assert abs(first_variation(traj, ho_phi(), variation, HO_PARAMS, "pre") - 1.0) < 1e-12
+        (pre,) = first_variation(traj, ho_phi(), [variation], HO_PARAMS, "pre")
+        assert abs(pre - 1.0) < 1e-12
         with pytest.raises(MechError, match="without a law"):
-            first_variation(traj, ho_phi(), variation, HO_PARAMS, "post")
+            first_variation(traj, ho_phi(), [variation], HO_PARAMS, "post")
 
     def test_post_without_boundary_plus_theta(self):
         t = Expr.var(TAU)
         variation = VariationField(exprs=(t / 10,))
-        pre = first_variation(self.traj, self.phi, variation, self.params, "pre")
+        (pre,) = first_variation(self.traj, self.phi, [variation], self.params, "pre")
         ta, tb = transversality_term(self.traj, self.phi, variation, self.params)
-        post_nb = first_variation(self.traj, self.phi, variation, self.params, "post") - (tb - ta)
+        (post,) = first_variation(self.traj, self.phi, [variation], self.params, "post")
+        post_nb = post - (tb - ta)
         assert tb != ta
         assert abs(pre - (post_nb + tb - ta)) <= 1e-8 * (1 + abs(pre))
 
@@ -495,6 +497,27 @@ class TestVariation:
         assert again[0].tobytes() == delta.tobytes() and again[1].tobytes() == ddot.tobytes()
         assert vars(variation).keys() == {f.name for f in dataclasses.fields(VariationField)}
         assert np.allclose(ddot[:, 0], self.traj.taus / 5, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("kind", ["two-exprs", "two-columns", "no-columns"])
+    def test_a_variation_with_another_component_count_raises(self, kind):
+        # the trajectory has one coordinate; neither call may drop or lack one
+        t, N = Expr.var(TAU), len(self.traj.taus)
+        variation, width = {
+            "two-exprs": (VariationField(exprs=(t * (1 - t), t)), 2),
+            "two-columns": (VariationField(samples=np.zeros((N, 2))), 2),
+            "no-columns": (VariationField(samples=np.zeros((N, 0))), 0),
+        }[kind]
+        assert self.traj.n == 1
+        match = f"a variation of {width} components on 1 coordinates"
+        for form in ("pre", "post"):
+            with pytest.raises(ValueError, match=match):
+                first_variation(self.traj, self.phi, [variation], self.params, form)
+        with pytest.raises(ValueError, match=match):
+            transversality_term(self.traj, self.phi, variation, self.params)
+
+    def test_a_symbolic_variation_needs_a_component(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            VariationField(exprs=())
 
     def test_sampled_variation_is_rows_never_transposed(self):
         taus = self.traj.taus
@@ -592,9 +615,9 @@ class TestVariation:
 
 
 class TestKeptSamples:
-    """Each expression is evaluated once per trajectory, and what is kept is
-    handed out read-only; the trajectory is the one object that keeps
-    samples."""
+    """A trajectory keeps its accelerations and nothing else; each
+    first_variation call evaluates each component it needs once, for all of
+    its fields."""
 
     def setup_method(self):
         self.params = {"k": 1.0, "m": 1.0, "b": 0.1}
@@ -602,21 +625,21 @@ class TestKeptSamples:
         ode = assemble_explicit(dual_spencer(self.phi), self.params)
         self.traj = integrate(ode, [1.0], [0.0], (0.0, 1.0), 1e-2)
 
-    def test_an_expression_is_evaluated_once_per_trajectory(self):
-        residual = dual_spencer(self.phi).residuals[0]  # reads the accelerations
-        kept = _eval_on_trajectory(residual, self.traj, self.params)
-        fn = compile_expr(residual, self.params)
-        fresh = fn(self.traj.taus, self.traj.xs.T, self.traj.vs.T, self.traj.accels.T)
-        assert _eval_on_trajectory(residual, self.traj, self.params) is kept
-        assert kept.dtype == fresh.dtype and kept.tobytes() == fresh.tobytes()
-        with pytest.raises(ValueError):
-            kept[0] = 1.0
-        assert _eval_on_trajectory(residual, self.traj, self.params).tobytes() == fresh.tobytes()
-        # other parameter literals are another compiled function
-        other = _eval_on_trajectory(residual, self.traj, dict(self.params, k=2.0))
-        assert other is not kept and not np.array_equal(other, kept)
-
-    def test_a_kept_expression_is_not_compiled_again(self, monkeypatch):
+    def test_one_call_compiles_each_component_once(self, monkeypatch):
+        # two coupled coordinates: F_i and Pi_i (pre), or R_i and Pi_i (post),
+        # whatever the number of fields, and again on the next call
+        X1, V1 = Expr.var(coord(1)), Expr.var(vel(1))
+        phi = VerticalOneForm((-K * X + X1 / 2 - B * V, -K * X1 + X / 2), (M * V, M * V1))
+        traj = integrate(
+            assemble_explicit(dual_spencer(phi), self.params), [1.0, 0.0], [0.0, 0.5],
+            (0.0, 1.0), 1e-2,
+        )
+        t = Expr.var(TAU)
+        fields = [
+            VariationField(exprs=(t * (1 - t), t * t * (1 - t))),
+            VariationField(samples=np.column_stack([np.sin(traj.taus)] * 2)),
+            VariationField(exprs=(t**3, t / 3), vanishes_at_a=True),
+        ]
         compiled = []
         original = dynamics.compile_expr
 
@@ -625,12 +648,15 @@ class TestKeptSamples:
             return original(e, params)
 
         monkeypatch.setattr(dynamics, "compile_expr", counting)
-        residual = dual_spencer(self.phi).residuals[0]
-        kept = _eval_on_trajectory(residual, self.traj, self.params)
-        equal = dual_spencer(self.phi).residuals[0]  # equal, not the same object
-        assert equal is not residual
-        assert _eval_on_trajectory(equal, self.traj, dict(self.params)) is kept
-        assert compiled == [residual]
+        for form in ("pre", "post"):
+            own = phi.F if form == "pre" else dual_spencer(phi).residuals
+            for _ in range(2):
+                compiled.clear()
+                values = first_variation(traj, phi, fields, self.params, form)
+                assert sorted(map(repr, compiled)) == sorted(map(repr, (*own, *phi.Pi)))
+            alone = [first_variation(traj, phi, [f], self.params, form) for f in fields]
+            assert [v.hex() for v in values] == [v.hex() for (v,) in alone]
+        assert vars(traj).keys() == {f.name for f in dataclasses.fields(Trajectory)} | {"accels"}
 
     def test_signed_zero_parameters_are_kept_apart(self):
         # 0.0 == -0.0, but k*x emits a different literal for each
@@ -651,8 +677,8 @@ class TestKeptSamples:
         perturbed = integrate(ode, [1.0], [0.0], (0.0, 1.0), 1e-2)
         for traj in (self.traj, perturbed):
             for form in ("pre", "post"):
-                want = first_variation(traj, self.phi, symbolic, self.params, form)
-                got = first_variation(traj, self.phi, sampled, self.params, form)
+                (want,) = first_variation(traj, self.phi, [symbolic], self.params, form)
+                (got,) = first_variation(traj, self.phi, [sampled], self.params, form)
                 assert got.hex() == want.hex()
             want = transversality_term(traj, self.phi, symbolic, self.params)
             got = transversality_term(traj, self.phi, sampled, self.params)
@@ -676,7 +702,7 @@ class TestKeptSamples:
             variation = _fixed_boundary_variation(random.Random(case_seed), 0.0, 10.0, envelope)
             for form in ("pre", "post"):
                 for traj in trajs:
-                    values.append(first_variation(traj, system.phi, variation, params, form))
+                    values += first_variation(traj, system.phi, [variation], params, form)
         digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
         assert digest == "5cb452c038a529ff362ea6050e702747c587f7745fa321beef24bb3a68b85ec6"
 

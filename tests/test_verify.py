@@ -1,4 +1,5 @@
-"""How verify runs its suites, and its verdicts on non-finite values.
+"""How verify runs its suites, its verdicts on non-finite values, and a
+suite that fails when the code it checks is broken.
 
 ``run_builtin_suites`` forks one child for two suites where it may use
 more than one CPU. Each test here sets the CPU count the runner reads
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jetmech import verify
+from jetmech import spencer, symexpr, verify
 from jetmech.cli import main
 from jetmech.dynamics import OracleReport
 from jetmech.verify import DEFAULT_SEED, FORKED_SUITES, run_builtin_suites
@@ -164,7 +165,10 @@ class TestNaNVerdicts:
     """A comparison that decides a pass fails on NaN."""
 
     def test_a_nan_first_variation_fails(self, monkeypatch):
-        monkeypatch.setattr(verify, "first_variation", lambda *args: float("nan"))
+        def nan_values(traj, phi, fields, *args):
+            return [float("nan")] * len(fields)
+
+        monkeypatch.setattr(verify, "first_variation", nan_values)
         result = verify.check_first_variation(7)
         assert not result.passed
         assert result.detail.startswith("|Sigma| = nan on a solution")
@@ -192,3 +196,26 @@ class TestNaNVerdicts:
         assert OracleReport(0.0).within(0.0)
         assert not OracleReport(2e-8).within(1e-8)
         assert not OracleReport(float("nan")).within(float("inf"))
+
+
+class TestBrokenCodeFails:
+    """The Euler-Lagrange suite checks the dual-Spencer residuals of d0(L)
+    against the textbook formula, which reads neither the residual walk nor
+    the partials map that d0 reads; breaking either fails it."""
+
+    @pytest.mark.parametrize("broken", ["residual", "partials", "both"])
+    def test_the_el_suite_fails_on_a_broken_residual_or_partials(self, monkeypatch, broken):
+        if broken in ("residual", "both"):
+            residual = spencer._residual
+            monkeypatch.setattr(spencer, "_residual", lambda own, p: residual(own, p) + 1)
+        if broken in ("partials", "both"):
+            partials = symexpr._partials
+            monkeypatch.setattr(
+                symexpr,
+                "_partials",
+                lambda e, with_time: {s: 2 * p for s, p in partials(e, with_time).items()},
+            )
+        result = verify.check_el_equivalence(DEFAULT_SEED)
+        assert not result.passed
+        assert result.detail == "residuals differ symbolically"
+        assert DEFAULT_SEED + 10_000 <= result.seed < DEFAULT_SEED + 10_000 + verify.EL_CASES
